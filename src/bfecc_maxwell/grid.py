@@ -149,6 +149,8 @@ class ImplicitCurve:
                 lo, hi, flo = a, b, fa
                 while hi - lo > tol:
                     mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:  # float spacing reached before tol
+                        break
                     fm = f(mid)
                     if fm == 0.0:
                         lo = hi = mid
@@ -336,30 +338,17 @@ def stencil(grid: Grid2, i: int, j: int) -> np.ndarray:
     """
     if not (0 <= i < grid.nx and 0 <= j < grid.ny):
         raise StencilError(f"index ({i}, {j}) outside grid {grid.nx}x{grid.ny}")
-    periodic = grid.boundary_kind == "periodic"
+    if grid.boundary_kind != "periodic" and not (0 < i < grid.nx - 1 and 0 < j < grid.ny - 1):
+        raise StencilError(
+            f"stencil at ({i}, {j}) reaches outside the bounded grid; "
+            "boundary points have no update rule")
     out = np.empty((5, 2))
     for s, (di, dj) in enumerate(STENCIL_OFFSETS):
-        ii, jj = i + di, j + dj
-        shift_x = shift_y = 0.0
-        if periodic:
-            if ii < 0:
-                ii += grid.nx
-                shift_x = -grid.width
-            elif ii >= grid.nx:
-                ii -= grid.nx
-                shift_x = grid.width
-            if jj < 0:
-                jj += grid.ny
-                shift_y = -grid.height
-            elif jj >= grid.ny:
-                jj -= grid.ny
-                shift_y = grid.height
-        elif not (0 <= ii < grid.nx and 0 <= jj < grid.ny):
-            raise StencilError(
-                f"stencil at ({i}, {j}) reaches outside the bounded grid; "
-                "boundary points have no update rule")
-        out[s, 0] = grid.coords[ii, jj, 0] + shift_x
-        out[s, 1] = grid.coords[ii, jj, 1] + shift_y
+        # a periodic neighbor past the seam sits one domain extent away
+        wi, ii = divmod(i + di, grid.nx)
+        wj, jj = divmod(j + dj, grid.ny)
+        out[s, 0] = grid.coords[ii, jj, 0] + wi * grid.width
+        out[s, 1] = grid.coords[ii, jj, 1] + wj * grid.height
     return out
 
 

@@ -155,10 +155,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"grid must be one of {GRID_VARIANTS}, got {cfg.grid_variant!r}")
     if cfg.n < 4:
         raise ValueError(f"n must be at least 4, got {cfg.n}")
-    if not cfg.dt_ratio > 0:
-        raise ValueError(f"dt_ratio must be positive, got {cfg.dt_ratio}")
-    if cfg.t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {cfg.t_final}")
+    if not (cfg.dt_ratio > 0 and math.isfinite(cfg.dt_ratio)):
+        raise ValueError(f"dt_ratio must be positive and finite, got {cfg.dt_ratio}")
+    if not (cfg.t_final >= 0 and math.isfinite(cfg.t_final)):
+        raise ValueError(f"t_final must be nonnegative and finite, got {cfg.t_final}")
+    if cfg.check_every < 1:
+        raise ValueError(f"check_every must be at least 1, got {cfg.check_every}")
+    if not math.isfinite(cfg.blowup_threshold):
+        raise ValueError(f"blowup_threshold must be finite, got {cfg.blowup_threshold}")
     if cfg.levels < 1:
         raise ValueError(f"levels must be at least 1, got {cfg.levels}")
     if cfg.pml_cells < 0:
@@ -253,13 +257,16 @@ def _check_cfl(cfg, kind, dims, spacings, dt):
             f"{kind!r}; reduce dt_ratio or pass allow_unstable")
 
 
-def _sup1(state: FieldState1):
-    return max(float(np.max(np.abs(state.E))), float(np.max(np.abs(state.H))))
-
-
-def _sup2(state: FieldState2):
-    return max(float(np.max(np.abs(state.Hx))), float(np.max(np.abs(state.Hy))),
-               float(np.max(np.abs(state.Ez))))
+def _monitor(cfg, state, k, n_full, dt):
+    """Sup-norm check of each component after full step k + 1 of n_full;
+    NaN counts as blown up."""
+    if (k + 1) % cfg.check_every == 0 or k + 1 == n_full:
+        fields = ((state.E, state.H) if isinstance(state, FieldState1)
+                  else (state.Hx, state.Hy, state.Ez))
+        for f in fields:
+            sup = float(np.max(np.abs(f)))
+            if not sup <= cfg.blowup_threshold:
+                raise InstabilityError(k + 1, (k + 1) * dt, sup)
 
 
 def run_periodic1d(cfg: ExperimentConfig) -> dict:
@@ -282,10 +289,7 @@ def run_periodic1d(cfg: ExperimentConfig) -> dict:
 
     for k in range(n_full):
         state = advance(state, dt)
-        if (k + 1) % cfg.check_every == 0 or k + 1 == n_full:
-            sup = _sup1(state)
-            if sup > cfg.blowup_threshold:
-                raise InstabilityError(k + 1, (k + 1) * dt, sup)
+        _monitor(cfg, state, k, n_full, dt)
     if partial > 0.0:
         state = advance(state, partial)
     ee, he = exact_periodic1d(x, cfg.t_final)
@@ -324,10 +328,7 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
 
     for k in range(n_full):
         state = advance(state, dt)
-        if (k + 1) % cfg.check_every == 0 or k + 1 == n_full:
-            sup = _sup2(state)
-            if sup > cfg.blowup_threshold:
-                raise InstabilityError(k + 1, (k + 1) * dt, sup)
+        _monitor(cfg, state, k, n_full, dt)
     if partial > 0.0:
         state = advance(state, partial)
     hxe, hye, eze = exact_periodic2d(xs, ys, cfg.t_final)
@@ -394,10 +395,7 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     do_step = runner.step if cfg.bfecc else runner.plain_step
     for k in range(n_full):
         state = do_step(state, k * dt)
-        if (k + 1) % cfg.check_every == 0 or k + 1 == n_full:
-            sup = _sup2(state)
-            if sup > cfg.blowup_threshold:
-                raise InstabilityError(k + 1, (k + 1) * dt, sup)
+        _monitor(cfg, state, k, n_full, dt)
     if partial > 0.0:
         pml_tail = build_pml(grid, partial, pad, cfg.pml_sigma_max, cfg.pml_exponent)
         pml_tail.psi_hxy = pml.psi_hxy

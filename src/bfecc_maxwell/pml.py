@@ -36,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid2
-from .schemes import FieldState2, SchemeSpec, StencilGeometry, _ls_fit_all, lincomb2
+from .schemes import (FieldState2, SchemeSpec, StencilGeometry, _ls_assemble,
+                      _ls_fit_all, lincomb2)
 
 LS_KINDS = ("ls_cd", "ls_theta")
 
@@ -162,56 +163,60 @@ class TfsfSource:
 
 
 class TfsfInjector:
-    """Precomputed edge corrections for one (grid, weights, source) triple."""
+    """Precomputed edge corrections for one (grid, weights, source) triple.
+
+    Only update points whose stencil straddles the rectangle edge get a
+    correction; `rows` indexes them in the geometry's (nx', ny') block.
+    """
 
     def __init__(self, source: TfsfSource, geom: StencilGeometry, weights,
                  kind: str, eps, mu):
-        pts = geom.points
-        cx = geom.grid.coords[:, :, 0].ravel()[pts]
-        cy = geom.grid.coords[:, :, 1].ravel()[pts]
-        ax = cx[:, None] + geom.offsets[:, :, 0]
-        ay = cy[:, None] + geom.offsets[:, :, 1]
+        inside = geom.interior
+        pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets
+        ax, ay = pos[:, :, 0], pos[:, :, 1]
         chi = source.chi(ax, ay)
         dchi = chi[:, 0:1] - chi
-        active = np.any(dchi != 0.0, axis=1)
-        rows = np.nonzero(active)[0]
+        rows = np.nonzero(np.any(dchi != 0.0, axis=1))[0]
+        d = dchi[rows]
         self.source = source
-        self.rows = rows
+        self.rows = np.unravel_index(rows, geom.shape)
         self.ax = ax[rows]
         self.ay = ay[rows]
-        self.dchi = dchi[rows]
-        self.wx = weights[rows, 1, :]
-        self.wy = weights[rows, 2, :]
+        self.dwx = d * weights[rows, 1, :]
+        self.dwy = d * weights[rows, 2, :]
         # the fitted-center base only exists for ls_theta; the ls_cd base is
         # the point's own value, whose chi difference is identically zero
-        self.w0 = weights[rows, 0, :] if kind == "ls_theta" else None
-        self.inv_eps = (1.0 if eps is None else 1.0 / eps.ravel()[pts[rows]])
-        self.inv_mu = (1.0 if mu is None else 1.0 / mu.ravel()[pts[rows]])
+        self.dw0 = d * weights[rows, 0, :] if kind == "ls_theta" else None
+        self.inv_eps = 1.0 if eps is None else 1.0 / eps[inside][self.rows]
+        self.inv_mu = 1.0 if mu is None else 1.0 / mu[inside][self.rows]
 
     def corrections(self, t, sdt):
         """(rows, dHx, dHy, dEz) to add to the assembled update at time t."""
         ez = self.source.ez_inc(self.ax, self.ay, t)
         hy = -ez
-        d = self.dchi
-        sx_ez = np.einsum("as,as->a", d * self.wx, ez)
-        sy_ez = np.einsum("as,as->a", d * self.wy, ez)
-        sx_hy = np.einsum("as,as->a", d * self.wx, hy)
+        sx_ez = np.einsum("as,as->a", self.dwx, ez)
+        sy_ez = np.einsum("as,as->a", self.dwy, ez)
+        sx_hy = np.einsum("as,as->a", self.dwx, hy)
         dhx = -sdt * self.inv_mu * sy_ez
         dhy = sdt * self.inv_mu * sx_ez
         dez = sdt * self.inv_eps * sx_hy
-        if self.w0 is not None:
-            dhy = dhy + np.einsum("as,as->a", d * self.w0, hy)
-            dez = dez + np.einsum("as,as->a", d * self.w0, ez)
+        if self.dw0 is not None:
+            dhy = dhy + np.einsum("as,as->a", self.dw0, hy)
+            dez = dez + np.einsum("as,as->a", self.dw0, ez)
         return self.rows, dhx, dhy, dez
 
 
 class PmlRunner:
     """Time stepper for a least-squares scheme with collar and injection.
 
-    Builds the stencil geometry, fit weights, per-point recursion
-    coefficients and edge corrections once, then advances states with
-    `step` (three-substep wrapper) or `plain_step`.  The memory fields in
-    `pml` are updated in place; field states are never mutated.
+    Builds the stencil geometry, fit weights, recursion coefficients and
+    edge corrections once, then advances states with `step` (three-substep
+    wrapper) or `plain_step`.  Fits are (3, nx', ny') planes over the
+    geometry's update block; the collar coefficients are (nx', 1) and
+    (1, ny') planes that broadcast against them, and the update is
+    step_2d's least-squares assembly applied to the damped derivatives.
+    The memory fields in `pml` are updated in place; field states are
+    never mutated.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -229,14 +234,11 @@ class PmlRunner:
         self.source = source
         self.geom = geometry if geometry is not None else StencilGeometry(grid)
         self.weights = weights if weights is not None else self.geom.cached_weights()
-        pts = self.geom.points
-        i = pts // grid.ny
-        j = pts % grid.ny
-        self.pts = pts
-        self.bx = pml.b_x[i]
-        self.cx = pml.c_x[i]
-        self.by = pml.b_y[j]
-        self.cy = pml.c_y[j]
+        ix, iy = self.geom.interior
+        self.bx = pml.b_x[ix][:, None]
+        self.cx = pml.c_x[ix][:, None]
+        self.by = pml.b_y[iy][None, :]
+        self.cy = pml.c_y[iy][None, :]
         self.one_cx = 1.0 + self.cx
         self.one_cy = 1.0 + self.cy
         self._injector = None
@@ -263,54 +265,35 @@ class PmlRunner:
 
     def _apply(self, state: FieldState2, fits, sdt, with_history, t):
         fit_hx, fit_hy, fit_ez = fits
-        pts = self.pts
-        eff_ez_x = self.one_cx * fit_ez[:, 1]
-        eff_ez_y = self.one_cy * fit_ez[:, 2]
-        eff_hy_x = self.one_cx * fit_hy[:, 1]
-        eff_hx_y = self.one_cy * fit_hx[:, 2]
+        dez_dx = self.one_cx * fit_ez[1]
+        dez_dy = self.one_cy * fit_ez[2]
+        dhy_dx = self.one_cx * fit_hy[1]
+        dhx_dy = self.one_cy * fit_hx[2]
+        inside = self.geom.interior
         if with_history:
-            eff_ez_x = eff_ez_x + self.bx * self.pml.psi_hyx.ravel()[pts]
-            eff_ez_y = eff_ez_y + self.by * self.pml.psi_hxy.ravel()[pts]
-            eff_hy_x = eff_hy_x + self.bx * self.pml.psi_ezx.ravel()[pts]
-            eff_hx_y = eff_hx_y + self.by * self.pml.psi_ezy.ravel()[pts]
-        ie = 1.0 if state.eps is None else 1.0 / state.eps.ravel()[pts]
-        im = 1.0 if state.mu is None else 1.0 / state.mu.ravel()[pts]
-        if self.spec.kind == "ls_cd":
-            base_hx = state.Hx.ravel()[pts]
-            base_hy = state.Hy.ravel()[pts]
-            base_ez = state.Ez.ravel()[pts]
-        else:
-            base_hx = fit_hx[:, 0]
-            base_hy = fit_hy[:, 0]
-            base_ez = fit_ez[:, 0]
-        new_hx = base_hx - sdt * im * eff_ez_y
-        new_hy = base_hy + sdt * im * eff_ez_x
-        new_ez = base_ez + sdt * ie * (eff_hy_x - eff_hx_y)
+            dez_dx += self.bx * self.pml.psi_hyx[inside]
+            dez_dy += self.by * self.pml.psi_hxy[inside]
+            dhy_dx += self.bx * self.pml.psi_ezx[inside]
+            dhx_dy += self.by * self.pml.psi_ezy[inside]
+        out = _ls_assemble(self.spec.kind, state, self.geom, fits, sdt,
+                           dez_dx, dez_dy, dhy_dx, dhx_dy)
         inj = self._ensure_injector(state)
         if inj is not None:
             rows, dhx, dhy, dez = inj.corrections(t, sdt)
-            new_hx[rows] += dhx
-            new_hy[rows] += dhy
-            new_ez[rows] += dez
-        hx = state.Hx.copy().ravel()
-        hy = state.Hy.copy().ravel()
-        ez = state.Ez.copy().ravel()
-        hx[pts] = new_hx
-        hy[pts] = new_hy
-        ez[pts] = new_ez
-        shape = state.shape
-        return FieldState2(hx.reshape(shape), hy.reshape(shape), ez.reshape(shape),
-                           state.eps, state.mu)
+            for f, d in ((out.Hx, dhx), (out.Hy, dhy), (out.Ez, dez)):
+                f[inside][rows] += d
+        return out
 
     def _advance_memory(self, fits0):
         fit_hx, fit_hy, fit_ez = fits0
-        pts = self.pts
-        for psi, b, c, g in ((self.pml.psi_hxy, self.by, self.cy, fit_ez[:, 2]),
-                             (self.pml.psi_hyx, self.bx, self.cx, fit_ez[:, 1]),
-                             (self.pml.psi_ezx, self.bx, self.cx, fit_hy[:, 1]),
-                             (self.pml.psi_ezy, self.by, self.cy, fit_hx[:, 2])):
-            flat = psi.ravel()
-            flat[pts] = b * flat[pts] + c * g
+        inside = self.geom.interior
+        for psi, b, c, g in ((self.pml.psi_hxy, self.by, self.cy, fit_ez[2]),
+                             (self.pml.psi_hyx, self.bx, self.cx, fit_ez[1]),
+                             (self.pml.psi_ezx, self.bx, self.cx, fit_hy[1]),
+                             (self.pml.psi_ezy, self.by, self.cy, fit_hx[2])):
+            view = psi[inside]
+            view *= b
+            view += c * g
 
     def step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt from time t with the three-substep wrapper.

@@ -175,49 +175,58 @@ def _dy_c(f):
 
 
 class StencilGeometry:
-    """Per-point 5-point stencil indices and offsets for a Grid2.
+    """Five-point stencils of a Grid2 in plane-major layout.
 
     Update points are all points (periodic) or the interior ring-1 points
-    (bounded; the outer ring has no update rule and is held fixed).
-    Weights for the linear least-squares fit can be computed fresh per use
-    (`weights()`) or precomputed once (`cached_weights()`); both paths run
-    the same factorization.
+    (bounded; the outer ring has no update rule and is held fixed).  They
+    form an (nx', ny') = `shape` block that `interior` slices out of any
+    field.  Slot s of grid.STENCIL_OFFSETS at every update point is the
+    (nx', ny') view `shifted(f)[s]`: a slice of f itself on bounded grids,
+    of one ghost-padded gather `f.ravel()[ghost]` on periodic ones.
+
+    `offsets` (m, 5, 2) holds each stencil's points relative to its center,
+    m = nx' * ny' in row-major order.  `weights()` runs the least-squares
+    factorization and returns the (m, 3, 5) fit weights as a view over
+    contiguous (3, 5, nx', ny') planes, so one copy serves per-point and
+    per-plane use; `cached_weights()` keeps the first result.
     """
 
     def __init__(self, grid: Grid2):
         self.grid = grid
         nx, ny = grid.nx, grid.ny
-        periodic = grid.boundary_kind == "periodic"
-        if periodic:
-            ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        c = grid.coords
+        if grid.boundary_kind == "periodic":
+            self.shape = (nx, ny)
+            self.interior = (slice(None), slice(None))
+            i = np.arange(-1, nx + 1) % nx
+            j = np.arange(-1, ny + 1) % ny
+            self.ghost = i[:, None] * ny + j[None, :]
+            # ghost points sit one domain extent away, so stencils stay local
+            c = c.reshape(-1, 2)[self.ghost]
+            c[0, :, 0] -= grid.width
+            c[-1, :, 0] += grid.width
+            c[:, 0, 1] -= grid.height
+            c[:, -1, 1] += grid.height
         else:
-            ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-        ii = ii.ravel()
-        jj = jj.ravel()
-        self.points = ii * ny + jj
-        m = self.points.shape[0]
-        self.neighbors = np.empty((m, 5), dtype=np.intp)
-        self.offsets = np.empty((m, 5, 2))
-        cx = grid.coords[:, :, 0].ravel()
-        cy = grid.coords[:, :, 1].ravel()
-        for s, (di, dj) in enumerate(STENCIL_OFFSETS):
-            ni, nj = ii + di, jj + dj
-            shift_x = np.zeros(m)
-            shift_y = np.zeros(m)
-            if periodic:
-                shift_x = np.where(ni < 0, -grid.width, np.where(ni >= nx, grid.width, 0.0))
-                shift_y = np.where(nj < 0, -grid.height, np.where(nj >= ny, grid.height, 0.0))
-                ni = ni % nx
-                nj = nj % ny
-            flat = ni * ny + nj
-            self.neighbors[:, s] = flat
-            self.offsets[:, s, 0] = cx[flat] + shift_x - cx[self.points]
-            self.offsets[:, s, 1] = cy[flat] + shift_y - cy[self.points]
+            self.shape = (nx - 2, ny - 2)
+            self.interior = (slice(1, -1), slice(1, -1))
+            self.ghost = None
+        mx, my = self.shape
+        self._slots = [(slice(1 + di, 1 + di + mx), slice(1 + dj, 1 + dj + my))
+                       for di, dj in STENCIL_OFFSETS]
+        center = c[self._slots[0]]
+        self.offsets = np.stack([c[sl] - center for sl in self._slots], axis=2).reshape(-1, 5, 2)
         self._weights = None
+
+    def shifted(self, f):
+        """The five (nx', ny') stencil-slot views of field f."""
+        padded = f if self.ghost is None else f.ravel()[self.ghost]
+        return [padded[sl] for sl in self._slots]
 
     def weights(self):
         w, _ = batched_fit_weights(self.offsets)
-        return w
+        planes = np.ascontiguousarray(w.reshape(self.shape + (3, 5)).transpose(2, 3, 0, 1))
+        return planes.transpose(2, 3, 0, 1).reshape(w.shape)
 
     def cached_weights(self):
         if self._weights is None:
@@ -226,12 +235,48 @@ class StencilGeometry:
 
 
 def _ls_fit_all(geom: StencilGeometry, weights, *fields):
-    """Fitted (a, d/dx, d/dy) for each flat field at the update points."""
+    """Fitted (a, d/dx, d/dy) at the update points, (3, nx', ny') per field.
+
+    `weights` is the (m, 3, 5) view that StencilGeometry.weights() returns;
+    its (3, 5, nx', ny') planes are contracted with the five shifted views
+    of each field, one output plane at a time.
+    """
+    planes = weights.reshape(geom.shape + (3, 5)).transpose(2, 3, 0, 1)
+    tmp = np.empty(geom.shape)
     out = []
     for f in fields:
-        s = f.ravel()[geom.neighbors]
-        out.append(np.einsum("mjs,ms->mj", weights, s))
+        views = geom.shifted(f)
+        fit = np.empty((3,) + geom.shape)
+        for o in range(3):
+            np.multiply(planes[o, 0], views[0], out=fit[o])
+            for s in range(1, 5):
+                np.multiply(planes[o, s], views[s], out=tmp)
+                fit[o] += tmp
+        out.append(fit)
     return out
+
+
+def _ls_assemble(kind, state: FieldState2, geom: StencilGeometry, fits, sdt,
+                 dez_dx, dez_dy, dhy_dx, dhx_dy) -> FieldState2:
+    """The least-squares update of `state` from its fits.
+
+    The four derivative planes are the fitted gradients, or the collar's
+    damped form of them; the base value is the point value (ls_cd) or the
+    fitted center value (ls_theta).  Points outside `geom.interior` keep
+    their input values.
+    """
+    inside = geom.interior
+    ie = 1.0 if state.eps is None else 1.0 / state.eps[inside]
+    im = 1.0 if state.mu is None else 1.0 / state.mu[inside]
+    if kind == "ls_cd":
+        base_hx, base_hy, base_ez = (f[inside] for f in (state.Hx, state.Hy, state.Ez))
+    else:  # ls_theta: fitted center value replaces the point value
+        base_hx, base_hy, base_ez = (fit[0] for fit in fits)
+    hx, hy, ez = state.Hx.copy(), state.Hy.copy(), state.Ez.copy()
+    hx[inside] = base_hx - sdt * im * dez_dy
+    hy[inside] = base_hy + sdt * im * dez_dx
+    ez[inside] = base_ez + sdt * ie * (dhy_dx - dhx_dy)
+    return FieldState2(hx, hy, ez, state.eps, state.mu)
 
 
 def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
@@ -242,19 +287,20 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
     Kinds cd/lf/theta require a uniform periodic grid (roll kernels);
     ls_cd/ls_theta work on any Grid2 through local least-squares fits.
     Passing `geometry` (and optionally `weights`) reuses precomputed
-    stencil data; otherwise both are built fresh.
+    stencil data; without `weights` the geometry's cached weights are
+    used, so the factorization runs once per geometry.
     """
     if state.shape != (grid.nx, grid.ny):
         raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")
     sdt = spec.signed_dt
-    inv_eps = 1.0 if state.eps is None else 1.0 / state.eps
-    inv_mu = 1.0 if state.mu is None else 1.0 / state.mu
 
     if spec.kind in ("cd", "lf", "theta"):
         if grid.boundary_kind != "periodic":
             raise ValueError(f"kind {spec.kind!r} uses periodic roll kernels; bounded grids need a ls_* kind")
         if not grid.is_uniform(tol=1e-12 * min(grid.dx, grid.dy)):
             raise ValueError(f"kind {spec.kind!r} requires a uniform grid; use ls_cd or ls_theta")
+        inv_eps = 1.0 if state.eps is None else 1.0 / state.eps
+        inv_mu = 1.0 if state.mu is None else 1.0 / state.mu
         lx = sdt / grid.dx
         ly = sdt / grid.dy
         th = _theta_eff(spec)
@@ -265,25 +311,7 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
         return FieldState2(hx, hy, ez, state.eps, state.mu)
 
     geom = geometry if geometry is not None else StencilGeometry(grid)
-    w = weights if weights is not None else geom.weights()
-    fit_hx, fit_hy, fit_ez = _ls_fit_all(geom, w, state.Hx, state.Hy, state.Ez)
-    pts = geom.points
-    ie = inv_eps if np.isscalar(inv_eps) else inv_eps.ravel()[pts]
-    im = inv_mu if np.isscalar(inv_mu) else inv_mu.ravel()[pts]
-    if spec.kind == "ls_cd":
-        base_hx = state.Hx.ravel()[pts]
-        base_hy = state.Hy.ravel()[pts]
-        base_ez = state.Ez.ravel()[pts]
-    else:  # ls_theta: fitted center value replaces the point value
-        base_hx = fit_hx[:, 0]
-        base_hy = fit_hy[:, 0]
-        base_ez = fit_ez[:, 0]
-    hx = state.Hx.copy().ravel()
-    hy = state.Hy.copy().ravel()
-    ez = state.Ez.copy().ravel()
-    hx[pts] = base_hx - sdt * im * fit_ez[:, 2]
-    hy[pts] = base_hy + sdt * im * fit_ez[:, 1]
-    ez[pts] = base_ez + sdt * ie * (fit_hy[:, 1] - fit_hx[:, 2])
-    shape = state.shape
-    return FieldState2(hx.reshape(shape), hy.reshape(shape), ez.reshape(shape),
-                       state.eps, state.mu)
+    w = weights if weights is not None else geom.cached_weights()
+    fit_hx, fit_hy, fit_ez = fits = _ls_fit_all(geom, w, state.Hx, state.Hy, state.Ez)
+    return _ls_assemble(spec.kind, state, geom, fits, sdt,
+                        fit_ez[1], fit_ez[2], fit_hy[1], fit_hx[2])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bfecc_maxwell import schemes
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import build_uniform
 from bfecc_maxwell.schemes import (
@@ -131,3 +132,23 @@ def test_2d_dispatch_accepts_grid():
     out = bfecc_step(BfeccStep(SchemeSpec("cd", 0.5 * g.dx)), st, g)
     assert out.Ez.shape == (n, n)
     assert not np.array_equal(out.Ez, st.Ez)
+
+
+def test_least_squares_step_without_weights_factorizes_once(monkeypatch):
+    calls = []
+    original = schemes.batched_fit_weights
+
+    def counting(offsets):
+        calls.append(len(offsets))
+        return original(offsets)
+
+    monkeypatch.setattr(schemes, "batched_fit_weights", counting)
+    n = 10
+    g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
+    rng = np.random.default_rng(3)
+    st = FieldState2(*rng.standard_normal((3, n, n)))
+    step = BfeccStep(SchemeSpec("ls_theta", 0.3 * g.dx))
+    st = bfecc_step(step, st, g)
+    assert calls == [n * n]
+    bfecc_step(step, st, g)
+    assert calls == [n * n, n * n]

@@ -39,6 +39,26 @@ def test_unstable_run_exits_3(capsys):
     assert rc == 3
 
 
+def test_nan_blowup_exits_3(capsys):
+    # the fields overflow to inf and then NaN, which the monitor must catch
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=16",
+                   "-p", "dt_ratio=1e80", "-p", "t_final=1e80", "--allow-unstable"])
+    assert rc == 3
+    assert "blew up" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["check_every=0", "check_every=-3", "dt_ratio=nan",
+                                     "dt_ratio=inf", "t_final=inf", "t_final=nan",
+                                     "blowup_threshold=nan", "blowup_threshold=inf"])
+def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):
+    rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=16", "-p", setting])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: " + setting.partition("=")[0])
+
+
 def test_guard_rejects_unstable_without_flag(capsys):
     rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=64",
                "-p", "dt_ratio=1.8", "-p", "t_final=60"])

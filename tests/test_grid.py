@@ -76,6 +76,22 @@ def test_star_intersections_found_by_bisection():
     assert worst < 1e-10
 
 
+def test_star_grid_builds_where_bisection_reaches_float_spacing():
+    """At n = 96 the root tolerance 1e-14 h is below the float spacing of
+    some crossings; the bisection must stop there instead of looping."""
+    n, pad = 96, 10
+    h = 1.0 / n
+    size = n + 2 * pad + 1
+    g = build_uniform(size, size, ((-pad * h, 1.0 + pad * h),) * 2, "bounded")
+    star = StarCurve(0.5, 0.5, r0=0.24, ripple=0.25, lobes=5)
+    gs = point_shift(g, star)
+    xs = gs.coords[gs.shifted_mask]
+    assert len(xs) > 4 * 5
+    assert np.max(np.abs(star.phi(xs[:, 0], xs[:, 1]))) < 1e-10
+    d = np.hypot(gs.coords[..., 0] - g.coords[..., 0], gs.coords[..., 1] - g.coords[..., 1])
+    assert np.max(d) <= 0.5 * max(g.dx, g.dy) + 1e-12
+
+
 def test_intersection_order_is_deterministic():
     g = build_uniform(24, 24, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     c = Circle(0.5, 0.5, 0.24)

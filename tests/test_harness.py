@@ -145,6 +145,20 @@ def test_unstable_run_raises_instability_error():
     assert e.value.time > 0.0
 
 
+@pytest.mark.parametrize("nan_field", ["E", "H"])
+def test_monitor_catches_nan_in_any_field(nan_field):
+    from bfecc_maxwell.harness import _monitor
+    from bfecc_maxwell.schemes import FieldState1
+
+    fields = {"E": np.ones(8), "H": np.ones(8)}
+    fields[nan_field][3] = np.nan
+    cfg = ExperimentConfig(check_every=1)
+    with pytest.raises(InstabilityError) as e:
+        _monitor(cfg, FieldState1(**fields), 4, 10, 0.1)
+    assert np.isnan(e.value.sup)
+    assert e.value.step == 5
+
+
 def test_disabling_the_corrector_skips_the_guard():
     # plain cd is mildly unstable but short runs stay finite
     cfg = ExperimentConfig(experiment="periodic1d", n=64, dt_ratio=1.8,

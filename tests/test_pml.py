@@ -78,18 +78,18 @@ def test_memory_recursion_fixed_point():
     dt = 0.5 * g.dx
     pml = build_pml(g, dt, thickness=10, sigma_max=np.log(2.0) / dt)
     r = PmlRunner(g, SchemeSpec("ls_theta", dt), pml)
-    m = r.pts.shape[0]
+    inside = r.geom.interior
     grad = 0.7
-    fhx = np.zeros((m, 3))
-    fhy = np.zeros((m, 3))
-    fez = np.zeros((m, 3))
-    fez[:, 1] = fez[:, 2] = grad
-    fhx[:, 2] = grad
-    fhy[:, 1] = grad
+    fhx = np.zeros((3,) + r.geom.shape)
+    fhy = np.zeros((3,) + r.geom.shape)
+    fez = np.zeros((3,) + r.geom.shape)
+    fez[1] = fez[2] = grad
+    fhx[2] = grad
+    fhy[1] = grad
     # invariance: seed the fixed point, one update must not move it
     for psi, c in ((pml.psi_hyx, r.cx), (pml.psi_hxy, r.cy),
                    (pml.psi_ezx, r.cx), (pml.psi_ezy, r.cy)):
-        psi.ravel()[r.pts] = np.where(c != 0.0, -grad, 0.0)
+        psi[inside] = np.where(c != 0.0, -grad, 0.0)
     before = pml.psi_hyx.copy()
     r._advance_memory((fhx, fhy, fez))
     assert np.max(np.abs(pml.psi_hyx - before)) < 1e-14
@@ -98,12 +98,18 @@ def test_memory_recursion_fixed_point():
     pml.reset()
     for _ in range(200):
         r._advance_memory((fhx, fhy, fez))
-    flat = pml.psi_hyx.ravel()[r.pts]
-    deep = r.bx == r.bx[r.cx != 0.0].min()
+    psi = pml.psi_hyx[inside]
+    cx = np.broadcast_to(r.cx, psi.shape)
+    bx = np.broadcast_to(r.bx, psi.shape)
+    deep = bx == bx[cx != 0.0].min()
     assert deep.any()
-    assert np.max(np.abs(flat[deep] + grad)) < 1e-12
+    assert np.max(np.abs(psi[deep] + grad)) < 1e-12
     # no memory accumulates where the damping vanishes
-    assert np.max(np.abs(flat[r.cx == 0.0])) == 0.0
+    assert np.max(np.abs(psi[cx == 0.0])) == 0.0
+    # the boundary ring has no update rule and keeps no memory
+    ring = np.ones(pml.psi_hyx.shape, dtype=bool)
+    ring[inside] = False
+    assert np.max(np.abs(pml.psi_hyx[ring])) == 0.0
 
 
 def test_reset_clears_memory():

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from bfecc_maxwell.grid import build_uniform
+from bfecc_maxwell.grid import build_uniform, stencil
+from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
+from bfecc_maxwell.lsq import fit_local_linear
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
     SCHEME_KINDS,
     SchemeSpec,
     StencilGeometry,
+    _ls_fit_all,
     lincomb1,
     lincomb2,
     step_1d,
@@ -199,13 +204,23 @@ def test_stencil_geometry_shapes_and_cache():
     n = 9
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
     geom = StencilGeometry(g)
-    assert geom.points.shape == ((n - 2) * (n - 2),)
-    assert geom.neighbors.shape == ((n - 2) * (n - 2), 5)
+    assert geom.shape == (n - 2, n - 2)
+    assert geom.offsets.shape == ((n - 2) * (n - 2), 5, 2)
+    f = np.arange(n * n, dtype=float).reshape(n, n)
+    views = geom.shifted(f)
+    assert len(views) == 5
+    assert all(v.shape == geom.shape for v in views)
+    assert np.array_equal(views[0], f[geom.interior])
     w1 = geom.cached_weights()
     w2 = geom.cached_weights()
     assert w1 is w2
+    # one copy: the (m, 3, 5) weights view contiguous (3, 5, nx', ny') planes
+    assert w1.shape == ((n - 2) * (n - 2), 3, 5)
+    planes = w1.reshape(geom.shape + (3, 5)).transpose(2, 3, 0, 1)
+    assert planes.flags.c_contiguous
+    assert np.shares_memory(planes, w1)
     gp = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    assert StencilGeometry(gp).points.shape == (n * n,)
+    assert StencilGeometry(gp).shape == (n, n)
 
 
 def test_lincomb_arithmetic():
@@ -224,3 +239,71 @@ def test_step_1d_rejects_least_squares_kinds():
     st = random_state1(8)
     with pytest.raises(ValueError):
         step_1d(SchemeSpec("ls_cd", 0.01), st, 0.125)
+
+
+def per_point_fits(grid, f, i, j):
+    """(a, d/dx, d/dy) of the reference per-stencil solve at point (i, j)."""
+    pts = stencil(grid, i, j)
+    vals = [f[(i + di) % grid.nx, (j + dj) % grid.ny] for di, dj in
+            ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))]
+    fit = fit_local_linear(pts - pts[0], vals)
+    return np.array([fit.a_hat, fit.b_hat, fit.c_hat])
+
+
+def test_plane_fit_matches_per_point_fit_across_the_periodic_seam():
+    n = 16
+    g = build_variant_grid("d", n)
+    assert g.shifted_mask.any()
+    f = np.random.default_rng(21).standard_normal((n, n))
+    geom = StencilGeometry(g)
+    (fit,) = _ls_fit_all(geom, geom.cached_weights(), f)
+    assert fit.shape == (3, n, n)
+    scale = np.array([1.0, 1.0 / g.dx, 1.0 / g.dy])
+    for i in range(n):
+        for j in range(n):
+            ref = per_point_fits(g, f, i, j)
+            assert np.all(np.abs(fit[:, i, j] - ref) <= 1e-12 * scale), (i, j)
+
+
+def test_plane_fit_and_step_on_a_bounded_shifted_grid():
+    g, eps = build_scatter_grid(ExperimentConfig(experiment="scatter_cylinder"), 8)
+    assert g.boundary_kind == "bounded" and g.shifted_mask.any()
+    nx, ny = g.nx, g.ny
+    st = random_state2(nx, seed=22, eps=eps)
+    geom = StencilGeometry(g)
+    fits = _ls_fit_all(geom, geom.cached_weights(), st.Hx, st.Hy, st.Ez)
+    assert fits[0].shape == (3, nx - 2, ny - 2)
+    dt = 0.4 * g.dx
+    out = step_2d(SchemeSpec("ls_theta", dt), st, g, geometry=geom)
+    ring = np.ones((nx, ny), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    for new, old in ((out.Hx, st.Hx), (out.Hy, st.Hy), (out.Ez, st.Ez)):
+        assert np.array_equal(new[ring], old[ring])
+    for i in range(1, nx - 1):
+        for j in range(1, ny - 1):
+            fhx, fhy, fez = (per_point_fits(g, f, i, j) for f in (st.Hx, st.Hy, st.Ez))
+            for plane, ref in zip(fits, (fhx, fhy, fez)):
+                assert np.allclose(plane[:, i - 1, j - 1], ref, rtol=0, atol=1e-11 / g.dx)
+            expect = (fhx[0] - dt * fez[2], fhy[0] + dt * fez[1],
+                      fez[0] + dt / eps[i, j] * (fhy[1] - fhx[2]))
+            got = (out.Hx[i, j], out.Hy[i, j], out.Ez[i, j])
+            assert np.allclose(got, expect, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=hst.integers(5, 24), ny=hst.integers(5, 24),
+       width=hst.floats(0.2, 5.0), height=hst.floats(0.2, 5.0),
+       ratio=hst.floats(0.05, 0.5), seed=hst.integers(0, 2 ** 16))
+def test_least_squares_kinds_reduce_to_uniform_kinds(nx, ny, width, height, ratio, seed):
+    """On any uniform periodic grid ls_cd is cd and ls_theta is theta(0.8)."""
+    g = build_uniform(nx, ny, ((0.0, width), (0.0, height)), "periodic")
+    rng = np.random.default_rng(seed)
+    st = FieldState2(*rng.standard_normal((3, nx, ny)))
+    dt = ratio * min(g.dx, g.dy)
+    geom = StencilGeometry(g)
+    for ls_kind, ref in (("ls_cd", SchemeSpec("cd", dt)),
+                         ("ls_theta", SchemeSpec("theta", dt, theta=0.8))):
+        a = step_2d(SchemeSpec(ls_kind, dt), st, g, geometry=geom)
+        b = step_2d(ref, st, g)
+        for fa, fb in ((a.Hx, b.Hx), (a.Hy, b.Hy), (a.Ez, b.Ez)):
+            assert np.max(np.abs(fa - fb)) <= 1e-12 * max(1.0, np.max(np.abs(fb)))
