@@ -23,9 +23,7 @@ from typing import Union
 import numpy as np
 
 from .bfecc import BfeccStep, bfecc_step
-from .schemes import FieldState1, SchemeSpec
-
-UNIFORM_KINDS = ("cd", "lf", "theta")
+from .schemes import FieldState1, SchemeSpec, _theta_eff
 
 _IdxType = Union[int, float]
 
@@ -35,16 +33,6 @@ def _as_pair(v):
         return float(v), float(v)
     a, b = v
     return float(a), float(b)
-
-
-def _theta_eff(kind, theta):
-    if kind == "cd":
-        return 0.0
-    if kind == "lf":
-        return 1.0
-    if kind == "theta":
-        return float(theta)
-    raise ValueError(f"symbol is defined for uniform-grid kinds {UNIFORM_KINDS}, got {kind!r}")
 
 
 def _symbol_1d(phases, lam, theta_eff):

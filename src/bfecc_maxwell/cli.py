@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .analysis import cfl_bound, measured_phase_speed, phase_speed, stability_scan
 from .diagnostics import write_error_table, write_snapshot
 from .grid import dump_grid
@@ -171,7 +173,9 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # overflow in a blowing-up run is reported once, by the monitor
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

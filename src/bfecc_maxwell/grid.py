@@ -10,6 +10,7 @@ structure and only their geometry changes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -91,6 +92,11 @@ class Grid2:
 
     def is_uniform(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coords - self.rect_coords()) <= tol))
+
+    @functools.cached_property
+    def uniform(self) -> bool:
+        """is_uniform to 1e-12 * min(dx, dy), computed once per grid."""
+        return self.is_uniform(tol=1e-12 * min(self.dx, self.dy))
 
 
 def build_uniform(nx, ny, domain=((0.0, 1.0), (0.0, 1.0)), boundary_kind="periodic") -> Grid2:

@@ -23,8 +23,6 @@ final step.  A sup-norm monitor aborts blown-up runs early.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -414,14 +412,6 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     }
 
 
-def _thread_map(fn, items):
-    workers = int(os.environ.get("SOLVER_THREADS", "1"))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     validate_config(cfg)
     if cfg.experiment == "periodic1d":
@@ -449,7 +439,7 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
     ns = [cfg.n * 2 ** k for k in range(cfg.levels)]
     label = cfg.grid_variant if cfg.experiment == "periodic2d" else cfg.experiment
     if cfg.experiment in ("periodic1d", "periodic2d"):
-        runs = _thread_map(lambda m: run_experiment(replace(cfg, n=m)), ns)
+        runs = [run_experiment(replace(cfg, n=m)) for m in ns]
         errors = [r["l2_error"] for r in runs]
     else:
         ref_n = cfg.reference_n if cfg.reference_n else 8 * cfg.n
@@ -458,7 +448,7 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
                 raise ValueError(
                     f"reference_n = {ref_n} must be a proper multiple of every level, "
                     f"levels are {ns}")
-        results = _thread_map(lambda m: run_scatter(cfg, m), ns + [ref_n])
+        results = [run_scatter(cfg, m) for m in ns + [ref_n]]
         runs, ref = results[:-1], results[-1]
         errors = []
         for m, r in zip(ns, runs):

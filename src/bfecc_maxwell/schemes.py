@@ -33,6 +33,7 @@ from .grid import Grid2, STENCIL_OFFSETS
 from .lsq import batched_fit_weights
 
 SCHEME_KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
+UNIFORM_KINDS = ("cd", "lf", "theta")
 DIRECTIONS = ("forward", "backward")
 
 
@@ -130,48 +131,65 @@ def lincomb2(ca: float, a: FieldState2, cb: float, b: FieldState2) -> FieldState
                        ca * a.Ez + cb * b.Ez, a.eps, a.mu)
 
 
-def _center_blend(theta_eff, f, axis1d=False):
-    """(1 - theta)*f + theta*(neighbor average), periodic."""
+def _dc(f, axis):
+    """0.5 * (f[i+1] - f[i-1]) along `axis`, periodic."""
+    out = np.empty_like(f)
+    g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(g[2:], g[:-2], out=o[1:-1])
+    np.subtract(g[1:2], g[-1:], out=o[:1])
+    np.subtract(g[:1], g[-2:-1], out=o[-1:])
+    out *= 0.5
+    return out
+
+
+def _center_blend(theta_eff, f):
+    """(1 - theta)*f + theta*(neighbor average over every axis), periodic.
+
+    The neighbor sum runs axis by axis in a fixed order, f[i-1] + f[i+1],
+    then + f[j-1], then + f[j+1], which fixes its rounding.
+    """
     if theta_eff == 0.0:
         return f
-    if axis1d:
-        avg = 0.5 * (np.roll(f, 1) + np.roll(f, -1))
-    else:
-        avg = 0.25 * (np.roll(f, 1, axis=0) + np.roll(f, -1, axis=0)
-                      + np.roll(f, 1, axis=1) + np.roll(f, -1, axis=1))
+    avg = np.empty_like(f)
+    np.add(f[:-2], f[2:], out=avg[1:-1])
+    np.add(f[-1:], f[1:2], out=avg[:1])
+    np.add(f[-2:-1], f[:1], out=avg[-1:])
+    for axis in range(1, f.ndim):
+        g, a = f.swapaxes(0, axis), avg.swapaxes(0, axis)
+        a[1:] += g[:-1]
+        a[:1] += g[-1:]
+        a[:-1] += g[1:]
+        a[-1:] += g[:1]
+    avg *= 0.5 / f.ndim
     if theta_eff == 1.0:
         return avg
-    return (1.0 - theta_eff) * f + theta_eff * avg
+    avg *= theta_eff
+    avg += (1.0 - theta_eff) * f
+    return avg
 
 
-def _theta_eff(spec: SchemeSpec) -> float:
-    return {"cd": 0.0, "lf": 1.0, "theta": spec.theta}[spec.kind]
+def _theta_eff(kind, theta):
+    """Weight of the neighbor average in a uniform-grid kind's center term."""
+    if kind not in UNIFORM_KINDS:
+        raise ValueError(f"kind must be one of the uniform-grid kinds {UNIFORM_KINDS}, got {kind!r}")
+    return {"cd": 0.0, "lf": 1.0, "theta": float(theta)}[kind]
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
     """One step of a uniform-grid scheme on a periodic 1D state."""
-    if spec.kind in ("ls_cd", "ls_theta"):
+    if spec.kind not in UNIFORM_KINDS:
         raise ValueError("least-squares kinds are 2D schemes; use step_2d")
     if not dx > 0:
         raise ValueError(f"dx must be positive, got {dx}")
     lam = spec.signed_dt / dx
-    inv_eps = 1.0 if state.eps is None else 1.0 / state.eps
-    inv_mu = 1.0 if state.mu is None else 1.0 / state.mu
-    th = _theta_eff(spec)
-    # (f_{j+1} - f_{j-1}) / 2
-    de = 0.5 * (np.roll(state.E, -1) - np.roll(state.E, 1))
-    dh = 0.5 * (np.roll(state.H, -1) - np.roll(state.H, 1))
-    e_new = _center_blend(th, state.E, axis1d=True) + lam * inv_eps * dh
-    h_new = _center_blend(th, state.H, axis1d=True) + lam * inv_mu * de
+    th = _theta_eff(spec.kind, spec.theta)
+    e_new = _dc(state.H, 0)
+    e_new *= lam if state.eps is None else lam * (1.0 / state.eps)
+    e_new += _center_blend(th, state.E)
+    h_new = _dc(state.E, 0)
+    h_new *= lam if state.mu is None else lam * (1.0 / state.mu)
+    h_new += _center_blend(th, state.H)
     return FieldState1(e_new, h_new, state.eps, state.mu)
-
-
-def _dx_c(f):
-    return 0.5 * (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0))
-
-
-def _dy_c(f):
-    return 0.5 * (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1))
 
 
 class StencilGeometry:
@@ -284,7 +302,7 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
             weights=None) -> FieldState2:
     """One step of the selected scheme on a 2D state.
 
-    Kinds cd/lf/theta require a uniform periodic grid (roll kernels);
+    Kinds cd/lf/theta require a uniform periodic grid;
     ls_cd/ls_theta work on any Grid2 through local least-squares fits.
     Passing `geometry` (and optionally `weights`) reuses precomputed
     stencil data; without `weights` the geometry's cached weights are
@@ -294,20 +312,28 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
         raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")
     sdt = spec.signed_dt
 
-    if spec.kind in ("cd", "lf", "theta"):
+    if spec.kind in UNIFORM_KINDS:
         if grid.boundary_kind != "periodic":
-            raise ValueError(f"kind {spec.kind!r} uses periodic roll kernels; bounded grids need a ls_* kind")
-        if not grid.is_uniform(tol=1e-12 * min(grid.dx, grid.dy)):
+            raise ValueError(f"kind {spec.kind!r} needs a periodic grid; bounded grids need a ls_* kind")
+        if not grid.uniform:
             raise ValueError(f"kind {spec.kind!r} requires a uniform grid; use ls_cd or ls_theta")
-        inv_eps = 1.0 if state.eps is None else 1.0 / state.eps
-        inv_mu = 1.0 if state.mu is None else 1.0 / state.mu
         lx = sdt / grid.dx
         ly = sdt / grid.dy
-        th = _theta_eff(spec)
-        hx = _center_blend(th, state.Hx) - ly * inv_mu * _dy_c(state.Ez)
-        hy = _center_blend(th, state.Hy) + lx * inv_mu * _dx_c(state.Ez)
-        ez = (_center_blend(th, state.Ez)
-              + inv_eps * (lx * _dx_c(state.Hy) - ly * _dy_c(state.Hx)))
+        th = _theta_eff(spec.kind, spec.theta)
+        hx = _dc(state.Ez, 1)
+        hx *= ly if state.mu is None else ly * (1.0 / state.mu)
+        np.subtract(_center_blend(th, state.Hx), hx, out=hx)
+        hy = _dc(state.Ez, 0)
+        hy *= lx if state.mu is None else lx * (1.0 / state.mu)
+        hy += _center_blend(th, state.Hy)
+        ez = _dc(state.Hy, 0)
+        ez *= lx
+        dhx_dy = _dc(state.Hx, 1)
+        dhx_dy *= ly
+        ez -= dhx_dy
+        if state.eps is not None:
+            ez *= 1.0 / state.eps
+        ez += _center_blend(th, state.Ez)
         return FieldState2(hx, hy, ez, state.eps, state.mu)
 
     geom = geometry if geometry is not None else StencilGeometry(grid)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bfecc_maxwell import schemes
+from bfecc_maxwell.analysis import cfl_bound
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
-from bfecc_maxwell.grid import build_uniform
+from bfecc_maxwell.grid import Grid2, build_uniform
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
@@ -152,3 +155,48 @@ def test_least_squares_step_without_weights_factorizes_once(monkeypatch):
     assert calls == [n * n]
     bfecc_step(step, st, g)
     assert calls == [n * n, n * n]
+
+
+def test_uniform_step_checks_the_grid_once(monkeypatch):
+    calls = []
+    original = Grid2.is_uniform
+
+    def counting(self, tol=0.0):
+        calls.append(tol)
+        return original(self, tol)
+
+    monkeypatch.setattr(Grid2, "is_uniform", counting)
+    n = 8
+    g = build_uniform(n, n)
+    rng = np.random.default_rng(4)
+    st = FieldState2(*rng.standard_normal((3, n, n)))
+    step = BfeccStep(SchemeSpec("cd", 0.5 * g.dx))
+    for _ in range(4):
+        st = bfecc_step(step, st, g)
+    assert len(calls) == 1
+
+
+def energy(st):
+    return float(np.sum(st.Hx ** 2) + np.sum(st.Hy ** 2) + np.sum(st.Ez ** 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=hst.integers(3, 24), ny=hst.integers(3, 24),
+       width=hst.floats(0.2, 5.0), height=hst.floats(0.2, 5.0),
+       kind=hst.sampled_from(("cd", "lf", "theta")), theta=hst.floats(0.0, 1.0),
+       ratio=hst.floats(0.05, 1.0), seed=hst.integers(0, 2 ** 16))
+def test_bfecc_never_increases_energy_under_the_cfl_bound(nx, ny, width, height, kind,
+                                                           theta, ratio, seed):
+    """The wrapped cd/lf/theta symbols are normal with spectral radius <= 1
+    at dt <= cfl_bound, so the discrete L2 energy cannot grow."""
+    g = build_uniform(nx, ny, ((0.0, width), (0.0, height)), "periodic")
+    dt = ratio * cfl_bound(kind, 2, (g.dx, g.dy), theta)
+    rng = np.random.default_rng(seed)
+    st = FieldState2(*rng.standard_normal((3, nx, ny)))
+    step = BfeccStep(SchemeSpec(kind, dt, theta))
+    prev = energy(st)
+    for _ in range(5):
+        st = bfecc_step(step, st, g)
+        now = energy(st)
+        assert now <= prev * (1.0 + 1e-12)
+        prev = now

@@ -307,3 +307,79 @@ def test_least_squares_kinds_reduce_to_uniform_kinds(nx, ny, width, height, rati
         b = step_2d(ref, st, g)
         for fa, fb in ((a.Hx, b.Hx), (a.Hy, b.Hy), (a.Ez, b.Ez)):
             assert np.max(np.abs(fa - fb)) <= 1e-12 * max(1.0, np.max(np.abs(fb)))
+
+
+def roll_step_1d(spec, st, dx):
+    """Reference 1D step built from np.roll, in the kernels' rounding order."""
+    lam = spec.signed_dt / dx
+    th = {"cd": 0.0, "lf": 1.0, "theta": spec.theta}[spec.kind]
+    inv_eps = 1.0 if st.eps is None else 1.0 / st.eps
+    inv_mu = 1.0 if st.mu is None else 1.0 / st.mu
+
+    def blend(f):
+        avg = 0.5 * (np.roll(f, 1) + np.roll(f, -1))
+        return f if th == 0.0 else avg if th == 1.0 else (1.0 - th) * f + th * avg
+
+    de = 0.5 * (np.roll(st.E, -1) - np.roll(st.E, 1))
+    dh = 0.5 * (np.roll(st.H, -1) - np.roll(st.H, 1))
+    return blend(st.E) + lam * inv_eps * dh, blend(st.H) + lam * inv_mu * de
+
+
+def roll_step_2d(spec, st, g):
+    """Reference 2D step built from np.roll, in the kernels' rounding order."""
+    lx, ly = spec.signed_dt / g.dx, spec.signed_dt / g.dy
+    th = {"cd": 0.0, "lf": 1.0, "theta": spec.theta}[spec.kind]
+    inv_eps = 1.0 if st.eps is None else 1.0 / st.eps
+    inv_mu = 1.0 if st.mu is None else 1.0 / st.mu
+
+    def blend(f):
+        avg = 0.25 * (np.roll(f, 1, axis=0) + np.roll(f, -1, axis=0)
+                      + np.roll(f, 1, axis=1) + np.roll(f, -1, axis=1))
+        return f if th == 0.0 else avg if th == 1.0 else (1.0 - th) * f + th * avg
+
+    def dc(f, axis):
+        return 0.5 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
+
+    return (blend(st.Hx) - ly * inv_mu * dc(st.Ez, 1),
+            blend(st.Hy) + lx * inv_mu * dc(st.Ez, 0),
+            blend(st.Ez) + inv_eps * (lx * dc(st.Hy, 0) - ly * dc(st.Hx, 1)))
+
+
+uniform_specs = hst.builds(SchemeSpec, kind=hst.sampled_from(("cd", "lf", "theta")),
+                           dt=hst.floats(1e-3, 2.0), theta=hst.floats(0.0, 1.0),
+                           direction=hst.sampled_from(("forward", "backward")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(3, 40), spec=uniform_specs, materials=hst.booleans(),
+       seed=hst.integers(0, 2 ** 16))
+def test_slice_kernels_equal_roll_reference_1d(n, spec, materials, seed):
+    rng = np.random.default_rng(seed)
+    eps, mu = rng.uniform(0.2, 5.0, (2, n)) if materials else (None, None)
+    st = FieldState1(*rng.standard_normal((2, n)), eps, mu)
+    out = step_1d(spec, st, 1.0 / n)
+    ref_e, ref_h = roll_step_1d(spec, st, 1.0 / n)
+    assert np.array_equal(out.E, ref_e)
+    assert np.array_equal(out.H, ref_h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=hst.integers(3, 20), ny=hst.integers(3, 20), spec=uniform_specs,
+       width=hst.floats(0.2, 5.0), height=hst.floats(0.2, 5.0),
+       materials=hst.booleans(), seed=hst.integers(0, 2 ** 16))
+def test_slice_kernels_equal_roll_reference_2d(nx, ny, spec, width, height, materials, seed):
+    g = build_uniform(nx, ny, ((0.0, width), (0.0, height)), "periodic")
+    rng = np.random.default_rng(seed)
+    eps, mu = rng.uniform(0.2, 5.0, (2, nx, ny)) if materials else (None, None)
+    st = FieldState2(*rng.standard_normal((3, nx, ny)), eps, mu)
+    out = step_2d(spec, st, g)
+    for got, ref in zip((out.Hx, out.Hy, out.Ez), roll_step_2d(spec, st, g)):
+        assert np.array_equal(got, ref)
+
+
+def test_uniform_grid_kinds_reject_a_deformed_periodic_grid():
+    g = build_variant_grid("b", 12)
+    st = random_state2(12, seed=16)
+    for kind in ("cd", "lf", "theta"):
+        with pytest.raises(ValueError, match="uniform grid"):
+            step_2d(SchemeSpec(kind, 0.3 * g.dx), st, g)
