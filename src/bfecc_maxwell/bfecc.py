@@ -9,9 +9,9 @@ one BFECC step advances
 
 The compensation raises the order of a first-order L to second order and
 is stable whenever the spectral radius of L's symbol stays at or below 2.
-Source contributions (PML history, TF/SF corrections) are evaluated once
-per full step at t_n and enter only the third application, as additive
-increments after L.
+Steps with sources (the absorbing collar's memory terms and the TF/SF
+plane-wave corrections) go through pml.PmlRunner, which applies each
+source in the substeps it belongs to.
 """
 
 from __future__ import annotations
@@ -28,17 +28,13 @@ State = Union[FieldState1, FieldState2]
 
 @dataclass(frozen=True)
 class BfeccStep:
-    """BFECC-wrapped underlying scheme plus an optional source hook.
+    """BFECC-wrapped underlying scheme.
 
     `spec` is the forward-direction underlying scheme; the backward spec
-    is derived from it.  `source`, when given, is called once per full
-    step with the input state and must return per-component increments
-    (E, H) or (Hx, Hy, Ez) that already include every dt factor; they are
-    added after the third substep only.
+    is derived from it.
     """
 
     spec: SchemeSpec
-    source: Optional[Callable] = None
 
     def __post_init__(self):
         if self.spec.direction != "forward":
@@ -71,21 +67,12 @@ def bfecc_step(step: BfeccStep, state: State, where,
         dx = float(where)
         forward = lambda s: step_1d(fwd_spec, s, dx)
         backward = lambda s: step_1d(bwd_spec, s, dx)
-        out = bfecc_apply(forward, backward, state, lincomb1)
-        if step.source is not None:
-            de, dh = step.source(state)
-            out = FieldState1(out.E + de, out.H + dh, out.eps, out.mu)
-        return out
+        return bfecc_apply(forward, backward, state, lincomb1)
     if isinstance(state, FieldState2):
         grid: Grid2 = where
         if fwd_spec.kind in ("ls_cd", "ls_theta") and geometry is None:
             geometry = StencilGeometry(grid)
         forward = lambda s: step_2d(fwd_spec, s, grid, geometry, weights)
         backward = lambda s: step_2d(bwd_spec, s, grid, geometry, weights)
-        out = bfecc_apply(forward, backward, state, lincomb2)
-        if step.source is not None:
-            dhx, dhy, dez = step.source(state)
-            out = FieldState2(out.Hx + dhx, out.Hy + dhy, out.Ez + dez,
-                              out.eps, out.mu)
-        return out
+        return bfecc_apply(forward, backward, state, lincomb2)
     raise TypeError(f"unsupported state type {type(state).__name__}")

@@ -22,10 +22,6 @@ class GridError(ValueError):
     pass
 
 
-class StencilError(GridError):
-    """Stencil reaches outside a bounded grid (missing boundary treatment)."""
-
-
 class Intersection(NamedTuple):
     """Curve/grid-line crossing.
 
@@ -176,7 +172,7 @@ class Circle(ImplicitCurve):
     """Circle of radius r about (cx, cy); intersections are closed-form."""
 
     def __init__(self, cx, cy, r):
-        if r <= 0:
+        if not r > 0:
             raise GridError(f"circle radius must be positive, got {r}")
         self.cx, self.cy, self.r = float(cx), float(cy), float(r)
 
@@ -199,6 +195,8 @@ class StarCurve(ImplicitCurve):
     """Star-shaped curve r(theta) = r0 * (1 + ripple*cos(lobes*theta))."""
 
     def __init__(self, cx, cy, r0=0.24, ripple=0.25, lobes=5):
+        if not r0 > 0:
+            raise GridError(f"star radius r0 must be positive, got {r0}")
         if not (0 <= ripple < 1):
             raise GridError(f"ripple must lie in [0, 1), got {ripple}")
         self.cx, self.cy = float(cx), float(cy)
@@ -333,29 +331,6 @@ def smooth_shift(grid_shifted: Grid2, grid_rect: Grid2, iterations: int = 1) -> 
 
 # Stencil slots: center, west (i-1), east (i+1), south (j-1), north (j+1).
 STENCIL_OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def stencil(grid: Grid2, i: int, j: int) -> np.ndarray:
-    """Coordinates of the 5-point stencil about (i, j), shape (5, 2).
-
-    Periodic neighbors are unwrapped by +-domain extent so the returned
-    points are geometrically local.  On bounded grids a stencil touching
-    the outer ring raises StencilError (no boundary closure exists there).
-    """
-    if not (0 <= i < grid.nx and 0 <= j < grid.ny):
-        raise StencilError(f"index ({i}, {j}) outside grid {grid.nx}x{grid.ny}")
-    if grid.boundary_kind != "periodic" and not (0 < i < grid.nx - 1 and 0 < j < grid.ny - 1):
-        raise StencilError(
-            f"stencil at ({i}, {j}) reaches outside the bounded grid; "
-            "boundary points have no update rule")
-    out = np.empty((5, 2))
-    for s, (di, dj) in enumerate(STENCIL_OFFSETS):
-        # a periodic neighbor past the seam sits one domain extent away
-        wi, ii = divmod(i + di, grid.nx)
-        wj, jj = divmod(j + dj, grid.ny)
-        out[s, 0] = grid.coords[ii, jj, 0] + wi * grid.width
-        out[s, 1] = grid.coords[ii, jj, 1] + wj * grid.height
-    return out
 
 
 def dump_grid(grid: Grid2, f) -> None:

@@ -132,6 +132,11 @@ KNOWN_KEYS = {
     "star.r0": ("star_r0", float),
 }
 
+# float settings, tuples and the optional pml.sigma_max included; each
+# must be finite (filtered once, as validate_config runs inside every run)
+FLOAT_KEYS = [(key, attr) for key, (attr, conv) in KNOWN_KEYS.items()
+              if conv in (float, _parse_floats, _parse_opt_float)]
+
 
 def apply_setting(cfg: ExperimentConfig, key: str, value: str) -> None:
     if key not in KNOWN_KEYS:
@@ -153,14 +158,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"grid must be one of {GRID_VARIANTS}, got {cfg.grid_variant!r}")
     if cfg.n < 4:
         raise ValueError(f"n must be at least 4, got {cfg.n}")
-    if not (cfg.dt_ratio > 0 and math.isfinite(cfg.dt_ratio)):
-        raise ValueError(f"dt_ratio must be positive and finite, got {cfg.dt_ratio}")
-    if not (cfg.t_final >= 0 and math.isfinite(cfg.t_final)):
-        raise ValueError(f"t_final must be nonnegative and finite, got {cfg.t_final}")
+    for key, attr in FLOAT_KEYS:
+        value = getattr(cfg, attr)
+        values = value if isinstance(value, tuple) else (value,)
+        if value is not None and not all(map(math.isfinite, values)):
+            raise ValueError(f"{key} must be finite, got {value}")
+    if not cfg.dt_ratio > 0:
+        raise ValueError(f"dt_ratio must be positive, got {cfg.dt_ratio}")
+    if not cfg.t_final >= 0:
+        raise ValueError(f"t_final must be nonnegative, got {cfg.t_final}")
     if cfg.check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {cfg.check_every}")
-    if not math.isfinite(cfg.blowup_threshold):
-        raise ValueError(f"blowup_threshold must be finite, got {cfg.blowup_threshold}")
     if cfg.levels < 1:
         raise ValueError(f"levels must be at least 1, got {cfg.levels}")
     if cfg.pml_cells < 0:

@@ -13,94 +13,32 @@ collinear and the gradient is not recoverable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class RankDeficientStencilError(ValueError):
     """Stencil too close to collinear for a stable linear fit."""
 
-    def __init__(self, sigma_min, threshold, where=None):
+    def __init__(self, sigma_min, threshold, where):
         self.sigma_min = float(sigma_min)
         self.threshold = float(threshold)
-        loc = "" if where is None else f" at {where}"
         super().__init__(
-            f"rank-deficient stencil{loc}: sigma_3 = {sigma_min:.3e} "
+            f"rank-deficient stencil at {where}: sigma_3 = {sigma_min:.3e} "
             f"<= {threshold:.3e}")
 
 
-@dataclass(frozen=True)
-class LinearFit:
-    """Fitted value and gradient at the stencil center."""
-
-    a_hat: float
-    b_hat: float
-    c_hat: float
-    sigma_min: float
-
-
-def _design(points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (K, 2), got {pts.shape}")
-    if pts.shape[0] < 3:
-        raise ValueError(f"need at least 3 stencil points, got {pts.shape[0]}")
-    a = np.empty((pts.shape[0], 3))
-    a[:, 0] = 1.0
-    a[:, 1:] = pts
-    return a
-
-
-def _sigma_threshold(points):
-    h = np.max(np.hypot(points[:, 0], points[:, 1]))
-    return 1e-10 * h
-
-
-def fit_local_linear(points, values) -> LinearFit:
-    """Least-squares linear fit over stencil points relative to the center.
-
-    points: (K, 2) offsets (the center itself appears as (0, 0));
-    values: (K,) samples.  Raises RankDeficientStencilError when the
-    smallest singular value of the design matrix drops below
-    1e-10 * max point distance.
-    """
-    a = _design(points)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (a.shape[0],):
-        raise ValueError(f"values shape {vals.shape} does not match {a.shape[0]} points")
-    coef, _, _, sv = np.linalg.lstsq(a, vals, rcond=None)
-    sigma_min = sv[-1]
-    thr = _sigma_threshold(a[:, 1:])
-    if sigma_min <= thr:
-        raise RankDeficientStencilError(sigma_min, thr)
-    return LinearFit(float(coef[0]), float(coef[1]), float(coef[2]), float(sigma_min))
-
-
-def fit_weights(points):
-    """Weights W (3, K) with (a, b, c) = W @ values, plus sigma_3.
-
-    W is the pseudo-inverse of the design matrix; precomputing it lets one
-    geometry serve many fields.  Same rank test as fit_local_linear.
-    """
-    a = _design(points)
-    u, sv, vt = np.linalg.svd(a, full_matrices=False)
-    sigma_min = sv[-1]
-    thr = _sigma_threshold(a[:, 1:])
-    if sigma_min <= thr:
-        raise RankDeficientStencilError(sigma_min, thr)
-    w = (vt.T / sv) @ u.T
-    return w, float(sigma_min)
-
-
 def batched_fit_weights(offsets):
-    """Vectorized fit_weights over many stencils.
+    """Least-squares fit weights of many stencils, one batched SVD.
 
-    offsets: (m, K, 2) point offsets; returns (W, sigma) with W (m, 3, K)
-    and sigma (m,).  Raises on the worst offending stencil if any is
-    rank-deficient.
+    offsets: (m, K, 2) point offsets from each stencil's center, K >= 3;
+    returns (W, sigma) with W (m, 3, K), so (a, b, c) = W[i] @ values, and
+    sigma (m,) the sigma_3 of each design matrix.  Raises on the worst
+    offending stencil if any is rank-deficient, i.e. sigma_3 <= 1e-10 times
+    its largest point distance.
     """
     offs = np.asarray(offsets, dtype=float)
+    if offs.ndim != 3 or offs.shape[1] < 3 or offs.shape[2] != 2:
+        raise ValueError(f"offsets must have shape (m, K >= 3, 2), got {offs.shape}")
     m, k, _ = offs.shape
     a = np.empty((m, k, 3))
     a[:, :, 0] = 1.0
@@ -115,30 +53,3 @@ def batched_fit_weights(offsets):
                                         where=f"stencil {worst}")
     w = (vt.transpose(0, 2, 1) / sv[:, None, :]) @ u.transpose(0, 2, 1)
     return w, sigma_min
-
-
-def gradient_error_bound_check(unit_offsets, funcs, h_values):
-    """Observed convergence slopes of the fit on a shrinking stencil.
-
-    unit_offsets: (K, 2) stencil shape at h = 1; funcs: (u, ux, uy)
-    callables for the field and its exact gradient; h_values: decreasing
-    scales.  Returns (gradient_slope, value_slope) from a log-log fit of
-    the errors at the center (0, 0).  For smooth fields the gradient error
-    is O(h) and the value error O(h^2).
-    """
-    u, ux, uy = funcs
-    offs = np.asarray(unit_offsets, dtype=float)
-    hs = np.asarray(h_values, dtype=float)
-    grad_err = []
-    val_err = []
-    for h in hs:
-        pts = offs * h
-        vals = u(pts[:, 0], pts[:, 1])
-        fit = fit_local_linear(pts, vals)
-        grad_err.append(np.hypot(fit.b_hat - ux(0.0, 0.0), fit.c_hat - uy(0.0, 0.0)))
-        val_err.append(abs(fit.a_hat - u(0.0, 0.0)))
-    grad_err = np.maximum(grad_err, 1e-300)
-    val_err = np.maximum(val_err, 1e-300)
-    gslope = np.polyfit(np.log(hs), np.log(grad_err), 1)[0]
-    vslope = np.polyfit(np.log(hs), np.log(val_err), 1)[0]
-    return float(gslope), float(vslope)

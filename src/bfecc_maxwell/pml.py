@@ -93,6 +93,8 @@ def build_pml(grid: Grid2, dt: float, thickness: int = 10,
         sigma_max = 8.0 / min(grid.dx, grid.dy)
     if sigma_max < 0:
         raise ValueError(f"sigma_max must be >= 0, got {sigma_max}")
+    if not exponent > 0:
+        raise ValueError(f"exponent must be positive, got {exponent}")
     sx = sigma_max * _depth_fraction(grid.nx, thickness) ** exponent
     sy = sigma_max * _depth_fraction(grid.ny, thickness) ** exponent
     if thickness == 0:
@@ -317,11 +319,3 @@ class PmlRunner:
         out = self._apply(state, fits0, self.spec.signed_dt, True, t)
         self._advance_memory(fits0)
         return out
-
-
-def bfecc_pml_step(spec: SchemeSpec, state: FieldState2, grid: Grid2, pml: PmlState,
-                   source: Optional[TfsfSource] = None, t: float = 0.0,
-                   geometry: Optional[StencilGeometry] = None, weights=None) -> FieldState2:
-    """One-shot convenience wrapper around PmlRunner.step."""
-    runner = PmlRunner(grid, spec, pml, source, geometry, weights)
-    return runner.step(state, t)

@@ -203,10 +203,10 @@ class StencilGeometry:
     of one ghost-padded gather `f.ravel()[ghost]` on periodic ones.
 
     `offsets` (m, 5, 2) holds each stencil's points relative to its center,
-    m = nx' * ny' in row-major order.  `weights()` runs the least-squares
-    factorization and returns the (m, 3, 5) fit weights as a view over
-    contiguous (3, 5, nx', ny') planes, so one copy serves per-point and
-    per-plane use; `cached_weights()` keeps the first result.
+    m = nx' * ny' in row-major order.  `cached_weights()` runs the
+    least-squares factorization on first use and returns the (m, 3, 5) fit
+    weights as a view over contiguous (3, 5, nx', ny') planes, so one copy
+    serves per-point and per-plane use.
     """
 
     def __init__(self, grid: Grid2):
@@ -241,21 +241,18 @@ class StencilGeometry:
         padded = f if self.ghost is None else f.ravel()[self.ghost]
         return [padded[sl] for sl in self._slots]
 
-    def weights(self):
-        w, _ = batched_fit_weights(self.offsets)
-        planes = np.ascontiguousarray(w.reshape(self.shape + (3, 5)).transpose(2, 3, 0, 1))
-        return planes.transpose(2, 3, 0, 1).reshape(w.shape)
-
     def cached_weights(self):
         if self._weights is None:
-            self._weights = self.weights()
+            w, _ = batched_fit_weights(self.offsets)
+            planes = np.ascontiguousarray(w.reshape(self.shape + (3, 5)).transpose(2, 3, 0, 1))
+            self._weights = planes.transpose(2, 3, 0, 1).reshape(w.shape)
         return self._weights
 
 
 def _ls_fit_all(geom: StencilGeometry, weights, *fields):
     """Fitted (a, d/dx, d/dy) at the update points, (3, nx', ny') per field.
 
-    `weights` is the (m, 3, 5) view that StencilGeometry.weights() returns;
+    `weights` is the (m, 3, 5) view from StencilGeometry.cached_weights();
     its (3, 5, nx', ny') planes are contracted with the five shifted views
     of each field, one output plane at a time.
     """

@@ -106,26 +106,6 @@ def test_unknown_state_type_rejected():
         bfecc_step(step, np.zeros(8), 0.125)
 
 
-def test_source_increment_added_once_after_correction():
-    n = 16
-    dx = 1.0 / n
-    rng = np.random.default_rng(2)
-    st = FieldState1(rng.standard_normal(n), rng.standard_normal(n))
-    dE = rng.standard_normal(n)
-    dH = rng.standard_normal(n)
-    seen = []
-
-    def source(state):
-        seen.append(state)
-        return (dE, dH)
-
-    plain = bfecc_step(BfeccStep(SchemeSpec("cd", 0.5 * dx)), st, dx)
-    driven = bfecc_step(BfeccStep(SchemeSpec("cd", 0.5 * dx), source=source), st, dx)
-    assert len(seen) == 1
-    assert np.allclose(driven.E - plain.E, dE, atol=1e-14)
-    assert np.allclose(driven.H - plain.H, dH, atol=1e-14)
-
-
 def test_2d_dispatch_accepts_grid():
     n = 8
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")

@@ -66,6 +66,23 @@ def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):
     assert err[0].startswith("error: " + setting.partition("=")[0])
 
 
+@pytest.mark.parametrize("settings", [
+    "disk_radius=nan", "disk_radius=inf", "disk_center=nan,0.5", "eps_inside=inf",
+    "pml.sigma_max=nan", "pml.sigma_max=inf", "pml.exponent=nan", "pml.exponent=-1",
+    "experiment=scatter_complex star.r0=nan", "experiment=scatter_complex star.r0=-0.1"])
+def test_bad_scatter_setting_exits_2_with_one_line(settings, capsys):
+    args = ["run", "-p", "experiment=scatter_cylinder", "-p", "scheme=ls_theta",
+            "-p", "n=16", "-p", "t_final=0.2"]
+    for setting in settings.split():
+        args += ["-p", setting]
+    rc = main(args)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+    assert settings.split()[-1].partition("=")[0].rpartition(".")[2] in err[0]
+
+
 def test_guard_rejects_unstable_without_flag(capsys):
     rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=64",
                "-p", "dt_ratio=1.8", "-p", "t_final=60"])

@@ -9,13 +9,11 @@ from bfecc_maxwell.grid import (
     GridError,
     STENCIL_OFFSETS,
     StarCurve,
-    StencilError,
     build_uniform,
     curve_grid_intersections,
     dump_grid,
     point_shift,
     smooth_shift,
-    stencil,
 )
 
 
@@ -45,6 +43,14 @@ def test_grid_validation_rejects_small_and_malformed():
     g = build_uniform(4, 4, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     with pytest.raises(GridError):
         Grid2(4, 4, g.dx, g.dy, 0.0, 0.0, "periodic", g.coords[:3])
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, float("nan")])
+def test_curves_reject_a_radius_that_is_not_positive(radius):
+    with pytest.raises(GridError, match="must be positive"):
+        Circle(0.5, 0.5, radius)
+    with pytest.raises(GridError, match="must be positive"):
+        StarCurve(0.5, 0.5, r0=radius)
 
 
 def test_rect_coords_match_uniform_coords():
@@ -145,35 +151,6 @@ def test_smooth_shift_keeps_curve_nodes_fixed():
 
 def test_stencil_offsets_are_center_and_four_neighbors():
     assert STENCIL_OFFSETS == ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def test_stencil_returns_five_coordinates():
-    g = build_uniform(8, 8, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    pts = stencil(g, 2, 3)
-    assert pts.shape == (5, 2)
-    assert np.allclose(pts[0], g.coords[2, 3])
-    assert np.allclose(pts[1], g.coords[1, 3])
-    assert np.allclose(pts[2], g.coords[3, 3])
-    assert np.allclose(pts[3], g.coords[2, 2])
-    assert np.allclose(pts[4], g.coords[2, 4])
-
-
-def test_stencil_wraps_unwrapped_on_periodic_grid():
-    # neighbors across the seam keep locally contiguous coordinates
-    g = build_uniform(8, 8, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    pts = stencil(g, 0, 0)
-    assert np.allclose(pts[1], [-g.dx, 0.0])
-    assert np.allclose(pts[3], [0.0, -g.dy])
-
-
-def test_stencil_rejects_bounded_boundary_points():
-    g = build_uniform(8, 8, ((0.0, 1.0), (0.0, 1.0)), "bounded")
-    with pytest.raises(StencilError):
-        stencil(g, 0, 3)
-    with pytest.raises(StencilError):
-        stencil(g, 3, 7)
-    pts = stencil(g, 3, 3)
-    assert pts.shape == (5, 2)
 
 
 def test_dump_grid_row_per_node():

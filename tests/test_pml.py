@@ -6,7 +6,6 @@ from bfecc_maxwell.grid import build_uniform
 from bfecc_maxwell.pml import (
     PmlRunner,
     TfsfSource,
-    bfecc_pml_step,
     build_pml,
 )
 from bfecc_maxwell.schemes import FieldState2, SchemeSpec, StencilGeometry, step_2d
@@ -37,6 +36,9 @@ def test_build_pml_validation():
         build_pml(g, dt, thickness=-1)
     with pytest.raises(ValueError):
         build_pml(g, dt, sigma_max=-2.0)
+    for exponent in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="exponent"):
+            build_pml(g, dt, exponent=exponent)
     with pytest.raises(ValueError):
         build_pml(bounded_grid(20), dt, thickness=10)  # needs 2t + 3 nodes
 
@@ -161,21 +163,6 @@ def test_plain_step_with_zero_strength_matches_single_substep():
     out = r.plain_step(a, 0.0)
     expect = step_2d(spec, a, g, geometry=geom, weights=w)
     assert np.max(np.abs(out.Ez - expect.Ez)) <= 1e-15 * np.max(np.abs(expect.Ez))
-
-
-def test_convenience_wrapper_matches_runner():
-    n = 40
-    g = bounded_grid(n)
-    dt = 0.5 * g.dx
-    spec = SchemeSpec("ls_theta", dt)
-    st = zero_state(n)
-    st.Ez[20, 20] = 1.0
-    pml_a = build_pml(g, dt, thickness=10)
-    pml_b = build_pml(g, dt, thickness=10)
-    out_a = bfecc_pml_step(spec, st, g, pml_a, t=0.0)
-    out_b = PmlRunner(g, spec, pml_b).step(st, 0.0)
-    assert np.array_equal(out_a.Ez, out_b.Ez)
-    assert np.array_equal(pml_a.psi_ezx, pml_b.psi_ezx)
 
 
 def test_runner_rejects_unsupported_configurations():

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bfecc_maxwell.grid import build_uniform, stencil
+from bfecc_maxwell.grid import build_uniform
 from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
-from bfecc_maxwell.lsq import fit_local_linear
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
@@ -223,6 +222,29 @@ def test_stencil_geometry_shapes_and_cache():
     assert StencilGeometry(gp).shape == (n, n)
 
 
+def test_stencil_offsets_stay_local_and_skip_the_bounded_ring():
+    def cross(g):
+        return np.array([[0.0, 0.0], [-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]])
+
+    n = 8
+    gp = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
+    # every stencil, seam rows and columns included, is the local cross
+    assert np.allclose(StencilGeometry(gp).offsets, cross(gp), rtol=0, atol=1e-14)
+    g = build_variant_grid("d", n)
+    assert g.shifted_mask.any()
+    offs = StencilGeometry(g).offsets.reshape(n, n, 5, 2)
+    c = g.coords
+    assert np.array_equal(offs[2, 3], c[[2, 1, 3, 2, 2], [3, 3, 3, 2, 4]] - c[2, 3])
+    assert np.allclose(offs[0, 0, 1], c[-1, 0] - (g.width, 0.0) - c[0, 0])
+    assert np.allclose(offs[0, 0, 3], c[0, -1] - (0.0, g.height) - c[0, 0])
+    assert np.max(np.abs(offs)) < 2.0 * max(g.dx, g.dy)
+    # a bounded grid has stencils only at the interior points
+    gb = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
+    offs = StencilGeometry(gb).offsets
+    assert offs.shape == ((n - 2) ** 2, 5, 2) == (36, 5, 2)
+    assert np.allclose(offs, cross(gb), rtol=0, atol=1e-14)
+
+
 def test_lincomb_arithmetic():
     a = random_state1(8, seed=1)
     b = random_state1(8, seed=2)
@@ -242,12 +264,20 @@ def test_step_1d_rejects_least_squares_kinds():
 
 
 def per_point_fits(grid, f, i, j):
-    """(a, d/dx, d/dy) of the reference per-stencil solve at point (i, j)."""
-    pts = stencil(grid, i, j)
-    vals = [f[(i + di) % grid.nx, (j + dj) % grid.ny] for di, dj in
-            ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))]
-    fit = fit_local_linear(pts - pts[0], vals)
-    return np.array([fit.a_hat, fit.b_hat, fit.c_hat])
+    """(a, d/dx, d/dy) of an independent per-stencil solve at point (i, j).
+
+    Neighbors past a periodic seam are unwrapped by one domain extent, and
+    the fit is np.linalg.lstsq on the five offsets from the center.
+    """
+    pts = np.empty((5, 2))
+    vals = np.empty(5)
+    for s, (di, dj) in enumerate(((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))):
+        wi, ii = divmod(i + di, grid.nx)
+        wj, jj = divmod(j + dj, grid.ny)
+        pts[s] = grid.coords[ii, jj] + (wi * grid.width, wj * grid.height)
+        vals[s] = f[ii, jj]
+    design = np.column_stack([np.ones(5), pts - pts[0]])
+    return np.linalg.lstsq(design, vals, rcond=None)[0]
 
 
 def test_plane_fit_matches_per_point_fit_across_the_periodic_seam():
