@@ -76,21 +76,31 @@ def test_cross_weights_are_mean_and_centered_difference():
     assert np.allclose(w[0, 2], np.array([0.0, 0.0, 0.0, -1.0, 1.0]) / (2.0 * h))
 
 
+def test_fit_weights_reproduce_fit():
+    """W @ values is the least-squares plane fit, sigma its smallest singular value."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.1, 0.1, size=(6, 2))
+    vals = rng.standard_normal(6)
+    w, sigma = batched_fit_weights(pts[None])
+    design = np.column_stack([np.ones(6), pts])
+    coef, _, rank, sv = np.linalg.lstsq(design, vals, rcond=None)
+    assert rank == 3
+    assert np.allclose(w[0] @ vals, coef, rtol=0, atol=1e-13)
+    assert sigma[0] == pytest.approx(sv[-1], rel=1e-12)
+
+
 def test_batched_weights_match_per_stencil_weights():
     """Each stencil's weights and sigma_3 equal a per-stencil lstsq solve."""
     rng = np.random.default_rng(19)
     offs = rng.uniform(-0.1, 0.1, size=(9, 5, 2))
-    vals = rng.standard_normal((9, 5))
     w, sigma = batched_fit_weights(offs)
     assert w.shape == (9, 3, 5) and sigma.shape == (9,)
     for m in range(9):
         design = np.column_stack([np.ones(5), offs[m]])
         # least-squares solves against the identity give the pseudo-inverse
         pinv, _, rank, sv = np.linalg.lstsq(design, np.eye(5), rcond=None)
-        coef = np.linalg.lstsq(design, vals[m], rcond=None)[0]
         assert rank == 3
         assert np.allclose(w[m], pinv, rtol=0, atol=1e-12)
-        assert np.allclose(w[m] @ vals[m], coef, rtol=0, atol=1e-12)
         assert sigma[m] == pytest.approx(sv[-1], rel=1e-12)
 
 

@@ -222,29 +222,6 @@ def test_stencil_geometry_shapes_and_cache():
     assert StencilGeometry(gp).shape == (n, n)
 
 
-def test_stencil_offsets_stay_local_and_skip_the_bounded_ring():
-    def cross(g):
-        return np.array([[0.0, 0.0], [-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]])
-
-    n = 8
-    gp = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    # every stencil, seam rows and columns included, is the local cross
-    assert np.allclose(StencilGeometry(gp).offsets, cross(gp), rtol=0, atol=1e-14)
-    g = build_variant_grid("d", n)
-    assert g.shifted_mask.any()
-    offs = StencilGeometry(g).offsets.reshape(n, n, 5, 2)
-    c = g.coords
-    assert np.array_equal(offs[2, 3], c[[2, 1, 3, 2, 2], [3, 3, 3, 2, 4]] - c[2, 3])
-    assert np.allclose(offs[0, 0, 1], c[-1, 0] - (g.width, 0.0) - c[0, 0])
-    assert np.allclose(offs[0, 0, 3], c[0, -1] - (0.0, g.height) - c[0, 0])
-    assert np.max(np.abs(offs)) < 2.0 * max(g.dx, g.dy)
-    # a bounded grid has stencils only at the interior points
-    gb = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
-    offs = StencilGeometry(gb).offsets
-    assert offs.shape == ((n - 2) ** 2, 5, 2) == (36, 5, 2)
-    assert np.allclose(offs, cross(gb), rtol=0, atol=1e-14)
-
-
 def test_lincomb_arithmetic():
     a = random_state1(8, seed=1)
     b = random_state1(8, seed=2)
