@@ -15,7 +15,6 @@ angles 2*pi*j/samples per axis, the resolved dual set of an
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -167,53 +166,44 @@ def stability_scan(kind, dims, lam, samples, theta=0.0, bfecc=True) -> ScanResul
     return ScanResult(radii, float(radii.reshape(-1)[flat_arg]), argmax, samples)
 
 
-@functools.lru_cache(maxsize=32)
-def theta_cfl_constant(theta, tol=1e-6, samples=4096):
+def theta_cfl_constant(theta):
     """Largest c with the 1D theta-scheme BFECC stable at lam = c.
 
-    Determined by bisection on dense stability scans; lies in
-    [sqrt(3), 2] and increases from the cd to the lf endpoint.
+    The symbol q I + i c sin(t) [[0, 1], [1, 0]], q = 1 - theta + theta cos t,
+    is normal with eigenvalue moduli^2 q^2 + c^2 sin^2 t, and BFECC is
+    stable exactly when they stay <= 4.  With u = cos t, alpha = 1 - theta,
+    the edge is c^2 = min over u of (4 - (alpha + theta u)^2) / (1 - u^2);
+    setting the derivative to zero gives p u^2 - B u + p = 0 with
+    p = theta alpha and B = 4 - theta^2 - alpha^2, whose root in [0, 1) is
+    taken in its cancellation-free form.  c rises from sqrt(3) (cd) to
+    2 (lf), both exact.
     """
-    theta = float(theta)
-    if theta == 0.0:
-        return math.sqrt(3.0)
-    if theta == 1.0:
-        return 2.0
-
-    th = theta
-    phases = 2.0 * math.pi * np.arange(samples) / samples
-
-    def stable(c):
-        q = bfecc_symbol(_symbol_1d(phases, c, th))
-        radii = np.abs(np.linalg.eigvals(q)).max(axis=-1)
-        return radii.max() <= 1.0 + 1e-12
-
-    lo, hi = math.sqrt(3.0), 2.0
-    if stable(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    th = _theta_eff("theta", theta)
+    a = 1.0 - th
+    p = th * a
+    b = 4.0 - th * th - a * a
+    u = 2.0 * p / (b + math.sqrt(b * b - 4.0 * p * p))
+    q = a + th * u
+    return math.sqrt((4.0 - q * q) / (1.0 - u * u))
 
 
 def cfl_bound(kind, dims, spacings, theta=0.0):
     """Proven BFECC time-step bound for the scheme on the given spacings.
 
+    BFECC is stable when the spectral radius of the underlying symbol is
+    at most 2; for these normal symbols that is a closed-form condition.
     cd:  dt <= sqrt(3) / sqrt(sum 1/dx_i^2)
     lf:  dt <= 2 / sqrt(sum 1/dx_i^2), plus the per-axis constraints
          dt <= sqrt(7/2)*min dx (2D) or sqrt(3)*min dx (3D)
-    theta: the lf-style bound with c_theta from theta_cfl_constant
+    theta: the lf-style bound with c(theta) from theta_cfl_constant, the
+         exact root of the quadratic in cos t that radius <= 2 gives
     ls_cd / ls_theta use their uniform-grid reductions (cd, theta(0.8)).
     """
     sp = [float(s) for s in (spacings if np.iterable(spacings) else [spacings])]
     if len(sp) != dims:
         raise ValueError(f"expected {dims} spacings, got {len(sp)}")
-    if any(s <= 0 for s in sp):
-        raise ValueError(f"spacings must be positive, got {sp}")
+    if not all(0.0 < s < math.inf for s in sp):
+        raise ValueError(f"spacings must be finite and positive, got {sp}")
     if dims not in (1, 2, 3):
         raise ValueError(f"dims must be 1, 2 or 3, got {dims}")
     if kind == "ls_cd":
@@ -266,8 +256,8 @@ def phase_speed(lam, kh):
     """
     lam = float(lam)
     kh = float(kh)
-    if kh == 0.0:
-        raise ValueError("kh must be nonzero (the continuum limit is 1)")
+    if not (math.isfinite(lam) and math.isfinite(kh) and lam != 0.0 and kh != 0.0):
+        raise ValueError(f"lam and kh must be finite and nonzero, got lam={lam}, kh={kh}")
     s = math.sin(kh)
     arg = lam * (1.0 - 0.5 * lam * lam * s * s) * s
     if abs(arg) > 1.0:
@@ -287,6 +277,8 @@ def measured_phase_speed(lam, kh, steps=100, n=1024):
     """
     lam = float(lam)
     kh = float(kh)
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     reach = 3 * steps + 8
     if n <= 2 * reach + 32:
         raise ValueError(f"n={n} too small for {steps} steps (seam reach {reach} cells each side)")

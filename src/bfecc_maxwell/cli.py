@@ -81,6 +81,7 @@ def _cmd_analyze(args):
         raise ValueError("dims=1 takes a single lam value")
     if args.dims == 2 and len(lam) == 1:
         lam = (lam[0], lam[0])
+    bound = cfl_bound(args.kind, args.dims, [args.h] * args.dims, args.theta) if args.cfl else None
     scan = stability_scan(args.kind, args.dims, lam[0] if args.dims == 1 else lam,
                           args.samples, theta=args.theta, bfecc=not args.plain)
     radii = scan.radii
@@ -94,9 +95,8 @@ def _cmd_analyze(args):
                 print(f"{j1}:{j2},{_g17(radii[j1, j2])}")
         key = f"{scan.argmax[0]}:{scan.argmax[1]}"
     print(f"max_radius={_g17(scan.max_radius)} at k={key}")
-    if args.cfl:
-        spacings = [args.h] * args.dims
-        print(f"cfl_bound={_g17(cfl_bound(args.kind, args.dims, spacings, args.theta))}")
+    if bound is not None:
+        print(f"cfl_bound={_g17(bound)}")
     return 0
 
 

@@ -128,9 +128,6 @@ class ImplicitCurve:
     def phi(self, x, y):
         raise NotImplementedError
 
-    def inside(self, x, y):
-        return self.phi(x, y) <= 0.0
-
     def intersections_on_line(self, axis, value, nodes, tol):
         """Ordered curve crossings on the segment [nodes[0], nodes[-1]].
 

@@ -143,12 +143,6 @@ class TfsfSource:
         u = t - (np.asarray(x, dtype=float) - self.rect[0])
         return self.amplitude * np.sin(self.omega * u) * _ramp(u, self.ramp_time)
 
-    def hy_inc(self, x, y, t):
-        return -self.ez_inc(x, y, t)
-
-    def hx_inc(self, x, y, t):
-        return np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape)
-
     def chi(self, x, y):
         """Total-field indicator, counting the rectangle edge as inside.
 

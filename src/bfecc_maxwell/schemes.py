@@ -172,7 +172,10 @@ def _theta_eff(kind, theta):
     """Weight of the neighbor average in a uniform-grid kind's center term."""
     if kind not in UNIFORM_KINDS:
         raise ValueError(f"kind must be one of the uniform-grid kinds {UNIFORM_KINDS}, got {kind!r}")
-    return {"cd": 0.0, "lf": 1.0, "theta": float(theta)}[kind]
+    theta = float(theta)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    return {"cd": 0.0, "lf": 1.0, "theta": theta}[kind]
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bfecc_maxwell.analysis import (
     ScanResult,
@@ -160,10 +164,29 @@ def test_plain_scan_exceeds_one_for_any_positive_ratio():
 
 
 def test_theta_cfl_constant_endpoints():
-    assert theta_cfl_constant(0.0) == pytest.approx(np.sqrt(3.0), abs=1e-5)
-    assert theta_cfl_constant(1.0) == pytest.approx(2.0, abs=1e-5)
+    assert theta_cfl_constant(0.0) == math.sqrt(3.0)
+    assert theta_cfl_constant(1.0) == 2.0
     c = theta_cfl_constant(0.8)
     assert np.sqrt(3.0) < c < 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=hst.floats(0.0, 1.0))
+def test_theta_cfl_constant_is_the_scanned_stability_edge(theta):
+    c = theta_cfl_constant(theta)
+    assert stability_scan("theta", 1, c * (1.0 - 1e-9), 4096, theta=theta).max_radius <= 1.0 + 1e-12
+    assert stability_scan("theta", 1, c * (1.0 + 1e-4), 4096, theta=theta).max_radius > 1.0
+
+
+def test_theta_cfl_constant_increases_with_theta():
+    c = [theta_cfl_constant(t) for t in np.linspace(0.0, 1.0, 201)]
+    assert np.all(np.diff(c) > 0.0)
+
+
+@pytest.mark.parametrize("theta", [-0.1, 1.5, float("nan")])
+def test_theta_cfl_constant_rejects_theta_outside_unit_interval(theta):
+    with pytest.raises(ValueError, match="theta must lie in"):
+        theta_cfl_constant(theta)
 
 
 def test_cfl_bound_closed_forms():
@@ -190,8 +213,9 @@ def test_cfl_bound_validation():
         cfl_bound("cd", 2, [0.1])
     with pytest.raises(ValueError):
         cfl_bound("cd", 4, [0.1] * 4)
-    with pytest.raises(ValueError):
-        cfl_bound("cd", 1, [-0.1])
+    for h in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cfl_bound("cd", 1, [h])
 
 
 def test_accuracy_order_returns_float():
@@ -214,11 +238,16 @@ def test_phase_speed_domain_errors():
         phase_speed(0.5, 0.0)
     with pytest.raises(ValueError):
         phase_speed(1.8, np.pi / 2)
+    for lam, kh in ((float("nan"), 0.5), (0.5, float("nan")), (float("inf"), 0.5), (0.0, 0.5)):
+        with pytest.raises(ValueError):
+            phase_speed(lam, kh)
 
 
 def test_measured_phase_speed_needs_room_for_the_pulse():
     with pytest.raises(ValueError):
         measured_phase_speed(0.5, 0.5, steps=100, n=100)
+    with pytest.raises(ValueError):
+        measured_phase_speed(0.5, 0.5, steps=0)
 
 
 def test_growth_factor_bridge_symbol_vs_time_domain():

@@ -153,6 +153,21 @@ def test_analyze_rejects_too_few_samples(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--cfl", "--h", "nan"], ["analyze", "--cfl", "--h", "inf"],
+    ["analyze", "--kind", "theta", "--theta", "2"], ["dispersion", "--lam", "nan"],
+    ["dispersion", "--kh-max", "nan"], ["dispersion", "--lam", "0"],
+    ["dispersion", "--measured", "--steps", "0"]])
+def test_bad_analysis_input_exits_2_with_one_line(argv, capsys):
+    rc = main(argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ")
+
+
 def test_gridgen_writes_point_list(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     rc = main(["gridgen", "-p", "experiment=periodic2d", "-p", "grid=d",

@@ -206,8 +206,6 @@ def test_incident_wave_shape():
     t = 1.3
     u = t - (x[0] - 0.3)
     assert src.ez_inc(x, y, t)[0] == pytest.approx(2.0 * np.sin(src.omega * u), rel=1e-12)
-    assert src.hy_inc(x, y, t)[0] == pytest.approx(-src.ez_inc(x, y, t)[0])
-    assert src.hx_inc(x, y, t)[0] == 0.0
     # inside the turn-on window the sine is shaped by a smooth squared-sine gate
     tm = 0.3
     gate = np.sin(0.5 * np.pi * tm / 0.6) ** 2
