@@ -85,17 +85,16 @@ def symbol(kind, dims, k, h, lam, theta=0.0, direction="forward"):
     raise ValueError(f"dims must be 1 or 2, got {dims}")
 
 
-def bfecc_symbol(q_l, q_lstar=None):
+def bfecc_symbol(q_l):
     """BFECC symbol Q_L (I + (I - Q_L* Q_L)/2) from the underlying symbol.
 
-    q_lstar defaults to the entrywise conjugate of q_l (exact for all
-    uniform kinds here, whose backward step negates lam).
+    Q_L* is the entrywise conjugate of q_l, exact for all uniform kinds
+    here, whose backward step negates lam.
     Accepts batched (..., m, m) input.
     """
     q = np.asarray(q_l, dtype=complex)
-    qs = np.conj(q) if q_lstar is None else np.asarray(q_lstar, dtype=complex)
     eye = np.eye(q.shape[-1], dtype=complex)
-    return q @ (eye + 0.5 * (eye - qs @ q))
+    return q @ (eye + 0.5 * (eye - np.conj(q) @ q))
 
 
 def bfecc_symbol_for(kind, dims, k, h, lam, theta=0.0):
@@ -193,8 +192,7 @@ def cfl_bound(kind, dims, spacings, theta=0.0):
     BFECC is stable when the spectral radius of the underlying symbol is
     at most 2; for these normal symbols that is a closed-form condition.
     cd:  dt <= sqrt(3) / sqrt(sum 1/dx_i^2)
-    lf:  dt <= 2 / sqrt(sum 1/dx_i^2), plus the per-axis constraints
-         dt <= sqrt(7/2)*min dx (2D) or sqrt(3)*min dx (3D)
+    lf:  dt <= 2 / sqrt(sum 1/dx_i^2), and in 2D also dt <= sqrt(7/2)*min dx
     theta: the lf-style bound with c(theta) from theta_cfl_constant, the
          exact root of the quadratic in cos t that radius <= 2 gives
     ls_cd / ls_theta use their uniform-grid reductions (cd, theta(0.8)).
@@ -204,8 +202,8 @@ def cfl_bound(kind, dims, spacings, theta=0.0):
         raise ValueError(f"expected {dims} spacings, got {len(sp)}")
     if not all(0.0 < s < math.inf for s in sp):
         raise ValueError(f"spacings must be finite and positive, got {sp}")
-    if dims not in (1, 2, 3):
-        raise ValueError(f"dims must be 1, 2 or 3, got {dims}")
+    if dims not in (1, 2):
+        raise ValueError(f"dims must be 1 or 2, got {dims}")
     if kind == "ls_cd":
         kind = "cd"
     elif kind == "ls_theta":
@@ -222,8 +220,6 @@ def cfl_bound(kind, dims, spacings, theta=0.0):
     bound = c / root
     if dims == 2:
         bound = min(bound, math.sqrt(3.5) * min(sp))
-    elif dims == 3:
-        bound = min(bound, math.sqrt(3.0) * min(sp))
     return bound
 
 

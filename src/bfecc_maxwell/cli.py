@@ -76,13 +76,15 @@ def _cmd_refine(args):
 
 
 def _cmd_analyze(args):
-    lam = tuple(float(p) for p in args.lam.split(","))
-    if args.dims == 1 and len(lam) != 1:
-        raise ValueError("dims=1 takes a single lam value")
-    if args.dims == 2 and len(lam) == 1:
-        lam = (lam[0], lam[0])
+    try:
+        lam = tuple(float(p) for p in args.lam.split(","))
+    except ValueError:
+        lam = ()
+    if not (1 <= len(lam) <= args.dims and np.isfinite(lam).all()):
+        raise ValueError(f"--lam takes {'1' if args.dims == 1 else '1 or 2'} finite "
+                         f"comma-separated values in {args.dims}D, got {args.lam!r}")
     bound = cfl_bound(args.kind, args.dims, [args.h] * args.dims, args.theta) if args.cfl else None
-    scan = stability_scan(args.kind, args.dims, lam[0] if args.dims == 1 else lam,
+    scan = stability_scan(args.kind, args.dims, lam[0] if len(lam) == 1 else lam,
                           args.samples, theta=args.theta, bfecc=not args.plain)
     radii = scan.radii
     if args.dims == 1:
@@ -116,6 +118,8 @@ def _cmd_gridgen(args):
 
 
 def _cmd_dispersion(args):
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     for j in range(1, args.points + 1):
         kh = args.kh_max * j / args.points
         if args.measured:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .schemes import FieldState1, FieldState2
@@ -71,10 +73,8 @@ def convergence_orders(hs, errors):
     errors = [float(e) for e in errors]
     if len(hs) != len(errors):
         raise ValueError("hs and errors must have equal length")
-    out = []
-    for k in range(1, len(hs)):
-        out.append(float(np.log(errors[k - 1] / errors[k]) / np.log(hs[k - 1] / hs[k])))
-    return out
+    return [math.log(errors[k - 1] / errors[k]) / math.log(hs[k - 1] / hs[k])
+            for k in range(1, len(hs))]
 
 
 def restrict_to_coarse(arr, pad, ratio, n_coarse) -> np.ndarray:

@@ -16,8 +16,10 @@ Grid variants for periodic2d
      inscribed disk: r -> r + 0.05 sin^2(2 pi r) for r < 1/2
   d  grid points pulled onto the circle of radius `disk_radius`
 
-Runs land exactly on t_final: floor(T / dt) full steps plus one shorter
-final step.  A sup-norm monitor aborts blown-up runs early.
+Every experiment advances its state with `_march`, the one time loop.
+It owns the step count, the sup-norm monitor that aborts blown-up runs
+early, and the remainder: floor(T / dt) full steps plus one shorter
+final step, so runs land exactly on t_final.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .analysis import cfl_bound
 from .bfecc import BfeccStep, bfecc_step
-from .diagnostics import component_rms, l2_error, restrict_to_coarse
+from .diagnostics import component_rms, convergence_orders, l2_error, restrict_to_coarse
 from .grid import Circle, Grid2, StarCurve, build_uniform, point_shift, smooth_shift
 from .pml import PmlRunner, TfsfSource, build_pml
 from .schemes import (SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
@@ -244,15 +246,6 @@ def build_variant_grid(variant, n, center=(0.5, 0.5), radius=0.24, smooth_sweeps
     raise ValueError(f"grid variant must be one of {GRID_VARIANTS}, got {variant!r}")
 
 
-def _split_steps(t_final, dt):
-    """Full-step count and the remainder step that lands exactly on t_final."""
-    n_full = int(math.floor(t_final / dt + 1e-9))
-    partial = t_final - n_full * dt
-    if partial <= 1e-9 * dt:
-        partial = 0.0
-    return n_full, partial
-
-
 def _check_cfl(cfg, kind, dims, spacings, dt):
     if not cfg.bfecc or cfg.allow_unstable:
         return
@@ -275,6 +268,27 @@ def _monitor(cfg, state, k, n_full, dt):
                 raise InstabilityError(k + 1, (k + 1) * dt, sup)
 
 
+def _march(cfg, state, step, dt):
+    """Advance `state` to cfg.t_final: floor(T / dt) full steps, each
+    followed by the monitor, then one remainder step of size h < dt when
+    one is left.  `step(state, t, h)` takes one step; returns (state, steps)."""
+    n_full = int(math.floor(cfg.t_final / dt + 1e-9))
+    for k in range(n_full):
+        state = step(state, k * dt, dt)
+        _monitor(cfg, state, k, n_full, dt)
+    partial = cfg.t_final - n_full * dt
+    if partial <= 1e-9 * dt:
+        return state, n_full
+    return step(state, n_full * dt, partial), n_full + 1
+
+
+def _error_norms(state, exact) -> dict:
+    """RMS error over all entries, per component, and the components' sum."""
+    comp = component_rms(state, exact)
+    return {"l2_error": l2_error(state, exact), "component_rms": comp,
+            "l2_sum": sum(comp.values())}
+
+
 def run_periodic1d(cfg: ExperimentConfig) -> dict:
     if cfg.scheme in ("ls_cd", "ls_theta"):
         raise ValueError("periodic1d supports the uniform-grid schemes cd, lf, theta")
@@ -283,30 +297,18 @@ def run_periodic1d(cfg: ExperimentConfig) -> dict:
     dt = cfg.dt_ratio * h
     _check_cfl(cfg, cfg.scheme, 1, [h], dt)
     x = h * np.arange(n)
-    e0, h0 = exact_periodic1d(x, 0.0)
-    state = FieldState1(e0, h0)
-    n_full, partial = _split_steps(cfg.t_final, dt)
 
-    def advance(st, step_dt):
+    def step(st, t, step_dt):
         spec = SchemeSpec(cfg.scheme, step_dt, cfg.theta)
         if cfg.bfecc:
             return bfecc_step(BfeccStep(spec), st, h)
         return step_1d(spec, st, h)
 
-    for k in range(n_full):
-        state = advance(state, dt)
-        _monitor(cfg, state, k, n_full, dt)
-    if partial > 0.0:
-        state = advance(state, partial)
-    ee, he = exact_periodic1d(x, cfg.t_final)
-    exact = FieldState1(ee, he)
-    comp = component_rms(state, exact)
+    state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)), step, dt)
     return {
         "experiment": "periodic1d", "n": n, "h": h, "dt": dt,
-        "steps": n_full + (1 if partial > 0 else 0), "t": cfg.t_final,
-        "l2_error": l2_error(state, exact),
-        "component_rms": comp,
-        "l2_sum": sum(comp.values()),
+        "steps": steps, "t": cfg.t_final,
+        **_error_norms(state, FieldState1(*exact_periodic1d(x, cfg.t_final))),
         "state": state, "x": x,
     }
 
@@ -319,35 +321,24 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
     _check_cfl(cfg, cfg.scheme, 2, (grid.dx, grid.dy), dt)
     xs = grid.coords[:, :, 0]
     ys = grid.coords[:, :, 1]
-    hx0, hy0, ez0 = exact_periodic2d(xs, ys, 0.0)
-    state = FieldState2(hx0, hy0, ez0)
     needs_ls = cfg.scheme in ("ls_cd", "ls_theta")
     geom = StencilGeometry(grid) if needs_ls else None
     weights = geom.cached_weights() if needs_ls else None
-    n_full, partial = _split_steps(cfg.t_final, dt)
 
-    def advance(st, step_dt):
+    def step(st, t, step_dt):
         spec = SchemeSpec(cfg.scheme, step_dt, cfg.theta)
         if cfg.bfecc:
             return bfecc_step(BfeccStep(spec), st, grid, geometry=geom, weights=weights)
         return step_2d(spec, st, grid, geometry=geom, weights=weights)
 
-    for k in range(n_full):
-        state = advance(state, dt)
-        _monitor(cfg, state, k, n_full, dt)
-    if partial > 0.0:
-        state = advance(state, partial)
-    hxe, hye, eze = exact_periodic2d(xs, ys, cfg.t_final)
-    exact = FieldState2(hxe, hye, eze)
-    comp = component_rms(state, exact)
+    state, steps = _march(cfg, FieldState2(*exact_periodic2d(xs, ys, 0.0)), step, dt)
+    norms = _error_norms(state, FieldState2(*exact_periodic2d(xs, ys, cfg.t_final)))
     return {
         "experiment": "periodic2d", "grid_variant": cfg.grid_variant,
         "n": n, "h": grid.dx, "dt": dt,
-        "steps": n_full + (1 if partial > 0 else 0), "t": cfg.t_final,
-        "l2_error": l2_error(state, exact),
-        "component_rms": comp,
-        "l2_sum": sum(comp.values()),
-        "l2_ez": comp["Ez"],
+        "steps": steps, "t": cfg.t_final,
+        **norms,
+        "l2_ez": norms["component_rms"]["Ez"],
         "state": state, "grid": grid,
     }
 
@@ -395,26 +386,26 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     source = TfsfSource(tuple(cfg.tfsf_rect), cfg.tfsf_omega, cfg.tfsf_amplitude,
                         cfg.tfsf_ramp)
     runner = PmlRunner(grid, spec, pml, source)
+
+    def step(st, t, step_dt):
+        r = runner
+        if step_dt != dt:
+            # the remainder step needs recursion coefficients for its own
+            # step size, and continues the full steps' collar memory
+            tail = build_pml(grid, step_dt, pad, cfg.pml_sigma_max, cfg.pml_exponent)
+            tail.psi_hxy, tail.psi_hyx = pml.psi_hxy, pml.psi_hyx
+            tail.psi_ezx, tail.psi_ezy = pml.psi_ezx, pml.psi_ezy
+            r = PmlRunner(grid, replace(spec, dt=step_dt), tail, source,
+                          geometry=runner.geom, weights=runner.weights)
+        return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)
+
     zeros = np.zeros((grid.nx, grid.ny))
-    state = FieldState2(zeros.copy(), zeros.copy(), zeros.copy(), eps=eps)
-    n_full, partial = _split_steps(cfg.t_final, dt)
-    do_step = runner.step if cfg.bfecc else runner.plain_step
-    for k in range(n_full):
-        state = do_step(state, k * dt)
-        _monitor(cfg, state, k, n_full, dt)
-    if partial > 0.0:
-        pml_tail = build_pml(grid, partial, pad, cfg.pml_sigma_max, cfg.pml_exponent)
-        pml_tail.psi_hxy = pml.psi_hxy
-        pml_tail.psi_hyx = pml.psi_hyx
-        pml_tail.psi_ezx = pml.psi_ezx
-        pml_tail.psi_ezy = pml.psi_ezy
-        tail = PmlRunner(grid, replace(spec, dt=partial), pml_tail, source,
-                         geometry=runner.geom, weights=runner.weights)
-        state = (tail.step if cfg.bfecc else tail.plain_step)(state, n_full * dt)
+    state, steps = _march(cfg, FieldState2(zeros.copy(), zeros.copy(), zeros.copy(), eps=eps),
+                          step, dt)
     phys = slice(pad, pad + n + 1)
     return {
         "experiment": cfg.experiment, "n": n, "h": h, "dt": dt,
-        "steps": n_full + (1 if partial > 0 else 0), "t": cfg.t_final,
+        "steps": steps, "t": cfg.t_final,
         "pad": pad, "grid": grid, "state": state, "eps": eps,
         "sup_ez_physical": float(np.max(np.abs(state.Ez[phys, phys]))),
     }
@@ -431,8 +422,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _physical_fields(run, n_own, ratio):
     st = run["state"]
-    pad = run["pad"]
-    return [restrict_to_coarse(f, pad, ratio, n_own) for f in (st.Hx, st.Hy, st.Ez)]
+    return FieldState2(*(restrict_to_coarse(f, run["pad"], ratio, n_own)
+                         for f in (st.Hx, st.Hy, st.Ez)))
 
 
 def refine_experiment(cfg: ExperimentConfig) -> dict:
@@ -448,7 +439,6 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
     label = cfg.grid_variant if cfg.experiment == "periodic2d" else cfg.experiment
     if cfg.experiment in ("periodic1d", "periodic2d"):
         runs = [run_experiment(replace(cfg, n=m)) for m in ns]
-        errors = [r["l2_error"] for r in runs]
     else:
         ref_n = cfg.reference_n if cfg.reference_n else 8 * cfg.n
         for m in ns:
@@ -456,27 +446,14 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
                 raise ValueError(
                     f"reference_n = {ref_n} must be a proper multiple of every level, "
                     f"levels are {ns}")
-        results = [run_scatter(cfg, m) for m in ns + [ref_n]]
-        runs, ref = results[:-1], results[-1]
-        errors = []
+        runs = [run_scatter(cfg, m) for m in ns + [ref_n]]
+        ref = runs[-1]
         for m, r in zip(ns, runs):
-            own = _physical_fields(r, m, 1)
-            res = _physical_fields(ref, m, ref_n // m)
-            comp = component_rms(own, res)
-            r["component_rms"] = {"Hx": comp["c0"], "Hy": comp["c1"], "Ez": comp["c2"]}
-            r["l2_error"] = l2_error(own, res)
-            r["l2_ez"] = comp["c2"]
-            errors.append(r["l2_error"])
-        runs.append(ref)
-    rows = []
-    prev = None
-    for m, r in zip(ns, runs):
-        err = r["l2_error"]
-        order = None
-        if prev is not None:
-            order = math.log(prev / err) / math.log(2.0)
-        rows.append({"grid": label, "n": m, "h": 1.0 / m, "dt": r["dt"],
-                     "l2_error": err, "order": order})
-        prev = err
-    return {"ns": ns, "rows": rows, "errors": errors, "runs": runs,
-            "orders": [row["order"] for row in rows[1:]]}
+            r.update(_error_norms(_physical_fields(r, m, 1), _physical_fields(ref, m, ref_n // m)))
+            r["l2_ez"] = r["component_rms"]["Ez"]
+    errors = [r["l2_error"] for r in runs[:cfg.levels]]
+    orders = convergence_orders([1.0 / m for m in ns], errors)
+    rows = [{"grid": label, "n": m, "h": 1.0 / m, "dt": r["dt"], "l2_error": err,
+             "order": order}
+            for m, r, err, order in zip(ns, runs, errors, [None] + orders)]
+    return {"ns": ns, "rows": rows, "errors": errors, "runs": runs, "orders": orders}

@@ -66,10 +66,6 @@ class PmlState:
     psi_ezx: np.ndarray
     psi_ezy: np.ndarray
 
-    def reset(self):
-        for psi in (self.psi_hxy, self.psi_hyx, self.psi_ezx, self.psi_ezy):
-            psi[:] = 0.0
-
 
 def build_pml(grid: Grid2, dt: float, thickness: int = 10,
               sigma_max: Optional[float] = None, exponent: float = 3.0) -> PmlState:
@@ -224,6 +220,8 @@ class PmlRunner:
             raise ValueError("pass a forward spec; substeps handle reversal")
         if pml.psi_hxy.shape != (grid.nx, grid.ny):
             raise ValueError("pml state shape does not match the grid")
+        if pml.dt != spec.dt:
+            raise ValueError(f"pml state was built for dt = {pml.dt}, the scheme steps {spec.dt}")
         self.grid = grid
         self.spec = spec
         self.pml = pml

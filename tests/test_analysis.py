@@ -87,9 +87,6 @@ def test_bfecc_symbol_composition():
     Q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     expect = Q @ (1.5 * np.eye(2) - 0.5 * (Q.conj() @ Q))
     assert np.max(np.abs(bfecc_symbol(Q) - expect)) == 0.0
-    Qs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    expect2 = Q @ (1.5 * np.eye(2) - 0.5 * (Qs @ Q))
-    assert np.max(np.abs(bfecc_symbol(Q, Qs) - expect2)) == 0.0
 
 
 def test_bfecc_symbol_batched():
@@ -192,14 +189,12 @@ def test_theta_cfl_constant_rejects_theta_outside_unit_interval(theta):
 def test_cfl_bound_closed_forms():
     assert cfl_bound("cd", 1, [0.01]) == pytest.approx(np.sqrt(3.0) * 0.01)
     assert cfl_bound("cd", 2, [0.1, 0.1]) == pytest.approx(np.sqrt(1.5) * 0.1)
-    assert cfl_bound("cd", 3, [0.1] * 3) == pytest.approx(0.1)
     assert cfl_bound("lf", 1, [0.1]) == pytest.approx(0.2)
     assert cfl_bound("lf", 2, [0.1, 0.1]) == pytest.approx(np.sqrt(2.0) * 0.1)
     # unequal spacings: axis-aligned modes add their own restriction
     got = cfl_bound("lf", 2, [0.1, 0.05])
     expect = min(2.0 / np.sqrt(1.0 / 0.01 + 1.0 / 0.0025), np.sqrt(3.5) * 0.05)
     assert got == pytest.approx(expect)
-    assert cfl_bound("lf", 3, [0.1] * 3) == pytest.approx(2.0 / np.sqrt(300.0))
 
 
 def test_cfl_bound_least_squares_kinds_map_to_uniform_limits():
@@ -211,8 +206,9 @@ def test_cfl_bound_least_squares_kinds_map_to_uniform_limits():
 def test_cfl_bound_validation():
     with pytest.raises(ValueError):
         cfl_bound("cd", 2, [0.1])
-    with pytest.raises(ValueError):
-        cfl_bound("cd", 4, [0.1] * 4)
+    for dims in (3, 4):
+        with pytest.raises(ValueError):
+            cfl_bound("cd", dims, [0.1] * dims)
     for h in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             cfl_bound("cd", 1, [h])

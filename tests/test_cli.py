@@ -157,7 +157,8 @@ def test_analyze_rejects_too_few_samples(capsys):
     ["analyze", "--cfl", "--h", "nan"], ["analyze", "--cfl", "--h", "inf"],
     ["analyze", "--kind", "theta", "--theta", "2"], ["dispersion", "--lam", "nan"],
     ["dispersion", "--kh-max", "nan"], ["dispersion", "--lam", "0"],
-    ["dispersion", "--measured", "--steps", "0"]])
+    ["dispersion", "--measured", "--steps", "0"], ["dispersion", "--points", "0"],
+    ["dispersion", "--points", "-3"]])
 def test_bad_analysis_input_exits_2_with_one_line(argv, capsys):
     rc = main(argv)
     assert rc == 2
@@ -166,6 +167,19 @@ def test_bad_analysis_input_exits_2_with_one_line(argv, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("lam", [
+    ["--lam", "nan"], ["--dims", "2", "--lam", "0.5,inf"], ["--dims", "2", "--lam", "1,2,3"],
+    ["--lam", "abc"], ["--lam", ""]])
+def test_bad_lam_is_named_in_its_one_error_line(lam, capsys):
+    rc = main(["analyze"] + lam)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "--lam" in err[0]
 
 
 def test_gridgen_writes_point_list(tmp_path, capsys):

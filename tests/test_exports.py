@@ -1,7 +1,10 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import bfecc_maxwell
+from bfecc_maxwell.harness import ExperimentConfig, run_experiment
 
 
 def test_every_exported_name_resolves_once():
@@ -14,13 +17,33 @@ def test_every_exported_name_resolves_once():
     assert set(names) <= set(namespace)
 
 
-def test_every_traced_name_exists_where_the_tracer_replaces_it():
-    # the benchmark's tracer swaps these attributes in place; a renamed or
-    # deleted one would drop its spans without failing a solver test
+def _bench_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_name_exists_where_the_tracer_replaces_it():
+    # the benchmark's tracer swaps these attributes in place; a renamed or
+    # deleted one would drop its spans without failing a solver test
+    tracing = _bench_tracing()
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _, _ in tracing.LAYER_WRAPS if attr not in vars(owner)]
     assert missing == []
+
+
+@pytest.mark.parametrize("settings", [
+    dict(experiment="periodic1d", n=32, dt_ratio=1.7, t_final=0.3),
+    dict(experiment="periodic2d", scheme="ls_theta", grid_variant="d", n=16,
+         dt_ratio=0.25, t_final=0.1),
+    dict(experiment="scatter_cylinder", scheme="ls_theta", n=16, t_final=0.7)])
+def test_every_step_goes_through_a_traced_name(settings):
+    # the benchmark reads set-up time and step times from these spans; a
+    # time loop calling a step through an alias bound at import drops them
+    tracing = _bench_tracing()
+    with tracing.Tracer(tracing.STEP_WRAPS) as tracer:
+        result = run_experiment(ExperimentConfig(**settings))
+    steps = [s for s in tracer.spans if s.name in tracing.STEP_NAMES]
+    assert len(steps) == result["steps"]

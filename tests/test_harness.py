@@ -243,6 +243,24 @@ def test_scatter_smoke_run_is_quiet_before_arrival():
     assert out["steps"] == int(round(0.05 / (1.0 / 20)))
 
 
+@pytest.mark.parametrize("bfecc, sup, rms", [
+    (True, 0.7914275110148534,
+     (0.022326103839651338, 0.13442692871573317, 0.12128649732456263)),
+    (False, 0.6828198772896981,
+     (0.013736266621564963, 0.11052256514190188, 0.1012951333559729))])
+def test_scatter_remainder_step_lands_on_t_final(bfecc, sup, rms):
+    # 0.7 / dt = 22.4: 22 full steps, then a shorter step with its own
+    # collar coefficients that carries on the full steps' collar memory
+    cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta",
+                           n=16, t_final=0.7, bfecc=bfecc)
+    out = run_experiment(cfg)
+    assert out["steps"] == 23
+    assert out["sup_ez_physical"] == pytest.approx(sup, rel=1e-9)
+    st = out["state"]
+    got = [np.sqrt(np.mean(f ** 2)) for f in (st.Hx, st.Hy, st.Ez)]
+    assert got == pytest.approx(rms, rel=1e-9)
+
+
 def test_scatter_requires_least_squares_scheme():
     cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="cd",
                            n=20, t_final=0.1)
