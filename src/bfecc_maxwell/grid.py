@@ -282,8 +282,8 @@ def point_shift(grid: Grid2, curve: ImplicitCurve) -> Grid2:
             i = p.index
             j, _ = _nearest_index_along(p.y, grid.y0, grid.dy, grid.ny, periodic)
             y = p.y
-            if periodic:
-                y = grid.y0 + (p.y - grid.y0) % grid.height
+            if periodic:  # the crossing's image nearest node j, which may sit across the seam
+                y -= round((y - grid.y0 - j * grid.dy) / grid.height) * grid.height
             coords[i, j] = (p.x, y)
             mask[i, j] = True
         else:
@@ -291,7 +291,7 @@ def point_shift(grid: Grid2, curve: ImplicitCurve) -> Grid2:
             i, _ = _nearest_index_along(p.x, grid.x0, grid.dx, grid.nx, periodic)
             x = p.x
             if periodic:
-                x = grid.x0 + (p.x - grid.x0) % grid.width
+                x -= round((x - grid.x0 - i * grid.dx) / grid.width) * grid.width
             coords[i, j] = (x, p.y)
             mask[i, j] = True
     return Grid2(grid.nx, grid.ny, grid.dx, grid.dy, grid.x0, grid.y0,

@@ -173,6 +173,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"check_every must be at least 1, got {cfg.check_every}")
     if cfg.levels < 1:
         raise ValueError(f"levels must be at least 1, got {cfg.levels}")
+    if cfg.smooth_sweeps < 0:
+        raise ValueError(f"smooth_sweeps must be >= 0, got {cfg.smooth_sweeps}")
     if cfg.pml_cells < 0:
         raise ValueError(f"pml.cells must be >= 0, got {cfg.pml_cells}")
     if not cfg.eps_inside > 0:
@@ -321,15 +323,13 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
     _check_cfl(cfg, cfg.scheme, 2, (grid.dx, grid.dy), dt)
     xs = grid.coords[:, :, 0]
     ys = grid.coords[:, :, 1]
-    needs_ls = cfg.scheme in ("ls_cd", "ls_theta")
-    geom = StencilGeometry(grid) if needs_ls else None
-    weights = geom.cached_weights() if needs_ls else None
+    geom = StencilGeometry(grid) if cfg.scheme in ("ls_cd", "ls_theta") else None
 
     def step(st, t, step_dt):
         spec = SchemeSpec(cfg.scheme, step_dt, cfg.theta)
         if cfg.bfecc:
-            return bfecc_step(BfeccStep(spec), st, grid, geometry=geom, weights=weights)
-        return step_2d(spec, st, grid, geometry=geom, weights=weights)
+            return bfecc_step(BfeccStep(spec), st, grid, geometry=geom)
+        return step_2d(spec, st, grid, geometry=geom)
 
     state, steps = _march(cfg, FieldState2(*exact_periodic2d(xs, ys, 0.0)), step, dt)
     norms = _error_norms(state, FieldState2(*exact_periodic2d(xs, ys, cfg.t_final)))
@@ -396,7 +396,7 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
             tail.psi_hxy, tail.psi_hyx = pml.psi_hxy, pml.psi_hyx
             tail.psi_ezx, tail.psi_ezy = pml.psi_ezx, pml.psi_ezy
             r = PmlRunner(grid, replace(spec, dt=step_dt), tail, source,
-                          geometry=runner.geom, weights=runner.weights)
+                          geometry=runner.geom)
         return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)
 
     zeros = np.zeros((grid.nx, grid.ny))

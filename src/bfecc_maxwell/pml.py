@@ -155,14 +155,14 @@ class TfsfSource:
 
 
 class TfsfInjector:
-    """Precomputed edge corrections for one (grid, weights, source) triple.
+    """Precomputed edge corrections for one (geometry, source) pair.
 
     Only update points whose stencil straddles the rectangle edge get a
     correction; `rows` indexes them in the geometry's (nx', ny') block.
+    Their fit weights come from one factorization of just those stencils.
     """
 
-    def __init__(self, source: TfsfSource, geom: StencilGeometry, weights,
-                 kind: str, eps, mu):
+    def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
         inside = geom.interior
         pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets
         ax, ay = pos[:, :, 0], pos[:, :, 1]
@@ -170,15 +170,16 @@ class TfsfInjector:
         dchi = chi[:, 0:1] - chi
         rows = np.nonzero(np.any(dchi != 0.0, axis=1))[0]
         d = dchi[rows]
+        weights = geom.fit_weights(rows)
         self.source = source
         self.rows = np.unravel_index(rows, geom.shape)
         self.ax = ax[rows]
         self.ay = ay[rows]
-        self.dwx = d * weights[rows, 1, :]
-        self.dwy = d * weights[rows, 2, :]
+        self.dwx = d * weights[:, 1, :]
+        self.dwy = d * weights[:, 2, :]
         # the fitted-center base only exists for ls_theta; the ls_cd base is
         # the point's own value, whose chi difference is identically zero
-        self.dw0 = d * weights[rows, 0, :] if kind == "ls_theta" else None
+        self.dw0 = d * weights[:, 0, :] if kind == "ls_theta" else None
         self.inv_eps = 1.0 if eps is None else 1.0 / eps[inside][self.rows]
         self.inv_mu = 1.0 if mu is None else 1.0 / mu[inside][self.rows]
 
@@ -253,8 +254,8 @@ class PmlRunner:
 
     def _ensure_injector(self, state: FieldState2):
         if self.source is not None and self._injector is None:
-            self._injector = TfsfInjector(self.source, self.geom, self.weights,
-                                          self.spec.kind, state.eps, state.mu)
+            self._injector = TfsfInjector(self.source, self.geom, self.spec.kind,
+                                          state.eps, state.mu)
         return self._injector
 
     def _apply(self, state: FieldState2, fits, sdt, with_history, t):

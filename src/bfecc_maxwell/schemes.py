@@ -17,6 +17,11 @@ Scheme kinds
   ls_theta  least-squares gradients and the fitted center value replacing
             the point value (reduces to theta = 0.8 on uniform grids)
 
+A least-squares fit on an unmoved five-point cross is exactly the center
+blend and the centered differences, so the ls_* kinds run the uniform slice
+kernels over the whole field and refit only the irregular stencils, those
+with a point off its rectangular position.
+
 All schemes are one-step and linear; `direction="backward"` negates dt
 (the averaging terms are part of the spatial operator and keep their sign).
 Steps never mutate their input state.
@@ -196,81 +201,72 @@ def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
 
 
 class StencilGeometry:
-    """Five-point stencils of a Grid2 in plane-major layout.
+    """Five-point stencils of a Grid2 and their least-squares fit weights.
 
     Update points are all points (periodic) or the interior ring-1 points
     (bounded; the outer ring has no update rule and is held fixed).  They
     form an (nx', ny') = `shape` block that `interior` slices out of any
-    field.  Slot s of grid.STENCIL_OFFSETS at every update point is the
-    (nx', ny') view `shifted(f)[s]`: a slice of f itself on bounded grids,
-    of one ghost-padded gather `f.ravel()[ghost]` on periodic ones.
+    field, m = nx' * ny' stencils in row-major order.
 
-    `offsets` (m, 5, 2) holds each stencil's points relative to its center,
-    m = nx' * ny' in row-major order.  `cached_weights()` runs the
-    least-squares factorization on first use and returns the (m, 3, 5) fit
-    weights as a view over contiguous (3, 5, nx', ny') planes, so one copy
-    serves per-point and per-plane use.
+    `index` (m, 5) holds the flat field index of each stencil's points in
+    grid.STENCIL_OFFSETS order, wrapped across periodic seams, and `offsets`
+    (m, 5, 2) their positions relative to the center, a wrapped neighbor
+    sitting one domain extent away.  A stencil is irregular when any of its
+    points has left its rect_coords() position; `irregular` lists them.
+    Every other stencil is the uniform cross, whose fit is the theta = 0.8
+    center blend and the centered differences, so `cached_weights()`
+    factors only the irregular stencils, (r, 3, 5) in `irregular` order.
     """
 
     def __init__(self, grid: Grid2):
         self.grid = grid
         nx, ny = grid.nx, grid.ny
-        c = grid.coords
-        if grid.boundary_kind == "periodic":
-            self.shape = (nx, ny)
-            self.interior = (slice(None), slice(None))
-            i = np.arange(-1, nx + 1) % nx
-            j = np.arange(-1, ny + 1) % ny
-            self.ghost = i[:, None] * ny + j[None, :]
-            # ghost points sit one domain extent away, so stencils stay local
-            c = c.reshape(-1, 2)[self.ghost]
-            c[0, :, 0] -= grid.width
-            c[-1, :, 0] += grid.width
-            c[:, 0, 1] -= grid.height
-            c[:, -1, 1] += grid.height
-        else:
-            self.shape = (nx - 2, ny - 2)
-            self.interior = (slice(1, -1), slice(1, -1))
-            self.ghost = None
-        mx, my = self.shape
-        self._slots = [(slice(1 + di, 1 + di + mx), slice(1 + dj, 1 + dj + my))
-                       for di, dj in STENCIL_OFFSETS]
-        center = c[self._slots[0]]
-        self.offsets = np.stack([c[sl] - center for sl in self._slots], axis=2).reshape(-1, 5, 2)
+        ring = 0 if grid.boundary_kind == "periodic" else 1
+        self.shape = (nx - 2 * ring, ny - 2 * ring)
+        self.interior = (slice(ring, nx - ring), slice(ring, ny - ring))
+        di, dj = np.array(STENCIL_OFFSETS).T
+        wi, ii = np.divmod(np.arange(ring, nx - ring)[:, None, None] + di, nx)
+        wj, jj = np.divmod(np.arange(ring, ny - ring)[None, :, None] + dj, ny)
+        self.index = (ii * ny + jj).reshape(-1, 5)
+        pos = grid.coords[ii, jj]
+        pos[..., 0] += wi * grid.width
+        pos[..., 1] += wj * grid.height
+        self.offsets = (pos - pos[:, :, :1]).reshape(-1, 5, 2)
+        moved = np.any(grid.coords != grid.rect_coords(), axis=2).ravel()
+        self.irregular = np.flatnonzero(moved[self.index].any(axis=1))
         self._weights = None
 
-    def shifted(self, f):
-        """The five (nx', ny') stencil-slot views of field f."""
-        padded = f if self.ghost is None else f.ravel()[self.ghost]
-        return [padded[sl] for sl in self._slots]
+    def fit_weights(self, rows):
+        """(len(rows), 3, 5) fit weights of the stencils `rows`, one batched
+        factorization; none runs for an empty selection."""
+        if len(rows) == 0:
+            return np.empty((0, 3, 5))
+        return batched_fit_weights(self.offsets[rows])[0]
 
     def cached_weights(self):
         if self._weights is None:
-            w, _ = batched_fit_weights(self.offsets)
-            planes = np.ascontiguousarray(w.reshape(self.shape + (3, 5)).transpose(2, 3, 0, 1))
-            self._weights = planes.transpose(2, 3, 0, 1).reshape(w.shape)
+            self._weights = self.fit_weights(self.irregular)
         return self._weights
 
 
 def _ls_fit_all(geom: StencilGeometry, weights, *fields):
     """Fitted (a, d/dx, d/dy) at the update points, (3, nx', ny') per field.
 
-    `weights` is the (m, 3, 5) view from StencilGeometry.cached_weights();
-    its (3, 5, nx', ny') planes are contracted with the five shifted views
-    of each field, one output plane at a time.
+    The slice kernels give every uniform cross's fit over the whole field:
+    the theta = 0.8 center blend and the centered differences.  `weights`,
+    the (r, 3, 5) block from StencilGeometry.cached_weights(), then refits
+    the irregular stencils from their gathered values.
     """
-    planes = weights.reshape(geom.shape + (3, 5)).transpose(2, 3, 0, 1)
-    tmp = np.empty(geom.shape)
+    grid = geom.grid
+    rows = geom.index[geom.irregular]
     out = []
     for f in fields:
-        views = geom.shifted(f)
-        fit = np.empty((3,) + geom.shape)
-        for o in range(3):
-            np.multiply(planes[o, 0], views[0], out=fit[o])
-            for s in range(1, 5):
-                np.multiply(planes[o, s], views[s], out=tmp)
-                fit[o] += tmp
-        out.append(fit)
+        fit = np.empty((3,) + f.shape)
+        fit[0] = _center_blend(0.8, f)
+        np.divide(_dc(f, 0), grid.dx, out=fit[1])
+        np.divide(_dc(f, 1), grid.dy, out=fit[2])
+        fit.reshape(3, -1)[:, rows[:, 0]] = np.einsum("rks,rs->kr", weights, f.ravel()[rows])
+        out.append(fit[(slice(None),) + geom.interior])
     return out
 
 
@@ -304,9 +300,10 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
 
     Kinds cd/lf/theta require a uniform periodic grid;
     ls_cd/ls_theta work on any Grid2 through local least-squares fits.
-    Passing `geometry` (and optionally `weights`) reuses precomputed
-    stencil data; without `weights` the geometry's cached weights are
-    used, so the factorization runs once per geometry.
+    Passing `geometry` (and optionally `weights`, the (r, 3, 5) block of
+    its irregular stencils) reuses precomputed stencil data; without
+    `weights` the geometry's cached weights are used, so the factorization
+    runs once per geometry.
     """
     if state.shape != (grid.nx, grid.ny):
         raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")

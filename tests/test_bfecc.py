@@ -7,6 +7,7 @@ from bfecc_maxwell import schemes
 from bfecc_maxwell.analysis import cfl_bound
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import Grid2, build_uniform
+from bfecc_maxwell.harness import build_variant_grid
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
@@ -118,6 +119,8 @@ def test_2d_dispatch_accepts_grid():
 
 
 def test_least_squares_step_without_weights_factorizes_once(monkeypatch):
+    """Without a geometry each step builds one and factorizes only its
+    irregular stencils: r of them on a shifted grid, none on a uniform one."""
     calls = []
     original = schemes.batched_fit_weights
 
@@ -127,14 +130,18 @@ def test_least_squares_step_without_weights_factorizes_once(monkeypatch):
 
     monkeypatch.setattr(schemes, "batched_fit_weights", counting)
     n = 10
-    g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     rng = np.random.default_rng(3)
     st = FieldState2(*rng.standard_normal((3, n, n)))
+    g = build_variant_grid("d", n)
+    r = len(schemes.StencilGeometry(g).irregular)
+    assert 0 < r < n * n
     step = BfeccStep(SchemeSpec("ls_theta", 0.3 * g.dx))
     st = bfecc_step(step, st, g)
-    assert calls == [n * n]
+    assert calls == [r]
     bfecc_step(step, st, g)
-    assert calls == [n * n, n * n]
+    assert calls == [r, r]
+    bfecc_step(step, st, build_variant_grid("a", n))
+    assert calls == [r, r]
 
 
 def test_uniform_step_checks_the_grid_once(monkeypatch):

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bfecc_maxwell
@@ -47,3 +48,21 @@ def test_every_step_goes_through_a_traced_name(settings):
         result = run_experiment(ExperimentConfig(**settings))
     steps = [s for s in tracer.spans if s.name in tracing.STEP_NAMES]
     assert len(steps) == result["steps"]
+
+
+@pytest.mark.parametrize("settings", [
+    dict(experiment="periodic2d", scheme="ls_theta", grid_variant="a", n=8,
+         dt_ratio=0.25, t_final=0.1),
+    dict(experiment="periodic2d", scheme="ls_theta", grid_variant="d", n=8,
+         dt_ratio=0.25, t_final=0.1),
+    dict(experiment="scatter_cylinder", scheme="ls_theta", n=16, t_final=0.2)])
+def test_traced_runs_equal_untraced_runs(settings):
+    # every layer wrapper sees the solver's real arguments, including a
+    # geometry with no irregular stencil (grid a), and passes results through
+    tracing = _bench_tracing()
+    plain = run_experiment(ExperimentConfig(**settings))
+    with tracing.Tracer(tracing.LAYER_WRAPS):
+        traced = run_experiment(ExperimentConfig(**settings))
+    assert traced["steps"] == plain["steps"] > 2
+    for c in ("Hx", "Hy", "Ez"):
+        assert np.array_equal(getattr(traced["state"], c), getattr(plain["state"], c))

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bfecc_maxwell.grid import (
     Circle,
@@ -120,13 +122,40 @@ def test_point_shift_moves_nodes_onto_curve():
     assert np.array_equal(gs.coords[~gs.shifted_mask], g.coords[~gs.shifted_mask])
 
 
-def test_point_shift_displacement_bounded_by_half_cell():
-    g = build_uniform(40, 40, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    c = Circle(0.5, 0.5, 0.24)
-    gs = point_shift(g, c)
-    d = np.hypot(gs.coords[..., 0] - g.coords[..., 0],
-                 gs.coords[..., 1] - g.coords[..., 1])
-    assert np.max(d) <= 0.5 * max(g.dx, g.dy) + 1e-12
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), boundary=hst.sampled_from(["periodic", "bounded"]),
+       width=hst.floats(0.5, 2.0), height=hst.floats(0.5, 2.0), star=hst.booleans())
+def test_point_shift_displacement_bounded_by_half_cell(data, boundary, width, height, star):
+    """A random circle or star inside the domain moves no point farther than
+    max(dx, dy)/2, and every point it does not move keeps its exact
+    rectangular position, on which the irregular-stencil test relies."""
+    large = data.draw(hst.integers(0, 9)) == 0
+    n = hst.sampled_from([96, 128]) if large else hst.integers(6, 48)
+    g = build_uniform(data.draw(n), data.draw(n), ((0.0, width), (0.0, height)), boundary)
+    cx = data.draw(hst.floats(0.2, 0.8)) * width
+    cy = data.draw(hst.floats(0.2, 0.8)) * height
+    room = min(cx, width - cx, cy, height - cy)
+    if star:
+        ripple = data.draw(hst.floats(0.0, 0.5))
+        curve = StarCurve(cx, cy, data.draw(hst.floats(0.05, 1.0)) * room / (1.0 + ripple),
+                          ripple, data.draw(hst.integers(3, 7)))
+    else:
+        curve = Circle(cx, cy, data.draw(hst.floats(0.05, 1.0)) * room)
+    gs = point_shift(g, curve)
+    rect = g.rect_coords()
+    d = np.hypot(*(gs.coords - rect).transpose(2, 0, 1))
+    assert np.max(d) <= 0.5 * max(g.dx, g.dy) * (1.0 + 1e-12)
+    assert np.array_equal(gs.coords[~gs.shifted_mask], rect[~gs.shifted_mask])
+
+
+def test_point_shift_keeps_a_crossing_next_to_the_seam_within_half_a_cell():
+    # a crossing just below the periodic seam snaps to row 0 across it; the
+    # point must take the crossing's image there, not a whole height away
+    n = 16
+    g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
+    gs = point_shift(g, Circle(0.5, 0.9, 0.1 - 0.2 / n))
+    assert gs.shifted_mask[n // 2, 0]
+    assert gs.coords[n // 2, 0] == pytest.approx((0.5, -0.2 / n), abs=1e-12)
 
 
 def test_point_shift_is_reproducible():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bfecc_maxwell.grid import build_uniform
+from bfecc_maxwell.grid import (STENCIL_OFFSETS, Circle, StarCurve, build_uniform,
+                                point_shift, smooth_shift)
 from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
 from bfecc_maxwell.schemes import (
     FieldState1,
@@ -203,23 +204,35 @@ def test_stencil_geometry_shapes_and_cache():
     n = 9
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
     geom = StencilGeometry(g)
+    m = (n - 2) * (n - 2)
     assert geom.shape == (n - 2, n - 2)
-    assert geom.offsets.shape == ((n - 2) * (n - 2), 5, 2)
     f = np.arange(n * n, dtype=float).reshape(n, n)
-    views = geom.shifted(f)
-    assert len(views) == 5
-    assert all(v.shape == geom.shape for v in views)
-    assert np.array_equal(views[0], f[geom.interior])
+    assert np.array_equal(f[geom.interior], f[1:-1, 1:-1])
+    assert geom.index.shape == (m, 5)
+    assert np.array_equal(f.ravel()[geom.index[:, 0]], f[1:-1, 1:-1].ravel())
+    cross = np.array([[0.0, 0.0], [-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]])
+    assert geom.offsets.shape == (m, 5, 2)
+    assert np.allclose(geom.offsets, cross, rtol=0, atol=1e-14)
+    # a uniform grid has no irregular stencil: its weight block is empty
     w1 = geom.cached_weights()
-    w2 = geom.cached_weights()
-    assert w1 is w2
-    # one copy: the (m, 3, 5) weights view contiguous (3, 5, nx', ny') planes
-    assert w1.shape == ((n - 2) * (n - 2), 3, 5)
-    planes = w1.reshape(geom.shape + (3, 5)).transpose(2, 3, 0, 1)
-    assert planes.flags.c_contiguous
-    assert np.shares_memory(planes, w1)
+    assert w1 is geom.cached_weights()
+    assert w1.shape == (0, 3, 5) and geom.irregular.shape == (0,)
+
     gp = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    assert StencilGeometry(gp).shape == (n, n)
+    periodic = StencilGeometry(gp)
+    assert periodic.shape == (n, n)
+    assert np.array_equal(f[periodic.interior], f)
+    # the west neighbor of (0, 0) wraps to (n - 1, 0), one width away
+    assert periodic.index[0, 1] == (n - 1) * n
+    assert np.allclose(periodic.offsets, cross * (gp.dx / g.dx), rtol=0, atol=1e-14)
+
+    gd = build_variant_grid("d", 16)
+    shifted = StencilGeometry(gd)
+    r = len(shifted.irregular)
+    assert 0 < r < 16 * 16
+    w = shifted.cached_weights()
+    assert w is shifted.cached_weights()
+    assert w.shape == (r, 3, 5)
 
 
 def test_lincomb_arithmetic():
@@ -257,19 +270,46 @@ def per_point_fits(grid, f, i, j):
     return np.linalg.lstsq(design, vals, rcond=None)[0]
 
 
-def test_plane_fit_matches_per_point_fit_across_the_periodic_seam():
-    n = 16
-    g = build_variant_grid("d", n)
-    assert g.shifted_mask.any()
-    f = np.random.default_rng(21).standard_normal((n, n))
+def shifted_grid(data, n, boundary):
+    """A grid of n^2 points conformed to a random circle or star, smoothed
+    by 0 to 2 sweeps, or the smoothly deformed variant b."""
+    if boundary == "b":
+        return build_variant_grid("b", n)
+    rect = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), boundary)
+    cx, cy = data.draw(hst.floats(0.0, 1.0)), data.draw(hst.floats(0.0, 1.0))
+    if data.draw(hst.booleans()):
+        curve = Circle(cx, cy, data.draw(hst.floats(0.05, 0.45)))
+    else:
+        curve = StarCurve(cx, cy, data.draw(hst.floats(0.08, 0.3)),
+                          data.draw(hst.floats(0.0, 0.4)), data.draw(hst.integers(3, 7)))
+    g = point_shift(rect, curve)
+    sweeps = data.draw(hst.integers(0, 2))
+    return smooth_shift(g, rect, sweeps) if sweeps else g
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data(), n=hst.integers(6, 20),
+       boundary=hst.sampled_from(["periodic", "bounded", "b"]), seed=hst.integers(0, 2 ** 16))
+def test_plane_fit_matches_per_point_fit_across_the_periodic_seam(data, n, boundary, seed):
+    """The slice kernels plus the irregular rows equal an independent
+    per-stencil lstsq everywhere, and the irregular rows are exactly the
+    stencils with a point off its rectangular position."""
+    g = shifted_grid(data, n, boundary)
+    f = np.random.default_rng(seed).standard_normal((n, n))
     geom = StencilGeometry(g)
     (fit,) = _ls_fit_all(geom, geom.cached_weights(), f)
-    assert fit.shape == (3, n, n)
+    assert fit.shape == (3,) + geom.shape
+    moved = np.any(g.coords != g.rect_coords(), axis=2)
+    ring = 0 if g.boundary_kind == "periodic" else 1
     scale = np.array([1.0, 1.0 / g.dx, 1.0 / g.dy])
-    for i in range(n):
-        for j in range(n):
-            ref = per_point_fits(g, f, i, j)
-            assert np.all(np.abs(fit[:, i, j] - ref) <= 1e-12 * scale), (i, j)
+    irregular = []
+    for row, (a, b) in enumerate(np.ndindex(geom.shape)):
+        i, j = a + ring, b + ring
+        ref = per_point_fits(g, f, i, j)
+        assert np.all(np.abs(fit[:, a, b] - ref) <= 1e-12 * scale), (i, j)
+        if any(moved[(i + di) % n, (j + dj) % n] for di, dj in STENCIL_OFFSETS):
+            irregular.append(row)
+    assert geom.irregular.tolist() == irregular
 
 
 def test_plane_fit_and_step_on_a_bounded_shifted_grid():
