@@ -186,15 +186,69 @@ def theta_cfl_constant(theta):
     return math.sqrt((4.0 - q * q) / (1.0 - u * u))
 
 
+def _edge_2d(theta_eff, hx, hy):
+    """Largest dt at which the 2D BFECC theta scheme is stable, exact for
+    any spacings hx, hy.
+
+    The symbol q I + i M is normal with eigenvalue moduli^2 q^2 and
+    q^2 + s^2, where with u = cos(tx), v = cos(ty), a = 1/hx, b = 1/hy,
+
+        q = 1 - theta + theta (u + v) / 2,
+        s^2 = mu S,  S = a^2 (1 - u^2) + b^2 (1 - v^2),  mu = dt^2,
+
+    and BFECC is stable exactly when F = q^2 + mu S <= 4 on [-1, 1]^2.  For
+    fixed mu, F is a quadratic in (u, v), so its maximum is the largest F
+    among the corners, the stationary points along the four edges and the
+    interior stationary point, those that lie in the square.  max F - 4 is
+    convex and nondecreasing in mu (a maximum of affine functions of mu),
+    so Newton's step mu <- (4 - q^2) / S at the maximizer, started from
+    the upper bound that the mode u = v = 0 sets, decreases monotonically
+    to the edge.
+    """
+    a2, b2 = 1.0 / hx ** 2, 1.0 / hy ** 2
+    alpha = 1.0 - theta_eff
+
+    def worst(mu):
+        points = [(u, v) for u in (-1.0, 1.0) for v in (-1.0, 1.0)]
+        for side in (-1.0, 1.0):
+            c = alpha + 0.5 * theta_eff * side
+            for curvature, along_u in ((b2, False), (a2, True)):
+                den = 2.0 * mu * curvature - 0.5 * theta_eff ** 2
+                w = theta_eff * c / den if den != 0.0 else math.inf
+                if -1.0 <= w <= 1.0:
+                    points.append((w, side) if along_u else (side, w))
+        den = 1.0 - theta_eff ** 2 * (hx * hx + hy * hy) / (4.0 * mu)
+        if den != 0.0:
+            q = alpha / den
+            u = theta_eff * q * hx * hx / (2.0 * mu)
+            v = theta_eff * q * hy * hy / (2.0 * mu)
+            if -1.0 <= u <= 1.0 and -1.0 <= v <= 1.0:
+                points.append((u, v))
+        f, q, s = max((q * q + mu * s, q, s) for q, s in
+                      ((alpha + 0.5 * theta_eff * (u + v), a2 * (1.0 - u * u) + b2 * (1.0 - v * v))
+                       for u, v in points))
+        return q, s
+
+    mu = (4.0 - alpha * alpha) / (a2 + b2)
+    for _ in range(100):
+        q, s = worst(mu)
+        nxt = (4.0 - q * q) / s
+        if not nxt < mu:
+            break
+        mu = nxt
+    return math.sqrt(mu)
+
+
 def cfl_bound(kind, dims, spacings, theta=0.0):
-    """Proven BFECC time-step bound for the scheme on the given spacings.
+    """Exact BFECC time-step bound for the scheme on the given spacings.
 
     BFECC is stable when the spectral radius of the underlying symbol is
-    at most 2; for these normal symbols that is a closed-form condition.
-    cd:  dt <= sqrt(3) / sqrt(sum 1/dx_i^2)
-    lf:  dt <= 2 / sqrt(sum 1/dx_i^2), and in 2D also dt <= sqrt(7/2)*min dx
-    theta: the lf-style bound with c(theta) from theta_cfl_constant, the
-         exact root of the quadratic in cos t that radius <= 2 gives
+    at most 2; for these normal symbols that is a closed condition.
+    1D:  dt <= c(theta) h with c from theta_cfl_constant (sqrt 3 for cd,
+         2 for lf).
+    2D:  the largest dt with radius <= 2 on every mode, from `_edge_2d`;
+         sqrt(3) / sqrt(1/hx^2 + 1/hy^2) for cd, and for hx = hy the 1D
+         constant over sqrt(1/hx^2 + 1/hy^2).
     ls_cd / ls_theta use their uniform-grid reductions (cd, theta(0.8)).
     """
     sp = [float(s) for s in (spacings if np.iterable(spacings) else [spacings])]
@@ -208,19 +262,10 @@ def cfl_bound(kind, dims, spacings, theta=0.0):
         kind = "cd"
     elif kind == "ls_theta":
         kind, theta = "theta", 0.8
-    root = math.sqrt(sum(1.0 / s ** 2 for s in sp))
-    if kind == "cd":
-        return math.sqrt(3.0) / root
-    if kind == "lf":
-        c = 2.0
-    elif kind == "theta":
-        c = theta_cfl_constant(float(theta))
-    else:
-        raise ValueError(f"no CFL bound for kind {kind!r}")
-    bound = c / root
-    if dims == 2:
-        bound = min(bound, math.sqrt(3.5) * min(sp))
-    return bound
+    th = _theta_eff(kind, theta)
+    if dims == 1:
+        return theta_cfl_constant(th) * sp[0]
+    return _edge_2d(th, *sp)
 
 
 def accuracy_order(kind, dims, lam, bfecc=True, theta=0.0, k=1, levels=5, h0=1.0 / 16.0):

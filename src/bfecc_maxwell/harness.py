@@ -262,9 +262,7 @@ def _monitor(cfg, state, k, n_full, dt):
     """Sup-norm check of each component after full step k + 1 of n_full;
     NaN counts as blown up."""
     if (k + 1) % cfg.check_every == 0 or k + 1 == n_full:
-        fields = ((state.E, state.H) if isinstance(state, FieldState1)
-                  else (state.Hx, state.Hy, state.Ez))
-        for f in fields:
+        for f in state.u:
             sup = float(np.max(np.abs(f)))
             if not sup <= cfg.blowup_threshold:
                 raise InstabilityError(k + 1, (k + 1) * dt, sup)
@@ -299,12 +297,13 @@ def run_periodic1d(cfg: ExperimentConfig) -> dict:
     dt = cfg.dt_ratio * h
     _check_cfl(cfg, cfg.scheme, 1, [h], dt)
     x = h * np.arange(n)
+    stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
     def step(st, t, step_dt):
-        spec = SchemeSpec(cfg.scheme, step_dt, cfg.theta)
+        s = stepper if step_dt == dt else stepper.with_dt(step_dt)
         if cfg.bfecc:
-            return bfecc_step(BfeccStep(spec), st, h)
-        return step_1d(spec, st, h)
+            return bfecc_step(s, st, h)
+        return step_1d(s.spec, st, h)
 
     state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)), step, dt)
     return {
@@ -324,12 +323,13 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
     xs = grid.coords[:, :, 0]
     ys = grid.coords[:, :, 1]
     geom = StencilGeometry(grid) if cfg.scheme in ("ls_cd", "ls_theta") else None
+    stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
     def step(st, t, step_dt):
-        spec = SchemeSpec(cfg.scheme, step_dt, cfg.theta)
+        s = stepper if step_dt == dt else stepper.with_dt(step_dt)
         if cfg.bfecc:
-            return bfecc_step(BfeccStep(spec), st, grid, geometry=geom)
-        return step_2d(spec, st, grid, geometry=geom)
+            return bfecc_step(s, st, grid, geometry=geom)
+        return step_2d(s.spec, st, grid, geometry=geom)
 
     state, steps = _march(cfg, FieldState2(*exact_periodic2d(xs, ys, 0.0)), step, dt)
     norms = _error_norms(state, FieldState2(*exact_periodic2d(xs, ys, cfg.t_final)))
@@ -388,20 +388,13 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     runner = PmlRunner(grid, spec, pml, source)
 
     def step(st, t, step_dt):
-        r = runner
-        if step_dt != dt:
-            # the remainder step needs recursion coefficients for its own
-            # step size, and continues the full steps' collar memory
-            tail = build_pml(grid, step_dt, pad, cfg.pml_sigma_max, cfg.pml_exponent)
-            tail.psi_hxy, tail.psi_hyx = pml.psi_hxy, pml.psi_hyx
-            tail.psi_ezx, tail.psi_ezy = pml.psi_ezx, pml.psi_ezy
-            r = PmlRunner(grid, replace(spec, dt=step_dt), tail, source,
-                          geometry=runner.geom)
+        # the remainder step has recursion coefficients for its own step
+        # size and continues the full steps' collar memory
+        r = runner if step_dt == dt else runner.with_dt(step_dt)
         return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)
 
     zeros = np.zeros((grid.nx, grid.ny))
-    state, steps = _march(cfg, FieldState2(zeros.copy(), zeros.copy(), zeros.copy(), eps=eps),
-                          step, dt)
+    state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), step, dt)
     phys = slice(pad, pad + n + 1)
     return {
         "experiment": cfg.experiment, "n": n, "h": h, "dt": dt,

@@ -9,12 +9,13 @@ with b = exp(-sigma * dt) and c = b - 1, one memory field psi per
 (equation, derivative) pair.  Where sigma = 0 this reduces exactly to the
 interior scheme: b = 1, c = 0 and psi stays zero.
 
-Inside the three-substep wrapper the (1 + c) derivative scaling is part of
-the one-step operator and applies in every substep; the memory term
-b * psi is a source term, ignored in the first two substeps and added only
-in the final one, evaluated at the step's start time.  The memory
-recursion consumes the gradients of the step-start state, so the first
-substep's least-squares fits are reused for it.
+Inside the three-substep wrapper (bfecc.bfecc_apply, with the sources
+below as per-substep hooks) the (1 + c) derivative scaling is part of the
+one-step operator and applies in every substep; the memory term b * psi is
+a source term, ignored in the first two substeps and added only in the
+final one, evaluated at the step's start time.  The memory recursion
+consumes the gradients of the step-start state, so the first substep keeps
+a copy of its undamped fitted gradients for it.
 
 Plane-wave injection uses the standard total-field/scattered-field
 bookkeeping: for an update with weights w(p, q), the stored field needs
@@ -29,15 +30,19 @@ non-convergent residual along the rectangle edge.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .bfecc import bfecc_apply
 from .grid import Grid2
-from .schemes import (FieldState2, SchemeSpec, StencilGeometry, _ls_assemble,
-                      _ls_fit_all, lincomb2)
+# lincomb2 and StencilGeometry are looked up in this module by
+# bench/tracing.py, which wraps them in place
+from .schemes import (LS_CENTER, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
+                      Workspace, _ls_assemble, _ls_fit_all, lincomb2)
 
 LS_KINDS = ("ls_cd", "ls_theta")
 
@@ -65,6 +70,19 @@ class PmlState:
     psi_hyx: np.ndarray
     psi_ezx: np.ndarray
     psi_ezy: np.ndarray
+
+    def with_dt(self, dt: float) -> "PmlState":
+        """The same collar stepping dt: its own recursion coefficients, the
+        same memory fields."""
+        bx, cx = _recursion(self.sigma_x, dt)
+        by, cy = _recursion(self.sigma_y, dt)
+        return replace(self, dt=float(dt), b_x=bx, c_x=cx, b_y=by, c_y=cy)
+
+
+def _recursion(sigma, dt):
+    """b = exp(-sigma dt) and c = b - 1."""
+    b = np.exp(-sigma * dt)
+    return b, b - 1.0
 
 
 def build_pml(grid: Grid2, dt: float, thickness: int = 10,
@@ -96,10 +114,8 @@ def build_pml(grid: Grid2, dt: float, thickness: int = 10,
     if thickness == 0:
         sx = np.zeros(grid.nx)
         sy = np.zeros(grid.ny)
-    bx = np.exp(-sx * dt)
-    by = np.exp(-sy * dt)
     shape = (grid.nx, grid.ny)
-    return PmlState(thickness, float(dt), sx, sy, bx, bx - 1.0, by, by - 1.0,
+    return PmlState(thickness, float(dt), sx, sy, *_recursion(sx, dt), *_recursion(sy, dt),
                     np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
 
@@ -158,8 +174,8 @@ class TfsfInjector:
     """Precomputed edge corrections for one (geometry, source) pair.
 
     Only update points whose stencil straddles the rectangle edge get a
-    correction; `rows` indexes them in the geometry's (nx', ny') block.
-    Their fit weights come from one factorization of just those stencils.
+    correction; `rows` indexes them in a field.  Their fit weights come
+    from one factorization of just those stencils.
     """
 
     def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
@@ -172,7 +188,8 @@ class TfsfInjector:
         d = dchi[rows]
         weights = geom.fit_weights(rows)
         self.source = source
-        self.rows = np.unravel_index(rows, geom.shape)
+        ring = inside[0].start
+        self.rows = tuple(r + ring for r in np.unravel_index(rows, geom.shape))
         self.ax = ax[rows]
         self.ay = ay[rows]
         self.dwx = d * weights[:, 1, :]
@@ -180,8 +197,8 @@ class TfsfInjector:
         # the fitted-center base only exists for ls_theta; the ls_cd base is
         # the point's own value, whose chi difference is identically zero
         self.dw0 = d * weights[:, 0, :] if kind == "ls_theta" else None
-        self.inv_eps = 1.0 if eps is None else 1.0 / eps[inside][self.rows]
-        self.inv_mu = 1.0 if mu is None else 1.0 / mu[inside][self.rows]
+        self.inv_eps = 1.0 if eps is None else 1.0 / eps[self.rows]
+        self.inv_mu = 1.0 if mu is None else 1.0 / mu[self.rows]
 
     def corrections(self, t, sdt):
         """(rows, dHx, dHy, dEz) to add to the assembled update at time t."""
@@ -203,13 +220,14 @@ class PmlRunner:
     """Time stepper for a least-squares scheme with collar and injection.
 
     Builds the stencil geometry, fit weights, recursion coefficients and
-    edge corrections once, then advances states with `step` (three-substep
-    wrapper) or `plain_step`.  Fits are (3, nx', ny') planes over the
-    geometry's update block; the collar coefficients are (nx', 1) and
-    (1, ny') planes that broadcast against them, and the update is
-    step_2d's least-squares assembly applied to the damped derivatives.
-    The memory fields in `pml` are updated in place; field states are
-    never mutated.
+    edge corrections once, then advances states with `step` (the BFECC
+    composition of bfecc.bfecc_apply) or `plain_step`.  Every substep fits
+    the stacked state with schemes._ls_fit_all, scales the derivative
+    planes by the collar's (1 + c), and applies step_2d's least-squares
+    assembly; the memory term joins only a step's final substep and the
+    TF/SF corrections every substep.  A runner keeps one set of work
+    buffers for all its steps.  The memory fields in `pml` are updated in
+    place; field states are never mutated.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -225,17 +243,11 @@ class PmlRunner:
             raise ValueError(f"pml state was built for dt = {pml.dt}, the scheme steps {spec.dt}")
         self.grid = grid
         self.spec = spec
-        self.pml = pml
         self.source = source
         self.geom = geometry if geometry is not None else StencilGeometry(grid)
         self.weights = weights if weights is not None else self.geom.cached_weights()
-        ix, iy = self.geom.interior
-        self.bx = pml.b_x[ix][:, None]
-        self.cx = pml.c_x[ix][:, None]
-        self.by = pml.b_y[iy][None, :]
-        self.cy = pml.c_y[iy][None, :]
-        self.one_cx = 1.0 + self.cx
-        self.one_cy = 1.0 + self.cy
+        self.work = Workspace()
+        self._set_collar(pml)
         self._injector = None
         if source is not None:
             margin = max(pml.thickness, 1)
@@ -249,46 +261,79 @@ class PmlRunner:
                     f"total-field rectangle {source.rect} must sit strictly inside "
                     f"the undamped region [{xlo}, {xhi}] x [{ylo}, {yhi}]")
 
-    def _fits(self, state: FieldState2):
-        return _ls_fit_all(self.geom, self.weights, state.Hx, state.Hy, state.Ez)
+    def _set_collar(self, pml: PmlState):
+        self.pml = pml
+        # whole (nx, ny) planes: numpy runs an (nx, 1) or (1, ny) operand
+        # through iteration buffers, at several times the cost
+        shape = pml.psi_hxy.shape
+        self.bx, self.cx = (np.broadcast_to(a[:, None], shape).copy() for a in (pml.b_x, pml.c_x))
+        self.by, self.cy = (np.broadcast_to(a[None, :], shape).copy() for a in (pml.b_y, pml.c_y))
+        self.one_cx = 1.0 + self.cx
+        self.one_cy = 1.0 + self.cy
+        # (memory field, b, c, 1 + c) in the order of the derivative planes
+        # d/dx (Hy, Ez), d/dy (Hx, Ez) they belong to
+        x = (self.bx, self.cx, self.one_cx)
+        y = (self.by, self.cy, self.one_cy)
+        self._collar = ((pml.psi_ezx, *x), (pml.psi_hyx, *x), (pml.psi_ezy, *y), (pml.psi_hxy, *y))
+
+    def with_dt(self, dt: float) -> "PmlRunner":
+        """This runner stepping dt, for a run's shorter final step: the same
+        geometry, edge corrections, work buffers and collar memory, with
+        recursion coefficients for dt."""
+        other = copy.copy(self)
+        other.spec = replace(self.spec, dt=dt)
+        other._set_collar(self.pml.with_dt(dt))
+        return other
 
     def _ensure_injector(self, state: FieldState2):
+        """Build the edge corrections at the first step, which brings the
+        materials, and before the first step's work buffers exist, so that
+        their set-up arrays never add to them."""
         if self.source is not None and self._injector is None:
             self._injector = TfsfInjector(self.source, self.geom, self.spec.kind,
                                           state.eps, state.mu)
-        return self._injector
 
-    def _apply(self, state: FieldState2, fits, sdt, with_history, t):
-        fit_hx, fit_hy, fit_ez = fits
-        dez_dx = self.one_cx * fit_ez[1]
-        dez_dy = self.one_cy * fit_ez[2]
-        dhy_dx = self.one_cx * fit_hy[1]
-        dhx_dy = self.one_cy * fit_hx[2]
-        inside = self.geom.interior
-        if with_history:
-            dez_dx += self.bx * self.pml.psi_hyx[inside]
-            dez_dy += self.by * self.pml.psi_hxy[inside]
-            dhy_dx += self.bx * self.pml.psi_ezx[inside]
-            dhx_dy += self.by * self.pml.psi_ezy[inside]
-        out = _ls_assemble(self.spec.kind, state, self.geom, fits, sdt,
-                           dez_dx, dez_dy, dhy_dx, dhx_dy)
-        inj = self._ensure_injector(state)
+    def _apply(self, state: FieldState2, v, out, sdt, t, start, history):
+        """One substep on the stack v at time t, into `out` (fresh when None).
+
+        `start` keeps the undamped gradients for the memory update (the
+        substep acting on the step-start state); `history` adds the memory
+        term b * psi.
+        """
+        base, gx, gy = fits = _ls_fit_all(self.geom, self.weights, v,
+                                          LS_CENTER[self.spec.kind], self.work)
+        if start:
+            grads = self._start_gradients(v.shape)
+            grads[:2] = gx
+            grads[2:] = gy
+            for ring in self.geom.ring:
+                grads[ring] = 0.0
+        term = self.work("memory_term", v.shape[1:])
+        for g, (psi, b, _, one_c) in zip((*gx, *gy), self._collar):
+            g *= one_c
+            if history:
+                g += np.multiply(psi, b, out=term)
+        out = _ls_assemble(v, fits, self.geom, sdt, state.eps, state.mu, out, self.work)
+        inj = self._injector
         if inj is not None:
-            rows, dhx, dhy, dez = inj.corrections(t, sdt)
-            for f, d in ((out.Hx, dhx), (out.Hy, dhy), (out.Ez, dez)):
-                f[inside][rows] += d
+            rows, *corrections = inj.corrections(t, sdt)
+            for f, d in zip(out, corrections):
+                f[rows] += d
         return out
 
-    def _advance_memory(self, fits0):
-        fit_hx, fit_hy, fit_ez = fits0
-        inside = self.geom.interior
-        for psi, b, c, g in ((self.pml.psi_hxy, self.by, self.cy, fit_ez[2]),
-                             (self.pml.psi_hyx, self.bx, self.cx, fit_ez[1]),
-                             (self.pml.psi_ezx, self.bx, self.cx, fit_hy[1]),
-                             (self.pml.psi_ezy, self.by, self.cy, fit_hx[2])):
-            view = psi[inside]
-            view *= b
-            view += c * g
+    def _start_gradients(self, shape):
+        """The (4, nx, ny) undamped gradients of a step's start state."""
+        return self.work("start_gradients", (4,) + shape[1:])
+
+    def _advance_memory(self, grads):
+        """psi <- b psi + c g for the four memory fields, from the step-start
+        gradients `grads`, (4, nx, ny) in the order d/dx (Hy, Ez),
+        d/dy (Hx, Ez) and zero on a bounded grid's outer ring, so the ring
+        keeps no memory."""
+        term = self.work("memory_term", grads.shape[1:])
+        for g, (psi, b, c, _) in zip(grads, self._collar):
+            psi *= b
+            psi += np.multiply(g, c, out=term)
 
     def step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt from time t with the three-substep wrapper.
@@ -298,17 +343,20 @@ class PmlRunner:
         fed to the last substep sits back at t.
         """
         dt = self.spec.dt
-        fits0 = self._fits(state)
-        u1 = self._apply(state, fits0, dt, False, t)
-        u2 = self._apply(u1, self._fits(u1), -dt, False, t + dt)
-        u3 = lincomb2(1.5, state, -0.5, u2)
-        out = self._apply(u3, self._fits(u3), dt, True, t)
-        self._advance_memory(fits0)
-        return out
+        self._ensure_injector(state)
+
+        def substep(k, v, out):
+            backward = k == 1
+            return self._apply(state, v, out, -dt if backward else dt,
+                               t + dt if backward else t, k == 0, k == 2)
+
+        u = bfecc_apply(substep, state.u, self.work)
+        self._advance_memory(self._start_gradients(u.shape))
+        return FieldState2._of(u, state.eps, state.mu)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""
-        fits0 = self._fits(state)
-        out = self._apply(state, fits0, self.spec.signed_dt, True, t)
-        self._advance_memory(fits0)
-        return out
+        self._ensure_injector(state)
+        u = self._apply(state, state.u, None, self.spec.signed_dt, t, True, True)
+        self._advance_memory(self._start_gradients(u.shape))
+        return FieldState2._of(u, state.eps, state.mu)

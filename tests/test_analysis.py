@@ -19,7 +19,8 @@ from bfecc_maxwell.analysis import (
     theta_cfl_constant,
 )
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
-from bfecc_maxwell.schemes import FieldState1, SchemeSpec
+from bfecc_maxwell.grid import build_uniform
+from bfecc_maxwell.schemes import FieldState1, FieldState2, SchemeSpec
 
 
 def test_symbol_1d_structure():
@@ -195,6 +196,42 @@ def test_cfl_bound_closed_forms():
     got = cfl_bound("lf", 2, [0.1, 0.05])
     expect = min(2.0 / np.sqrt(1.0 / 0.01 + 1.0 / 0.0025), np.sqrt(3.5) * 0.05)
     assert got == pytest.approx(expect)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(theta=hst.floats(0.0, 1.0), ratio=hst.floats(0.25, 4.0))
+def test_cfl_bound_is_the_scanned_stability_edge_in_2d(theta, ratio):
+    """The 2D bound is the exact edge for any hy/hx: stable just below it,
+    unstable just above.  (Deterministic examples: each costs two
+    256-sample scans.)"""
+    bound = cfl_bound("theta", 2, (1.0, ratio), theta)
+
+    def radius(dt):
+        return stability_scan("theta", 2, (dt, dt / ratio), 256, theta=theta).max_radius
+
+    assert radius(bound * (1.0 - 1e-9)) <= 1.0 + 1e-12
+    assert radius(bound * (1.0 + 1e-4)) > 1.0
+
+
+def test_worst_lattice_mode_keeps_its_energy_at_the_2d_bound():
+    """On a 64 x 64 periodic grid with hy = hx / 2, the lattice mode that the
+    theta(0.5) BFECC step amplifies most does not grow at dt = cfl_bound."""
+    n, theta = 64, 0.5
+    g = build_uniform(n, n, ((0.0, 1.0), (0.0, 0.5)), "periodic")
+    dt = cfl_bound("theta", 2, (g.dx, g.dy), theta)
+    lam = (dt / g.dx, dt / g.dy)
+    i, j = stability_scan("theta", 2, lam, n, theta=theta).argmax
+    q = bfecc_symbol(symbol("theta", 2, (i / (n * g.dx), j / (n * g.dy)), (g.dx, g.dy),
+                            lam, theta))
+    values, vectors = np.linalg.eig(q)
+    mode = vectors[:, np.argmax(np.abs(values))]
+    phase = 2.0 * np.pi * (i * np.arange(n)[:, None] + j * np.arange(n)[None, :]) / n
+    st = FieldState2(*np.real(mode[:, None, None] * np.exp(1j * phase)))
+    energy0 = np.sum(st.u ** 2)
+    step = BfeccStep(SchemeSpec("theta", dt, theta))
+    for _ in range(400):
+        st = bfecc_step(step, st, g)
+    assert np.sum(st.u ** 2) <= energy0 * (1.0 + 1e-9)
 
 
 def test_cfl_bound_least_squares_kinds_map_to_uniform_limits():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from bfecc_maxwell.analysis import cfl_bound
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import Grid2, build_uniform
 from bfecc_maxwell.harness import build_variant_grid
+from bfecc_maxwell.pml import PmlRunner, build_pml
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
     SchemeSpec,
+    StencilGeometry,
+    Workspace,
     lincomb1,
     step_1d,
 )
@@ -22,28 +27,36 @@ def sine_state(n):
     return FieldState1(np.sin(2 * np.pi * x), np.sin(2 * np.pi * x)), x
 
 
+def identity(k, v, out):
+    if out is None:
+        return v.copy()
+    out[...] = v
+    return out
+
+
 def test_identity_substeps_leave_state_unchanged():
     # with L = L* = identity the corrector reduces to 1.5 u - 0.5 u = u
     rng = np.random.default_rng(0)
-    u = rng.standard_normal(12)
-    out = bfecc_apply(lambda v: v, lambda v: v, u, lambda ca, a, cb, b: ca * a + cb * b)
+    u = rng.standard_normal((2, 12))
+    before = u.copy()
+    out = bfecc_apply(identity, u, Workspace())
     # 1.5 u - 0.5 u can round in the last bit, nothing more
     assert np.allclose(out, u, rtol=0.0, atol=1e-15)
+    assert np.array_equal(u, before) and out is not u
 
 
 def test_composition_order_forward_backward_forward():
     calls = []
 
-    def fwd(v):
-        calls.append("F")
-        return v
+    def substep(k, v, out):
+        calls.append((k, out is None))
+        return identity(k, v, out)
 
-    def bwd(v):
-        calls.append("B")
-        return v
-
-    bfecc_apply(fwd, bwd, np.zeros(3), lambda ca, a, cb, b: ca * a + cb * b)
-    assert calls == ["F", "B", "F"]
+    out = bfecc_apply(substep, np.zeros((3, 4, 4)), Workspace())
+    # the first substep allocates the array that the last one fills and
+    # the step returns; the second writes into a work buffer
+    assert calls == [(0, True), (1, False), (2, False)]
+    assert out.shape == (3, 4, 4)
 
 
 def test_three_substep_expansion_1d():
@@ -187,3 +200,49 @@ def test_bfecc_never_increases_energy_under_the_cfl_bound(nx, ny, width, height,
         now = energy(st)
         assert now <= prev * (1.0 + 1e-12)
         prev = now
+
+
+def peak_states_per_step(step, st, warm=3, steps=5):
+    """tracemalloc peak above the level after `warm` steps, over `steps`
+    more, in units of one state."""
+    tracemalloc.start()
+    try:
+        for _ in range(warm):
+            st = step(st)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(steps):
+            st = step(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / st.u.nbytes
+
+
+def stepper(case, n):
+    """(step, state) of a 2D case: cd on a uniform periodic grid, ls_theta on
+    the conforming grid d, ls_theta with an absorbing collar on a bounded
+    grid."""
+    rng = np.random.default_rng(5)
+    st = FieldState2(*rng.standard_normal((3, n, n)))
+    if case == "cd":
+        g = build_uniform(n, n)
+        step = BfeccStep(SchemeSpec("cd", 0.5 * g.dx))
+        return lambda s: bfecc_step(step, s, g), st
+    if case == "ls_theta":
+        g = build_variant_grid("d", n)
+        geom = StencilGeometry(g)
+        step = BfeccStep(SchemeSpec("ls_theta", 0.25 * g.dx))
+        return lambda s: bfecc_step(step, s, g, geometry=geom), st
+    g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
+    dt = 0.5 * g.dx
+    runner = PmlRunner(g, SchemeSpec("ls_theta", dt), build_pml(g, dt, thickness=10))
+    return lambda s: runner.step(s, 0.0), FieldState2(*st.u, eps=np.ones((n, n)))
+
+
+@pytest.mark.parametrize("case", ["cd", "ls_theta", "collar"])
+def test_a_step_allocates_little_more_than_its_output(case):
+    """Substeps write into buffers kept across steps, so a step's only
+    large allocation is the state it returns."""
+    step, st = stepper(case, 64)
+    assert peak_states_per_step(step, st) <= 1.5

@@ -261,6 +261,25 @@ def test_scatter_remainder_step_lands_on_t_final(bfecc, sup, rms):
     assert got == pytest.approx(rms, rel=1e-9)
 
 
+def test_scatter_remainder_step_reuses_the_edge_factorization(monkeypatch):
+    # 22 full steps plus a remainder: one factorization for the irregular
+    # stencils, one for the TF/SF edge rows, none more for the remainder
+    from bfecc_maxwell import schemes
+
+    calls = []
+    original = schemes.batched_fit_weights
+
+    def counting(offsets):
+        calls.append(len(offsets))
+        return original(offsets)
+
+    monkeypatch.setattr(schemes, "batched_fit_weights", counting)
+    out = run_experiment(ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta",
+                                          n=16, t_final=0.7))
+    assert out["steps"] == 23
+    assert len(calls) == 2
+
+
 def test_scatter_requires_least_squares_scheme():
     cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="cd",
                            n=20, t_final=0.1)

@@ -82,28 +82,26 @@ def test_memory_recursion_fixed_point():
     r = PmlRunner(g, SchemeSpec("ls_theta", dt), pml)
     inside = r.geom.interior
     grad = 0.7
-    fhx = np.zeros((3,) + r.geom.shape)
-    fhy = np.zeros((3,) + r.geom.shape)
-    fez = np.zeros((3,) + r.geom.shape)
-    fez[1] = fez[2] = grad
-    fhx[2] = grad
-    fhy[1] = grad
+    # the step-start gradients are zero on the outer ring, which has no
+    # update rule
+    grads = np.zeros((4, n, n))
+    grads[(slice(None),) + inside] = grad
     # invariance: seed the fixed point, one update must not move it
     for psi, c in ((pml.psi_hyx, r.cx), (pml.psi_hxy, r.cy),
                    (pml.psi_ezx, r.cx), (pml.psi_ezy, r.cy)):
-        psi[inside] = np.where(c != 0.0, -grad, 0.0)
+        psi[inside] = np.where(c != 0.0, -grad, 0.0)[inside]
     before = pml.psi_hyx.copy()
-    r._advance_memory((fhx, fhy, fez))
+    r._advance_memory(grads)
     assert np.max(np.abs(pml.psi_hyx - before)) < 1e-14
-    # convergence from zero is geometric with ratio b; the update skips the
-    # boundary ring, so check the most damped nodes that do update
+    # convergence from zero is geometric with ratio b; check the most damped
+    # nodes that update
     for psi in (pml.psi_hxy, pml.psi_hyx, pml.psi_ezx, pml.psi_ezy):
         psi[:] = 0.0
     for _ in range(200):
-        r._advance_memory((fhx, fhy, fez))
+        r._advance_memory(grads)
     psi = pml.psi_hyx[inside]
-    cx = np.broadcast_to(r.cx, psi.shape)
-    bx = np.broadcast_to(r.bx, psi.shape)
+    cx = np.broadcast_to(r.cx, pml.psi_hyx.shape)[inside]
+    bx = np.broadcast_to(r.bx, pml.psi_hyx.shape)[inside]
     deep = bx == bx[cx != 0.0].min()
     assert deep.any()
     assert np.max(np.abs(psi[deep] + grad)) < 1e-12
@@ -126,6 +124,11 @@ def test_collar_memory_accumulates_while_stepping():
     for k in range(30):
         st = r.step(st, k * dt)
     assert np.max(np.abs(pml.psi_ezx)) > 0.0
+    # the outer ring has no update rule and keeps no memory
+    ring = np.ones((n, n), dtype=bool)
+    ring[r.geom.interior] = False
+    for psi in (pml.psi_hxy, pml.psi_hyx, pml.psi_ezx, pml.psi_ezy):
+        assert np.max(np.abs(psi[ring])) == 0.0
 
 
 def test_zero_strength_collar_is_inert():

@@ -12,6 +12,7 @@ from bfecc_maxwell.schemes import (
     SCHEME_KINDS,
     SchemeSpec,
     StencilGeometry,
+    Workspace,
     _ls_fit_all,
     lincomb1,
     lincomb2,
@@ -253,21 +254,22 @@ def test_step_1d_rejects_least_squares_kinds():
         step_1d(SchemeSpec("ls_cd", 0.01), st, 0.125)
 
 
-def per_point_fits(grid, f, i, j):
-    """(a, d/dx, d/dy) of an independent per-stencil solve at point (i, j).
+def per_point_fits(grid, u, i, j):
+    """(a, d/dx, d/dy) of an independent per-stencil solve at point (i, j),
+    one row per field of the stack u.
 
     Neighbors past a periodic seam are unwrapped by one domain extent, and
     the fit is np.linalg.lstsq on the five offsets from the center.
     """
     pts = np.empty((5, 2))
-    vals = np.empty(5)
+    vals = np.empty((5, len(u)))
     for s, (di, dj) in enumerate(((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1))):
         wi, ii = divmod(i + di, grid.nx)
         wj, jj = divmod(j + dj, grid.ny)
         pts[s] = grid.coords[ii, jj] + (wi * grid.width, wj * grid.height)
-        vals[s] = f[ii, jj]
+        vals[s] = u[:, ii, jj]
     design = np.column_stack([np.ones(5), pts - pts[0]])
-    return np.linalg.lstsq(design, vals, rcond=None)[0]
+    return np.linalg.lstsq(design, vals, rcond=None)[0].T
 
 
 def shifted_grid(data, n, boundary):
@@ -292,24 +294,29 @@ def shifted_grid(data, n, boundary):
        boundary=hst.sampled_from(["periodic", "bounded", "b"]), seed=hst.integers(0, 2 ** 16))
 def test_plane_fit_matches_per_point_fit_across_the_periodic_seam(data, n, boundary, seed):
     """The slice kernels plus the irregular rows equal an independent
-    per-stencil lstsq everywhere, and the irregular rows are exactly the
-    stencils with a point off its rectangular position."""
+    per-stencil lstsq everywhere, in every plane an update reads: the
+    fitted centers, d/dx of (Hy, Ez) and d/dy of (Hx, Ez).  The irregular
+    rows are exactly the stencils with a point off its rectangular
+    position, and a center weight of 0 leaves the point values as base."""
     g = shifted_grid(data, n, boundary)
-    f = np.random.default_rng(seed).standard_normal((n, n))
+    u = np.random.default_rng(seed).standard_normal((3, n, n))
     geom = StencilGeometry(g)
-    (fit,) = _ls_fit_all(geom, geom.cached_weights(), f)
-    assert fit.shape == (3,) + geom.shape
+    a, gx, gy = _ls_fit_all(geom, geom.cached_weights(), u, 0.8, Workspace())
+    assert a.shape == u.shape and gx.shape == gy.shape == (2, n, n)
     moved = np.any(g.coords != g.rect_coords(), axis=2)
     ring = 0 if g.boundary_kind == "periodic" else 1
-    scale = np.array([1.0, 1.0 / g.dx, 1.0 / g.dy])
     irregular = []
-    for row, (a, b) in enumerate(np.ndindex(geom.shape)):
-        i, j = a + ring, b + ring
-        ref = per_point_fits(g, f, i, j)
-        assert np.all(np.abs(fit[:, a, b] - ref) <= 1e-12 * scale), (i, j)
+    for row, (p, q) in enumerate(np.ndindex(geom.shape)):
+        i, j = p + ring, q + ring
+        ref = per_point_fits(g, u, i, j)
+        assert np.all(np.abs(a[:, i, j] - ref[:, 0]) <= 1e-12), (i, j)
+        assert np.all(np.abs(gx[:, i, j] - ref[1:, 1]) <= 1e-12 / g.dx), (i, j)
+        assert np.all(np.abs(gy[:, i, j] - ref[::2, 2]) <= 1e-12 / g.dy), (i, j)
         if any(moved[(i + di) % n, (j + dj) % n] for di, dj in STENCIL_OFFSETS):
             irregular.append(row)
     assert geom.irregular.tolist() == irregular
+    base, _, _ = _ls_fit_all(geom, geom.cached_weights(), u, 0.0, Workspace())
+    assert base is u
 
 
 def test_plane_fit_and_step_on_a_bounded_shifted_grid():
@@ -318,8 +325,8 @@ def test_plane_fit_and_step_on_a_bounded_shifted_grid():
     nx, ny = g.nx, g.ny
     st = random_state2(nx, seed=22, eps=eps)
     geom = StencilGeometry(g)
-    fits = _ls_fit_all(geom, geom.cached_weights(), st.Hx, st.Hy, st.Ez)
-    assert fits[0].shape == (3, nx - 2, ny - 2)
+    a, gx, gy = _ls_fit_all(geom, geom.cached_weights(), st.u, 0.8, Workspace())
+    assert a.shape == (3, nx, ny) and gx.shape == gy.shape == (2, nx, ny)
     dt = 0.4 * g.dx
     out = step_2d(SchemeSpec("ls_theta", dt), st, g, geometry=geom)
     ring = np.ones((nx, ny), dtype=bool)
@@ -328,9 +335,11 @@ def test_plane_fit_and_step_on_a_bounded_shifted_grid():
         assert np.array_equal(new[ring], old[ring])
     for i in range(1, nx - 1):
         for j in range(1, ny - 1):
-            fhx, fhy, fez = (per_point_fits(g, f, i, j) for f in (st.Hx, st.Hy, st.Ez))
-            for plane, ref in zip(fits, (fhx, fhy, fez)):
-                assert np.allclose(plane[:, i - 1, j - 1], ref, rtol=0, atol=1e-11 / g.dx)
+            fhx, fhy, fez = per_point_fits(g, st.u, i, j)
+            for got, ref in ((a[:, i, j], (fhx[0], fhy[0], fez[0])),
+                             (gx[:, i, j], (fhy[1], fez[1])),
+                             (gy[:, i, j], (fhx[2], fez[2]))):
+                assert np.allclose(got, ref, rtol=0, atol=1e-11 / g.dx)
             expect = (fhx[0] - dt * fez[2], fhy[0] + dt * fez[1],
                       fez[0] + dt / eps[i, j] * (fhy[1] - fhx[2]))
             got = (out.Hx[i, j], out.Hy[i, j], out.Ez[i, j])
@@ -430,3 +439,69 @@ def test_uniform_grid_kinds_reject_a_deformed_periodic_grid():
     for kind in ("cd", "lf", "theta"):
         with pytest.raises(ValueError, match="uniform grid"):
             step_2d(SchemeSpec(kind, 0.3 * g.dx), st, g)
+
+
+modes = hst.tuples(hst.integers(0, 40), hst.integers(0, 40))
+amplitudes = hst.lists(hst.complex_numbers(max_magnitude=2.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(3, 40), k=hst.integers(0, 40), spec=uniform_specs, c=amplitudes)
+def test_step_1d_on_a_fourier_mode_applies_the_symbol(n, k, spec, c):
+    """A real single mode Re(c exp(2 pi i k x)) comes out as Re(Q c exp(...))
+    with Q = analysis.symbol, in either direction."""
+    from bfecc_maxwell.analysis import symbol
+
+    c = np.array(c[:2])
+    wave = np.exp(2j * np.pi * k * np.arange(n) / n)
+    st = FieldState1(*np.real(c[:, None] * wave))
+    lam = spec.dt * n
+    q = symbol(spec.kind, 1, k, 1.0 / n, lam, spec.theta, spec.direction)
+    expect = np.real((q @ c)[:, None] * wave)
+    out = step_1d(spec, st, 1.0 / n)
+    assert np.allclose(out.u, expect, rtol=0, atol=1e-12 * (1.0 + lam) * max(1.0, np.max(np.abs(c))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=hst.integers(3, 20), ny=hst.integers(3, 20), kl=modes, spec=uniform_specs,
+       width=hst.floats(0.2, 5.0), height=hst.floats(0.2, 5.0), c=amplitudes)
+def test_step_2d_on_a_fourier_mode_applies_the_symbol(nx, ny, kl, spec, width, height, c):
+    """As in 1D, on rectangular grids of any aspect: the step of a real
+    single mode is analysis.symbol applied to its amplitudes."""
+    from bfecc_maxwell.analysis import symbol
+
+    g = build_uniform(nx, ny, ((0.0, width), (0.0, height)), "periodic")
+    k, l = kl
+    c = np.array(c)
+    wave = np.exp(2j * np.pi * (k * np.arange(nx)[:, None] / nx + l * np.arange(ny)[None, :] / ny))
+    st = FieldState2(*np.real(c[:, None, None] * wave))
+    lam = (spec.dt / g.dx, spec.dt / g.dy)
+    q = symbol(spec.kind, 2, (k / width, l / height), (g.dx, g.dy), lam, spec.theta,
+               spec.direction)
+    expect = np.real((q @ c)[:, None, None] * wave)
+    out = step_2d(spec, st, g)
+    scale = (1.0 + sum(lam)) * max(1.0, np.max(np.abs(c)))
+    assert np.allclose(out.u, expect, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nx=hst.integers(3, 20), ny=hst.integers(3, 20), width=hst.floats(0.2, 5.0),
+       height=hst.floats(0.2, 5.0), ratio=hst.floats(0.05, 1.0), wrapped=hst.booleans(),
+       seed=hst.integers(0, 2 ** 16))
+def test_cd_conserves_the_discrete_divergence(nx, ny, width, height, ratio, wrapped, seed):
+    """cd and its BFECC wrapper leave the centered div H unchanged on any
+    periodic grid: the centered differences along x and y commute."""
+    from bfecc_maxwell.analysis import cfl_bound
+    from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
+    from bfecc_maxwell.diagnostics import h_divergence
+
+    g = build_uniform(nx, ny, ((0.0, width), (0.0, height)), "periodic")
+    st = FieldState2(*np.random.default_rng(seed).standard_normal((3, nx, ny)))
+    spec = SchemeSpec("cd", ratio * cfl_bound("cd", 2, (g.dx, g.dy)))
+    step = BfeccStep(spec)
+    div0 = h_divergence(st.Hx, st.Hy, g.dx, g.dy)
+    for _ in range(10):
+        st = bfecc_step(step, st, g) if wrapped else step_2d(spec, st, g)
+    div1 = h_divergence(st.Hx, st.Hy, g.dx, g.dy)
+    scale = max(1.0, np.max(np.abs(st.u))) / min(g.dx, g.dy)
+    assert np.max(np.abs(div1 - div0)) <= 1e-12 * scale
