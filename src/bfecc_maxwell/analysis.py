@@ -203,9 +203,14 @@ def _edge_2d(theta_eff, hx, hy):
     convex and nondecreasing in mu (a maximum of affine functions of mu),
     so Newton's step mu <- (4 - q^2) / S at the maximizer, started from
     the upper bound that the mode u = v = 0 sets, decreases monotonically
-    to the edge.
+    to the edge.  The edge scales with the spacings, so it is found for
+    spacings divided by the larger one.
     """
-    a2, b2 = 1.0 / hx ** 2, 1.0 / hy ** 2
+    scale = max(hx, hy)
+    if min(hx, hy) < 1e-100 * scale:
+        raise ValueError(f"spacings {hx} and {hy} differ too much for a 2D bound")
+    hx, hy = hx / scale, hy / scale
+    a2, b2 = 1.0 / (hx * hx), 1.0 / (hy * hy)
     alpha = 1.0 - theta_eff
 
     def worst(mu):
@@ -236,7 +241,7 @@ def _edge_2d(theta_eff, hx, hy):
         if not nxt < mu:
             break
         mu = nxt
-    return math.sqrt(mu)
+    return scale * math.sqrt(mu)
 
 
 def cfl_bound(kind, dims, spacings, theta=0.0):

@@ -249,6 +249,17 @@ def test_cfl_bound_validation():
     for h in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             cfl_bound("cd", 1, [h])
+    with pytest.raises(ValueError, match="differ too much"):
+        cfl_bound("theta", 2, [1e-300, 1.0], theta=0.5)
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-160, 1e160, 1e200])
+def test_cfl_bound_2d_scales_with_tiny_and_huge_spacings(h):
+    # the edge is computed for unit spacings and scaled back, so squares
+    # of the spacings never underflow or overflow
+    for kind, theta in (("cd", 0.0), ("theta", 0.5), ("lf", 0.0)):
+        got = cfl_bound(kind, 2, [h, h], theta)
+        assert got == pytest.approx(h * cfl_bound(kind, 2, [1.0, 1.0], theta), rel=1e-14)
 
 
 def test_accuracy_order_returns_float():
