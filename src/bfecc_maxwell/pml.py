@@ -7,7 +7,10 @@ Each spatial derivative d_xi u appearing in an update is replaced by
 
 with b = exp(-sigma * dt) and c = b - 1, one memory field psi per
 (equation, derivative) pair.  Where sigma = 0 this reduces exactly to the
-interior scheme: b = 1, c = 0 and psi stays zero.
+interior scheme: b = 1, c = 0 and psi stays zero.  So the collar work
+(the (1 + c) scaling, the memory term and the recursion) runs only on the
+row and column blocks where the profile is nonzero; an inert collar does
+none.
 
 Inside the three-substep wrapper (bfecc.bfecc_apply, with the sources
 below as per-substep hooks) the (1 + c) derivative scaling is part of the
@@ -25,7 +28,11 @@ rectangle edge contribute, and the correction is state independent.
 Unlike the memory term, this correction belongs to every substep (with
 that substep's direction and the incident field at the time the substep
 acts on); leaving it out of the error-estimation substeps plants a
-non-convergent residual along the rectangle edge.
+non-convergent residual along the rectangle edge.  The two forward
+substeps act at the step's start time, so a step evaluates the correction
+twice: at (t, dt) and at (t + dt, -dt).  The plane wave depends on x
+alone, so each evaluation takes the incident field at the distinct x
+positions of the edge stencils only.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from .grid import Grid2
 # lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      Workspace, _ls_assemble, _ls_fit_all, lincomb2)
+                      Workspace, _ls_assemble, _ls_fit_all, _reciprocal, lincomb2)
 
 LS_KINDS = ("ls_cd", "ls_theta")
 
@@ -136,7 +143,8 @@ class TfsfSource:
         u = t - (x - rect_x_lo),
 
     so the front crosses the rectangle's left edge at t = 0 and the
-    profile is C^1 in space and time.
+    profile is C^1 in space and time.  The wave depends on x and t alone;
+    `ez_inc` takes y for the field-function signature and ignores it.
     """
 
     rect: tuple
@@ -174,8 +182,11 @@ class TfsfInjector:
     """Precomputed edge corrections for one (geometry, source) pair.
 
     Only update points whose stencil straddles the rectangle edge get a
-    correction; `rows` indexes them in a field.  Their fit weights come
-    from one factorization of just those stencils.
+    correction; `index` (3, rows) holds their flat indices into a
+    contiguous (Hx, Hy, Ez) stack.  Their fit weights come from one
+    factorization of just those stencils.  The incident wave depends on x
+    alone, so it is evaluated once per distinct stencil x position and
+    gathered, and its Hy = -Ez leaves three contractions per call.
     """
 
     def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
@@ -189,31 +200,56 @@ class TfsfInjector:
         weights = geom.fit_weights(rows)
         self.source = source
         ring = inside[0].start
-        self.rows = tuple(r + ring for r in np.unravel_index(rows, geom.shape))
-        self.ax = ax[rows]
-        self.ay = ay[rows]
+        field = tuple(r + ring for r in np.unravel_index(rows, geom.shape))
+        plane = (geom.grid.nx, geom.grid.ny)
+        self.index = np.ravel_multi_index(field, plane) + np.arange(3)[:, None] * math.prod(plane)
+        self.x, inverse = np.unique(ax[rows], return_inverse=True)
+        self.x_index = inverse.reshape(d.shape)
         self.dwx = d * weights[:, 1, :]
         self.dwy = d * weights[:, 2, :]
         # the fitted-center base only exists for ls_theta; the ls_cd base is
         # the point's own value, whose chi difference is identically zero
         self.dw0 = d * weights[:, 0, :] if kind == "ls_theta" else None
-        self.inv_eps = 1.0 if eps is None else 1.0 / eps[self.rows]
-        self.inv_mu = 1.0 if mu is None else 1.0 / mu[self.rows]
+        self.inv_eps = 1.0 if eps is None else 1.0 / eps[field]
+        self.inv_mu = 1.0 if mu is None else 1.0 / mu[field]
 
     def corrections(self, t, sdt):
-        """(rows, dHx, dHy, dEz) to add to the assembled update at time t."""
-        ez = self.source.ez_inc(self.ax, self.ay, t)
-        hy = -ez
-        sx_ez = np.einsum("as,as->a", self.dwx, ez)
-        sy_ez = np.einsum("as,as->a", self.dwy, ez)
-        sx_hy = np.einsum("as,as->a", self.dwx, hy)
-        dhx = -sdt * self.inv_mu * sy_ez
-        dhy = sdt * self.inv_mu * sx_ez
-        dez = sdt * self.inv_eps * sx_hy
+        """(3, rows) corrections (dHx, dHy, dEz) to add at `index` to the
+        update assembled at time t with signed step sdt."""
+        ez = self.source.ez_inc(self.x, None, t)[self.x_index]
+        sx = np.einsum("as,as->a", self.dwx, ez)
+        sy = np.einsum("as,as->a", self.dwy, ez)
+        d = np.empty((3, len(sx)))
+        np.multiply(-sdt * self.inv_mu, sy, out=d[0])
+        np.multiply(sdt * self.inv_mu, sx, out=d[1])
+        # the Hy terms: the contractions of Hy_inc = -Ez_inc, negated exactly
+        np.multiply(sdt * self.inv_eps, sx, out=d[2])
+        np.negative(d[2], out=d[2])
         if self.dw0 is not None:
-            dhy = dhy + np.einsum("as,as->a", self.dw0, hy)
-            dez = dez + np.einsum("as,as->a", self.dw0, ez)
-        return self.rows, dhx, dhy, dez
+            s0 = np.einsum("as,as->a", self.dw0, ez)
+            d[1] -= s0
+            d[2] += s0
+        return d
+
+
+def _collar_blocks(sigma, b, c, axis, shape):
+    """(name, index, b, c, 1 + c) for each run of damped rows (axis 0) or
+    columns (axis 1), where sigma != 0: `index` slices the run out of an
+    (nx, ny) plane, `name` names its work array, and the coefficients are
+    whole block-shaped arrays, since numpy runs an (n, 1) or (1, n) operand
+    through iteration buffers, at several times the cost.  Outside the
+    blocks b = 1 and c = 0, so the collar leaves a derivative as it is and
+    its memory at zero."""
+    on = np.concatenate(([False], sigma != 0.0, [False]))
+    blocks = []
+    for k, (lo, hi) in enumerate(np.flatnonzero(on[1:] != on[:-1]).reshape(-1, 2)):
+        run = slice(int(lo), int(hi))
+        index = (run,) if axis == 0 else (slice(None), run)
+        bshape = (hi - lo, shape[1]) if axis == 0 else (shape[0], hi - lo)
+        bb, cb = (np.broadcast_to(np.expand_dims(a[run], 1 - axis), bshape).copy()
+                  for a in (b, c))
+        blocks.append((f"collar_{'xy'[axis]}{k}", index, bb, cb, 1.0 + cb))
+    return blocks
 
 
 class PmlRunner:
@@ -225,9 +261,14 @@ class PmlRunner:
     the stacked state with schemes._ls_fit_all, scales the derivative
     planes by the collar's (1 + c), and applies step_2d's least-squares
     assembly; the memory term joins only a step's final substep and the
-    TF/SF corrections every substep.  A runner keeps one set of work
-    buffers for all its steps.  The memory fields in `pml` are updated in
-    place; field states are never mutated.
+    TF/SF corrections every substep.  The collar work runs only on the row
+    and column blocks where the damping profile is nonzero.  A step
+    evaluates the corrections twice, for the forward substeps at t and the
+    backward one at t + dt.  A runner keeps one set of work buffers for
+    all its steps, and forms the materials' reciprocal planes and the edge
+    corrections when it first sees a state's materials.  The memory fields
+    in `pml` are updated in place (they stay zero outside the blocks);
+    field states are never mutated.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -248,6 +289,7 @@ class PmlRunner:
         self.weights = weights if weights is not None else self.geom.cached_weights()
         self.work = Workspace()
         self._set_collar(pml)
+        self._materials = None
         self._injector = None
         if source is not None:
             margin = max(pml.thickness, 1)
@@ -263,18 +305,12 @@ class PmlRunner:
 
     def _set_collar(self, pml: PmlState):
         self.pml = pml
-        # whole (nx, ny) planes: numpy runs an (nx, 1) or (1, ny) operand
-        # through iteration buffers, at several times the cost
         shape = pml.psi_hxy.shape
-        self.bx, self.cx = (np.broadcast_to(a[:, None], shape).copy() for a in (pml.b_x, pml.c_x))
-        self.by, self.cy = (np.broadcast_to(a[None, :], shape).copy() for a in (pml.b_y, pml.c_y))
-        self.one_cx = 1.0 + self.cx
-        self.one_cy = 1.0 + self.cy
-        # (memory field, b, c, 1 + c) in the order of the derivative planes
+        x = _collar_blocks(pml.sigma_x, pml.b_x, pml.c_x, 0, shape)
+        y = _collar_blocks(pml.sigma_y, pml.b_y, pml.c_y, 1, shape)
+        # (memory field, blocks) in the order of the derivative planes
         # d/dx (Hy, Ez), d/dy (Hx, Ez) they belong to
-        x = (self.bx, self.cx, self.one_cx)
-        y = (self.by, self.cy, self.one_cy)
-        self._collar = ((pml.psi_ezx, *x), (pml.psi_hyx, *x), (pml.psi_ezy, *y), (pml.psi_hxy, *y))
+        self._collar = ((pml.psi_ezx, x), (pml.psi_hyx, x), (pml.psi_ezy, y), (pml.psi_hxy, y))
 
     def with_dt(self, dt: float) -> "PmlRunner":
         """This runner stepping dt, for a run's shorter final step: the same
@@ -285,70 +321,86 @@ class PmlRunner:
         other._set_collar(self.pml.with_dt(dt))
         return other
 
-    def _ensure_injector(self, state: FieldState2):
-        """Build the edge corrections at the first step, which brings the
-        materials, and before the first step's work buffers exist, so that
-        their set-up arrays never add to them."""
-        if self.source is not None and self._injector is None:
-            self._injector = TfsfInjector(self.source, self.geom, self.spec.kind,
-                                          state.eps, state.mu)
+    def _prepare(self, state: FieldState2):
+        """Form the materials' reciprocal planes and the edge corrections
+        when the runner first sees the materials of `state` (again only if
+        a state brings other ones); at a run's first step this comes before
+        the step's work buffers exist, so that the set-up arrays never add
+        to them."""
+        eps, mu = state.eps, state.mu
+        seen = self._materials
+        if seen is not None and seen[0] is eps and seen[1] is mu:
+            return
+        self._materials = (eps, mu, _reciprocal(eps), _reciprocal(mu))
+        if self.source is not None:
+            self._injector = TfsfInjector(self.source, self.geom, self.spec.kind, eps, mu)
 
-    def _apply(self, state: FieldState2, v, out, sdt, t, start, history):
-        """One substep on the stack v at time t, into `out` (fresh when None).
+    def _apply(self, v, out, sdt, corrections, start, history):
+        """One substep with signed step sdt on the stack v, into `out`
+        (fresh when None).
 
         `start` keeps the undamped gradients for the memory update (the
         substep acting on the step-start state); `history` adds the memory
-        term b * psi.
+        term b * psi; `corrections` are the edge corrections for this
+        substep's time and direction (None without a source).
         """
-        base, gx, gy = fits = _ls_fit_all(self.geom, self.weights, v,
-                                          LS_CENTER[self.spec.kind], self.work)
+        fits = _ls_fit_all(self.geom, self.weights, v, LS_CENTER[self.spec.kind], self.work)
+        planes = (*fits[1], *fits[2])
         if start:
             grads = self._start_gradients(v.shape)
-            grads[:2] = gx
-            grads[2:] = gy
+            for start_g, g, (_, blocks) in zip(grads, planes, self._collar):
+                for _, index, *_ in blocks:
+                    start_g[index] = g[index]
             for ring in self.geom.ring:
                 grads[ring] = 0.0
-        term = self.work("memory_term", v.shape[1:])
-        for g, (psi, b, _, one_c) in zip((*gx, *gy), self._collar):
-            g *= one_c
-            if history:
-                g += np.multiply(psi, b, out=term)
-        out = _ls_assemble(v, fits, self.geom, sdt, state.eps, state.mu, out, self.work)
-        inj = self._injector
-        if inj is not None:
-            rows, *corrections = inj.corrections(t, sdt)
-            for f, d in zip(out, corrections):
-                f[rows] += d
+        for g, (psi, blocks) in zip(planes, self._collar):
+            for name, index, b, _, one_c in blocks:
+                block = g[index]
+                block *= one_c
+                if history:
+                    block += np.multiply(psi[index], b, out=self.work(name, b.shape))
+        out = _ls_assemble(v, fits, self.geom, sdt, *self._materials[2:], out, self.work)
+        if corrections is not None:
+            # `out` is contiguous, so the flat view writes through
+            out.reshape(-1)[self._injector.index] += corrections
         return out
 
     def _start_gradients(self, shape):
-        """The (4, nx, ny) undamped gradients of a step's start state."""
+        """The (4, nx, ny) undamped gradients of a step's start state, kept
+        on the collar blocks only."""
         return self.work("start_gradients", (4,) + shape[1:])
 
     def _advance_memory(self, grads):
-        """psi <- b psi + c g for the four memory fields, from the step-start
-        gradients `grads`, (4, nx, ny) in the order d/dx (Hy, Ez),
-        d/dy (Hx, Ez) and zero on a bounded grid's outer ring, so the ring
-        keeps no memory."""
-        term = self.work("memory_term", grads.shape[1:])
-        for g, (psi, b, c, _) in zip(grads, self._collar):
-            psi *= b
-            psi += np.multiply(g, c, out=term)
+        """psi <- b psi + c g on the collar blocks of the four memory
+        fields, from the step-start gradients `grads`, (4, nx, ny) in the
+        order d/dx (Hy, Ez), d/dy (Hx, Ez) and zero on a bounded grid's
+        outer ring, so the ring keeps no memory."""
+        for g, (psi, blocks) in zip(grads, self._collar):
+            for name, index, b, c, _ in blocks:
+                block = psi[index]
+                block *= b
+                block += np.multiply(g[index], c, out=self.work(name, b.shape))
+
+    def _corrections(self, t, sdt):
+        return None if self._injector is None else self._injector.corrections(t, sdt)
 
     def step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt from time t with the three-substep wrapper.
 
         The backward substep acts on a state at t + dt, so its edge
         correction uses the incident field there; the compensated state
-        fed to the last substep sits back at t.
+        fed to the last substep sits back at t, so the two forward
+        substeps share one set of corrections.
         """
         dt = self.spec.dt
-        self._ensure_injector(state)
+        self._prepare(state)
+        fwd = self._corrections(t, dt)
+        bwd = self._corrections(t + dt, -dt)
 
         def substep(k, v, out):
-            backward = k == 1
-            return self._apply(state, v, out, -dt if backward else dt,
-                               t + dt if backward else t, k == 0, k == 2)
+            if k == 1:
+                return self._apply(v, out, -dt, bwd, False, False)
+            return self._apply(v, out, dt, fwd, k == 0, k == 2)
 
         u = bfecc_apply(substep, state.u, self.work)
         self._advance_memory(self._start_gradients(u.shape))
@@ -356,7 +408,8 @@ class PmlRunner:
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""
-        self._ensure_injector(state)
-        u = self._apply(state, state.u, None, self.spec.signed_dt, t, True, True)
+        self._prepare(state)
+        sdt = self.spec.signed_dt
+        u = self._apply(state.u, None, sdt, self._corrections(t, sdt), True, True)
         self._advance_memory(self._start_gradients(u.shape))
         return FieldState2._of(u, state.eps, state.mu)

@@ -238,13 +238,17 @@ def _center_blend(theta_eff, f, out, spare):
     return out
 
 
-def _coef(scale, material, work):
-    """`scale`, or the plane scale * (1 / material) in the work array."""
-    if material is None:
+def _reciprocal(material):
+    """The plane fl(1 / material), or None for free space."""
+    return None if material is None else np.divide(1.0, material)
+
+
+def _coef(scale, inv, work):
+    """`scale`, or the plane scale * inv in the work array, where `inv` is a
+    material's reciprocal plane (None for free space)."""
+    if inv is None:
         return scale
-    plane = np.divide(1.0, material, out=work("coef", material.shape))
-    plane *= scale
-    return plane
+    return np.multiply(inv, scale, out=work("coef", inv.shape))
 
 
 def _theta_eff(kind, theta):
@@ -264,19 +268,19 @@ def _uniform_blend(spec, u, work):
     return _center_blend(th, u, work("blend", u.shape), work("blend_spare", u.shape))
 
 
-def _uniform_1d(spec, u, dx, eps, mu, out, work):
+def _uniform_1d(spec, u, dx, inv_eps, inv_mu, out, work):
     """E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE on u = (E, H)."""
     if out is None:
         out = np.empty_like(u)
     lam = spec.signed_dt / dx
     de, dh = _dc(u, 1, work("d", u.shape))
-    np.multiply(dh, _coef(lam, eps, work), out=out[0])
-    np.multiply(de, _coef(lam, mu, work), out=out[1])
+    np.multiply(dh, _coef(lam, inv_eps, work), out=out[0])
+    np.multiply(de, _coef(lam, inv_mu, work), out=out[1])
     out += _uniform_blend(spec, u, work)
     return out
 
 
-def _uniform_2d(spec, u, grid, eps, mu, out, work):
+def _uniform_2d(spec, u, grid, inv_eps, inv_mu, out, work):
     """The TMz update of u = (Hx, Hy, Ez), finishing one component at a
     time so that each stays in cache on large grids; dHx/dy passes through
     the Hx plane before that plane's own update."""
@@ -291,14 +295,14 @@ def _uniform_2d(spec, u, grid, eps, mu, out, work):
     _dc(u[0], 1, hx)
     hx *= ly
     ez -= hx
-    if eps is not None:
-        ez *= _coef(1.0, eps, work)
+    if inv_eps is not None:
+        ez *= inv_eps
     ez += blend[2]
     _dc(u[2], 1, hx)
-    hx *= _coef(ly, mu, work)
+    hx *= _coef(ly, inv_mu, work)
     np.subtract(blend[0], hx, out=hx)
     _dc(u[2], 0, hy)
-    hy *= _coef(lx, mu, work)
+    hy *= _coef(lx, inv_mu, work)
     hy += blend[1]
     return out
 
@@ -396,9 +400,10 @@ def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
 _FIT_PLANES = [0, 1, 2, 4, 5, 6, 8]
 
 
-def _ls_assemble(u, fits, geom: StencilGeometry, sdt, eps, mu, out, work):
+def _ls_assemble(u, fits, geom: StencilGeometry, sdt, inv_eps, inv_mu, out, work):
     """The least-squares update of the stack u from its fits, into `out`
-    (a fresh array when None).
+    (a fresh array when None); `inv_eps`/`inv_mu` are the materials'
+    reciprocal planes (None for free space).
 
     `fits` are whole planes: the base values (the fitted center for
     ls_theta, the point values for ls_cd), d/dx of (Hy, Ez) and d/dy of
@@ -409,22 +414,22 @@ def _ls_assemble(u, fits, geom: StencilGeometry, sdt, eps, mu, out, work):
     if out is None:
         out = np.empty_like(u)
     base, (dhy_dx, dez_dx), (dhx_dy, dez_dy) = fits
-    sdt_mu = _coef(sdt, mu, work)
+    sdt_mu = _coef(sdt, inv_mu, work)
     np.multiply(dez_dy, sdt_mu, out=out[0])
     np.subtract(base[0], out[0], out=out[0])
     np.multiply(dez_dx, sdt_mu, out=out[1])
     out[1] += base[1]
     np.subtract(dhy_dx, dhx_dy, out=out[2])
-    out[2] *= _coef(sdt, eps, work)
+    out[2] *= _coef(sdt, inv_eps, work)
     out[2] += base[2]
     for ring in geom.ring:
         out[ring] = u[ring]
     return out
 
 
-def _ls_step(spec, u, geom, weights, eps, mu, out, work):
+def _ls_step(spec, u, geom, weights, inv_eps, inv_mu, out, work):
     fits = _ls_fit_all(geom, weights, u, LS_CENTER[spec.kind], work)
-    return _ls_assemble(u, fits, geom, spec.signed_dt, eps, mu, out, work)
+    return _ls_assemble(u, fits, geom, spec.signed_dt, inv_eps, inv_mu, out, work)
 
 
 def _operator(kind, state, where, geometry=None, weights=None):
@@ -434,6 +439,7 @@ def _operator(kind, state, where, geometry=None, weights=None):
     FieldState2.  Returns op(spec, u, out, work), which writes one step of
     the stacked fields u into `out` (a fresh array when None), takes its
     scratch arrays from the Workspace `work` and returns the result.
+    The materials' reciprocal planes are formed here, once per operator.
     For least-squares kinds a missing `geometry` is built here and missing
     `weights` come from the geometry's cache.
     """
@@ -443,23 +449,23 @@ def _operator(kind, state, where, geometry=None, weights=None):
         dx = where
         if not dx > 0:
             raise ValueError(f"dx must be positive, got {dx}")
-        eps, mu = state.eps, state.mu
-        return lambda spec, u, out, work: _uniform_1d(spec, u, dx, eps, mu, out, work)
+        inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
+        return lambda spec, u, out, work: _uniform_1d(spec, u, dx, inv_eps, inv_mu, out, work)
     if not isinstance(state, FieldState2):
         raise TypeError(f"unsupported state type {type(state).__name__}")
     grid: Grid2 = where
     if state.shape != (grid.nx, grid.ny):
         raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")
-    eps, mu = state.eps, state.mu
+    inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
     if kind in UNIFORM_KINDS:
         if grid.boundary_kind != "periodic":
             raise ValueError(f"kind {kind!r} needs a periodic grid; bounded grids need a ls_* kind")
         if not grid.uniform:
             raise ValueError(f"kind {kind!r} requires a uniform grid; use ls_cd or ls_theta")
-        return lambda spec, u, out, work: _uniform_2d(spec, u, grid, eps, mu, out, work)
+        return lambda spec, u, out, work: _uniform_2d(spec, u, grid, inv_eps, inv_mu, out, work)
     geom = geometry if geometry is not None else StencilGeometry(grid)
     w = weights if weights is not None else geom.cached_weights()
-    return lambda spec, u, out, work: _ls_step(spec, u, geom, w, eps, mu, out, work)
+    return lambda spec, u, out, work: _ls_step(spec, u, geom, w, inv_eps, inv_mu, out, work)
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:

@@ -9,8 +9,8 @@ from bfecc_maxwell import schemes
 from bfecc_maxwell.analysis import cfl_bound
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import Grid2, build_uniform
-from bfecc_maxwell.harness import build_variant_grid
-from bfecc_maxwell.pml import PmlRunner, build_pml
+from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
+from bfecc_maxwell.pml import PmlRunner, TfsfSource, build_pml
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
@@ -222,7 +222,8 @@ def peak_states_per_step(step, st, warm=3, steps=5):
 def stepper(case, n):
     """(step, state) of a 2D case: cd on a uniform periodic grid, ls_theta on
     the conforming grid d, ls_theta with an absorbing collar on a bounded
-    grid."""
+    grid, and the scattering set-up (collar, cylinder and TF/SF plane wave)
+    on the scatter grid of resolution n."""
     rng = np.random.default_rng(5)
     st = FieldState2(*rng.standard_normal((3, n, n)))
     if case == "cd":
@@ -234,15 +235,24 @@ def stepper(case, n):
         geom = StencilGeometry(g)
         step = BfeccStep(SchemeSpec("ls_theta", 0.25 * g.dx))
         return lambda s: bfecc_step(step, s, g, geometry=geom), st
+    if case == "tfsf":
+        cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta")
+        g, eps = build_scatter_grid(cfg, n)
+        dt = 0.5 / n
+        runner = PmlRunner(g, SchemeSpec("ls_theta", dt), build_pml(g, dt, cfg.pml_cells),
+                           TfsfSource(cfg.tfsf_rect))
+        return (lambda s: runner.step(s, 1.0),
+                FieldState2(*rng.standard_normal((3, g.nx, g.ny)), eps=eps))
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
     dt = 0.5 * g.dx
     runner = PmlRunner(g, SchemeSpec("ls_theta", dt), build_pml(g, dt, thickness=10))
     return lambda s: runner.step(s, 0.0), FieldState2(*st.u, eps=np.ones((n, n)))
 
 
-@pytest.mark.parametrize("case", ["cd", "ls_theta", "collar"])
+@pytest.mark.parametrize("case", ["cd", "ls_theta", "collar", "tfsf"])
 def test_a_step_allocates_little_more_than_its_output(case):
     """Substeps write into buffers kept across steps, so a step's only
-    large allocation is the state it returns."""
-    step, st = stepper(case, 64)
+    large allocation is the state it returns; the TF/SF case runs on the
+    53 x 53 scatter grid of n = 32."""
+    step, st = stepper(case, 32 if case == "tfsf" else 64)
     assert peak_states_per_step(step, st) <= 1.5

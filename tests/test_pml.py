@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
-from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
+from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import build_uniform
+from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid
 from bfecc_maxwell.pml import (
     PmlRunner,
+    TfsfInjector,
     TfsfSource,
     build_pml,
 )
-from bfecc_maxwell.schemes import FieldState2, SchemeSpec, StencilGeometry, step_2d
+from bfecc_maxwell.schemes import (
+    LS_CENTER,
+    FieldState2,
+    SchemeSpec,
+    StencilGeometry,
+    Workspace,
+    _ls_assemble,
+    _ls_fit_all,
+    step_2d,
+)
 
 
 def bounded_grid(n):
@@ -81,14 +92,17 @@ def test_memory_recursion_fixed_point():
     pml = build_pml(g, dt, thickness=10, sigma_max=np.log(2.0) / dt)
     r = PmlRunner(g, SchemeSpec("ls_theta", dt), pml)
     inside = r.geom.interior
+    shape = (n, n)
+    cx = np.broadcast_to(pml.c_x[:, None], shape)
+    cy = np.broadcast_to(pml.c_y[None, :], shape)
     grad = 0.7
     # the step-start gradients are zero on the outer ring, which has no
     # update rule
     grads = np.zeros((4, n, n))
     grads[(slice(None),) + inside] = grad
     # invariance: seed the fixed point, one update must not move it
-    for psi, c in ((pml.psi_hyx, r.cx), (pml.psi_hxy, r.cy),
-                   (pml.psi_ezx, r.cx), (pml.psi_ezy, r.cy)):
+    for psi, c in ((pml.psi_hyx, cx), (pml.psi_hxy, cy),
+                   (pml.psi_ezx, cx), (pml.psi_ezy, cy)):
         psi[inside] = np.where(c != 0.0, -grad, 0.0)[inside]
     before = pml.psi_hyx.copy()
     r._advance_memory(grads)
@@ -100,8 +114,8 @@ def test_memory_recursion_fixed_point():
     for _ in range(200):
         r._advance_memory(grads)
     psi = pml.psi_hyx[inside]
-    cx = np.broadcast_to(r.cx, pml.psi_hyx.shape)[inside]
-    bx = np.broadcast_to(r.bx, pml.psi_hyx.shape)[inside]
+    cx = cx[inside]
+    bx = np.broadcast_to(pml.b_x[:, None], shape)[inside]
     deep = bx == bx[cx != 0.0].min()
     assert deep.any()
     assert np.max(np.abs(psi[deep] + grad)) < 1e-12
@@ -129,6 +143,17 @@ def test_collar_memory_accumulates_while_stepping():
     ring[r.geom.interior] = False
     for psi in (pml.psi_hxy, pml.psi_hyx, pml.psi_ezx, pml.psi_ezy):
         assert np.max(np.abs(psi[ring])) == 0.0
+    # nor does any point outside the rows (x memory) and columns (y memory)
+    # where the damping acts
+    undamped_x = pml.c_x == 0.0
+    undamped_y = pml.c_y == 0.0
+    assert undamped_x.any() and undamped_y.any()
+    for psi in (pml.psi_hyx, pml.psi_ezx):
+        assert np.all(psi[undamped_x] == 0.0)
+        assert np.max(np.abs(psi[~undamped_x])) > 0.0
+    for psi in (pml.psi_hxy, pml.psi_ezy):
+        assert np.all(psi[:, undamped_y] == 0.0)
+        assert np.max(np.abs(psi[:, ~undamped_y])) > 0.0
 
 
 def test_zero_strength_collar_is_inert():
@@ -286,3 +311,139 @@ def test_driven_window_period():
     freqs = np.fft.rfftfreq(32 * trace.size, dt)
     period = 1.0 / freqs[np.argmax(np.abs(padded))]
     assert abs(period - 0.6) / 0.6 <= 0.01
+
+
+def scatter_setup(n=16):
+    """The cylinder scatter grid of resolution n, its permittivity, a
+    random positive permeability and the default plane-wave source."""
+    cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta")
+    g, eps = build_scatter_grid(cfg, n)
+    mu = np.random.default_rng(11).uniform(0.5, 2.0, (g.nx, g.ny))
+    return g, eps, mu, TfsfSource(cfg.tfsf_rect), 0.5 / n
+
+
+def direct_corrections(source, geom, kind, eps, mu, t, sdt):
+    """Edge corrections by their defining formula: the incident field at
+    every (rows, 5) stencil position, one contraction per (weight, field)
+    pair.  Returns the field index of the rows and (dHx, dHy, dEz)."""
+    inside = geom.interior
+    pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets
+    ax, ay = pos[:, :, 0], pos[:, :, 1]
+    chi = source.chi(ax, ay)
+    dchi = chi[:, 0:1] - chi
+    rows = np.nonzero(np.any(dchi != 0.0, axis=1))[0]
+    d = dchi[rows]
+    w = geom.fit_weights(rows)
+    field = tuple(r + inside[0].start for r in np.unravel_index(rows, geom.shape))
+    inv_eps = 1.0 if eps is None else 1.0 / eps[field]
+    inv_mu = 1.0 if mu is None else 1.0 / mu[field]
+    ez = source.ez_inc(ax[rows], ay[rows], t)
+    hy = -ez
+    dw0, dwx, dwy = (d * w[:, k, :] for k in range(3))
+    sx_ez = np.einsum("as,as->a", dwx, ez)
+    sy_ez = np.einsum("as,as->a", dwy, ez)
+    sx_hy = np.einsum("as,as->a", dwx, hy)
+    dhx = -sdt * inv_mu * sy_ez
+    dhy = sdt * inv_mu * sx_ez
+    dez = sdt * inv_eps * sx_hy
+    if kind == "ls_theta":
+        dhy = dhy + np.einsum("as,as->a", dw0, hy)
+        dez = dez + np.einsum("as,as->a", dw0, ez)
+    return field, (dhx, dhy, dez)
+
+
+@pytest.mark.parametrize("kind", ["ls_cd", "ls_theta"])
+@pytest.mark.parametrize("t", [-0.2, 0.3, 1.7])
+def test_edge_corrections_equal_the_direct_formula(kind, t):
+    """Before the front, mid-ramp and after the ramp, in both directions,
+    the corrections from the distinct x positions equal the direct formula
+    bit for bit (up to the sign of zero) at the same field points."""
+    g, eps, mu, src, dt = scatter_setup()
+    geom = StencilGeometry(g)
+    inj = TfsfInjector(src, geom, kind, eps, mu)
+    assert inj.x.size < inj.x_index.size
+    for sdt in (dt, -dt):
+        field, expect = direct_corrections(src, geom, kind, eps, mu, t, sdt)
+        plane = g.nx * g.ny
+        assert np.array_equal(inj.index - np.arange(3)[:, None] * plane,
+                              np.broadcast_to(np.ravel_multi_index(field, (g.nx, g.ny)),
+                                              inj.index.shape))
+        got = inj.corrections(t, sdt)
+        assert np.array_equal(got, np.stack(expect))
+        if t < 0:
+            assert not got.any()
+        else:
+            assert np.abs(got).max() > 0.0
+
+
+def reference_steps(g, spec, pml, source, state, t0, steps):
+    """The collar and injection worked over whole planes, as their
+    definition reads: (1 + c) and b psi on every point of every substep,
+    the recursion over every point, the corrections of each substep from
+    the direct formula.  Yields the state after each step."""
+    geom = StencilGeometry(g)
+    w = geom.cached_weights()
+    work = Workspace()
+    shape = (g.nx, g.ny)
+    bx, cx = (np.broadcast_to(a[:, None], shape) for a in (pml.b_x, pml.c_x))
+    by, cy = (np.broadcast_to(a[None, :], shape) for a in (pml.b_y, pml.c_y))
+    collar = ((pml.psi_ezx, bx, cx), (pml.psi_hyx, bx, cx),
+              (pml.psi_ezy, by, cy), (pml.psi_hxy, by, cy))
+    inv = [None if m is None else 1.0 / m for m in (state.eps, state.mu)]
+    grads = np.empty((4,) + shape)
+    dt = spec.dt
+
+    def substep(t, k, v, out):
+        sdt, at = (-dt, t + dt) if k == 1 else (dt, t)
+        base, gx, gy = fits = _ls_fit_all(geom, w, v, LS_CENTER[spec.kind], work)
+        if k == 0:
+            grads[:2] = gx
+            grads[2:] = gy
+            for ring in geom.ring:
+                grads[ring] = 0.0
+        for gk, (psi, b, c) in zip((*gx, *gy), collar):
+            gk *= 1.0 + c
+            if k == 2:
+                gk += psi * b
+        out = _ls_assemble(v, fits, geom, sdt, *inv, out, work)
+        if source is not None:
+            field, ds = direct_corrections(source, geom, spec.kind, state.eps, state.mu, at, sdt)
+            for f, d in zip(out, ds):
+                f[field] += d
+        return out
+
+    u = state.u
+    for n in range(steps):
+        t = t0 + n * dt
+        u = bfecc_apply(lambda k, v, out: substep(t, k, v, out), u, work)
+        for gk, (psi, b, c) in zip(grads, collar):
+            psi *= b
+            psi += gk * c
+        yield u
+
+
+@pytest.mark.parametrize("kind", ["ls_cd", "ls_theta"])
+@pytest.mark.parametrize("thickness, sigma_max", [(10, None), (0, None), (10, 0.0)])
+def test_runner_steps_equal_the_whole_plane_collar(kind, thickness, sigma_max):
+    """Five steps of the runner, whose collar works on its damped blocks
+    only and whose forward substeps share one set of corrections, equal
+    the whole-plane definition bit for bit (up to the sign of zero), the
+    memory fields included; the inert collars do no block work."""
+    g, eps, mu, src, dt = scatter_setup()
+    spec = SchemeSpec(kind, dt)
+    pml = build_pml(g, dt, thickness, sigma_max)
+    ref_pml = build_pml(g, dt, thickness, sigma_max)
+    r = PmlRunner(g, spec, pml, source=src)
+    assert all(bool(blocks) == (thickness > 0 and sigma_max != 0.0)
+               for _, blocks in r._collar)
+    rng = np.random.default_rng(12)
+    st = FieldState2(*rng.standard_normal((3, g.nx, g.ny)), eps=eps, mu=mu)
+    t0 = 0.2
+    ref = reference_steps(g, spec, ref_pml, src, st, t0, 5)
+    for n, want in enumerate(ref):
+        st = r.step(st, t0 + n * dt)
+        assert np.array_equal(st.u, want)
+        for name in ("psi_hxy", "psi_hyx", "psi_ezx", "psi_ezy"):
+            assert np.array_equal(getattr(pml, name), getattr(ref_pml, name))
+    if thickness > 0 and sigma_max != 0.0:
+        assert np.abs(pml.psi_ezx).max() > 0.0
