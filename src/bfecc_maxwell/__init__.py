@@ -21,13 +21,13 @@ from .harness import (EXPERIMENTS, ExperimentConfig, InstabilityError,
                       run_periodic2d, run_scatter)
 from .lsq import RankDeficientStencilError, batched_fit_weights
 from .pml import PmlRunner, PmlState, TfsfInjector, TfsfSource, build_pml
-from .schemes import (DIRECTIONS, SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
+from .schemes import (SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
                       StencilGeometry, lincomb1, lincomb2, step_1d, step_2d)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BfeccStep", "Circle", "DIRECTIONS", "EXPERIMENTS", "ExperimentConfig",
+    "BfeccStep", "Circle", "EXPERIMENTS", "ExperimentConfig",
     "FieldState1", "FieldState2", "Grid2", "GridError", "ImplicitCurve",
     "InstabilityError", "Intersection", "PmlRunner", "PmlState",
     "RankDeficientStencilError", "SCHEME_KINDS", "ScanResult", "SchemeSpec",

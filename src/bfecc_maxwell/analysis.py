@@ -65,23 +65,21 @@ def _symbol_2d(phases_x, phases_y, lam_x, lam_y, theta_eff):
     return out
 
 
-def symbol(kind, dims, k, h, lam, theta=0.0, direction="forward"):
+def symbol(kind, dims, k, h, lam, theta=0.0):
     """One-step symbol Q(k) of a uniform-grid scheme.
 
     dims 1: k, h, lam scalars; dims 2: pairs (k, l), (hx, hy), (lx, ly)
-    (scalars broadcast).  The phase per axis is 2*pi*k*h.  Backward
-    direction negates lam, which equals entrywise conjugation.
+    (scalars broadcast).  The phase per axis is 2*pi*k*h; lam = dt/h is
+    signed, and the backward step's -lam gives the entrywise conjugate.
     """
     th = _theta_eff(kind, theta)
-    sgn = 1.0 if direction == "forward" else -1.0
     if dims == 1:
-        return _symbol_1d(2.0 * math.pi * float(k) * float(h), sgn * float(lam), th)
+        return _symbol_1d(2.0 * math.pi * float(k) * float(h), float(lam), th)
     if dims == 2:
         kx, ky = _as_pair(k)
         hx, hy = _as_pair(h)
         lx, ly = _as_pair(lam)
-        return _symbol_2d(2.0 * math.pi * kx * hx, 2.0 * math.pi * ky * hy,
-                          sgn * lx, sgn * ly, th)
+        return _symbol_2d(2.0 * math.pi * kx * hx, 2.0 * math.pi * ky * hy, lx, ly, th)
     raise ValueError(f"dims must be 1 or 2, got {dims}")
 
 

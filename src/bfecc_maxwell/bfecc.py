@@ -1,7 +1,7 @@
 """Back-and-forth error compensation and correction wrapper.
 
 Given a one-step linear operator L and its time-reversed counterpart L*,
-one BFECC step advances
+the same operator stepping -dt, one BFECC step advances
 
     U~^{n+1} = L U^n
     U~^n     = L* U~^{n+1}
@@ -37,15 +37,13 @@ State = Union[FieldState1, FieldState2]
 class BfeccStep:
     """BFECC-wrapped underlying scheme and the work buffers of its steps.
 
-    `spec` is the forward-direction underlying scheme; the backward spec
-    is derived from it.  A run builds one and steps with it throughout;
-    `with_dt` gives the wrapper for a shorter final step, sharing the
-    buffers.
+    `spec` is the underlying scheme; its operator steps dt in the forward
+    substeps and -dt in the backward one.  A run builds one and steps with
+    it throughout; `with_dt` gives the wrapper for a shorter final step,
+    sharing the buffers.
     """
 
     def __init__(self, spec: SchemeSpec):
-        if spec.direction != "forward":
-            raise ValueError("BfeccStep takes the forward spec; backward is derived")
         self.spec = spec
         self.work = Workspace()
 
@@ -83,9 +81,7 @@ def bfecc_step(step: BfeccStep, state: State, where,
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
     data across substeps and steps (all three substeps share one grid).
     """
-    fwd = step.spec
-    bwd = fwd.reversed()
-    op = _operator(fwd.kind, state, where, geometry, weights)
-    u = bfecc_apply(lambda k, v, out: op(bwd if k == 1 else fwd, v, out, step.work),
-                    state.u, step.work)
+    op = _operator(step.spec, state, where, geometry, weights)
+    dt, work = step.spec.dt, step.work
+    u = bfecc_apply(lambda k, v, out: op(-dt if k == 1 else dt, v, out, work), state.u, work)
     return type(state)._of(u, state.eps, state.mu)

@@ -6,7 +6,8 @@
     solve gridgen    build a grid and dump its point list
     solve dispersion phase-speed curve of the wrapped centered scheme
 
-Exit codes: 0 success, 2 configuration error, 3 run aborted as unstable.
+Exit codes: 0 success, 2 configuration error (or an allocation refused as
+too large), 3 run aborted as unstable.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ def main(argv=None) -> int:
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy refuses an oversized array (say, analyze --samples 1e6) with a MemoryError
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

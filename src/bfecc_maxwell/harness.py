@@ -19,7 +19,8 @@ Grid variants for periodic2d
 Every experiment advances its state with `_march`, the one time loop.
 It owns the step count, the sup-norm monitor that aborts blown-up runs
 early, and the remainder: floor(T / dt) full steps plus one shorter
-final step, so runs land exactly on t_final.
+final step, taken with the stepper's `with_dt`, so runs land exactly on
+t_final.
 """
 
 from __future__ import annotations
@@ -265,28 +266,33 @@ def _check_cfl(cfg, kind, dims, spacings, dt):
             f"{kind!r}; reduce dt_ratio or pass allow_unstable")
 
 
-def _monitor(cfg, state, k, n_full, dt):
-    """Sup-norm check of each component after full step k + 1 of n_full;
-    NaN counts as blown up."""
-    if (k + 1) % cfg.check_every == 0 or k + 1 == n_full:
-        for f in state.u:
-            sup = float(np.max(np.abs(f)))
-            if not sup <= cfg.blowup_threshold:
-                raise InstabilityError(k + 1, (k + 1) * dt, sup)
+def _monitor(cfg, state, step, t):
+    """Sup-norm check of each component after step `step`, which ends at
+    time t; NaN counts as blown up."""
+    for f in state.u:
+        sup = float(np.max(np.abs(f)))
+        if not sup <= cfg.blowup_threshold:
+            raise InstabilityError(step, t, sup)
 
 
-def _march(cfg, state, step, dt):
-    """Advance `state` to cfg.t_final: floor(T / dt) full steps, each
-    followed by the monitor, then one remainder step of size h < dt when
-    one is left.  `step(state, t, h)` takes one step; returns (state, steps)."""
+def _march(cfg, state, stepper, step):
+    """Advance `state` to cfg.t_final: floor(T / dt) full steps of the
+    stepper's dt, then one remainder step of size h < dt when one is left,
+    taken with stepper.with_dt(h).  The monitor checks every check_every-th
+    full step, the last one and the remainder.  `step(s, state, t)` takes
+    one step from time t with the stepper s; returns (state, steps)."""
+    dt = stepper.spec.dt
     n_full = int(math.floor(cfg.t_final / dt + 1e-9))
-    for k in range(n_full):
-        state = step(state, k * dt, dt)
-        _monitor(cfg, state, k, n_full, dt)
+    for k in range(1, n_full + 1):
+        state = step(stepper, state, (k - 1) * dt)
+        if k % cfg.check_every == 0 or k == n_full:
+            _monitor(cfg, state, k, k * dt)
     partial = cfg.t_final - n_full * dt
     if partial <= 1e-9 * dt:
         return state, n_full
-    return step(state, n_full * dt, partial), n_full + 1
+    state = step(stepper.with_dt(partial), state, n_full * dt)
+    _monitor(cfg, state, n_full + 1, cfg.t_final)
+    return state, n_full + 1
 
 
 def _error_norms(state, exact) -> dict:
@@ -306,13 +312,10 @@ def run_periodic1d(cfg: ExperimentConfig) -> dict:
     x = h * np.arange(n)
     stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
-    def step(st, t, step_dt):
-        s = stepper if step_dt == dt else stepper.with_dt(step_dt)
-        if cfg.bfecc:
-            return bfecc_step(s, st, h)
-        return step_1d(s.spec, st, h)
+    def step(s, st, t):
+        return bfecc_step(s, st, h) if cfg.bfecc else step_1d(s.spec, st, h)
 
-    state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)), step, dt)
+    state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)), stepper, step)
     return {
         "experiment": "periodic1d", "n": n, "h": h, "dt": dt,
         "steps": steps, "t": cfg.t_final,
@@ -332,16 +335,14 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
     geom = StencilGeometry(grid) if cfg.scheme in ("ls_cd", "ls_theta") else None
     stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
-    def step(st, t, step_dt):
-        s = stepper if step_dt == dt else stepper.with_dt(step_dt)
-        if cfg.bfecc:
-            return bfecc_step(s, st, grid, geometry=geom)
-        return step_2d(s.spec, st, grid, geometry=geom)
+    def step(s, st, t):
+        return (bfecc_step(s, st, grid, geometry=geom) if cfg.bfecc
+                else step_2d(s.spec, st, grid, geometry=geom))
 
     # the exact stacks are free-space states of the grid's shape, so they
     # wrap as they are, without the constructor's copy
     state, steps = _march(cfg, FieldState2._of(exact_periodic2d(xs, ys, 0.0), None, None),
-                          step, dt)
+                          stepper, step)
     norms = _error_norms(state, FieldState2._of(exact_periodic2d(xs, ys, cfg.t_final),
                                                 None, None))
     return {
@@ -398,14 +399,11 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
                         cfg.tfsf_ramp)
     runner = PmlRunner(grid, spec, pml, source)
 
-    def step(st, t, step_dt):
-        # the remainder step has recursion coefficients for its own step
-        # size and continues the full steps' collar memory
-        r = runner if step_dt == dt else runner.with_dt(step_dt)
+    def step(r, st, t):
         return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)
 
     zeros = np.zeros((grid.nx, grid.ny))
-    state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), step, dt)
+    state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), runner, step)
     phys = slice(pad, pad + n + 1)
     return {
         "experiment": cfg.experiment, "n": n, "h": h, "dt": dt,

@@ -16,9 +16,10 @@ Inside the three-substep wrapper (bfecc.bfecc_apply, with the sources
 below as per-substep hooks) the (1 + c) derivative scaling is part of the
 one-step operator and applies in every substep; the memory term b * psi is
 a source term, ignored in the first two substeps and added only in the
-final one, evaluated at the step's start time.  The memory recursion
-consumes the gradients of the step-start state, so the first substep keeps
-a copy of its undamped fitted gradients for it.
+final one, evaluated at the step's start time.  The recursion takes its
+two terms from the substeps that form them: the first substep, acting on
+the step-start state, keeps c * g of its undamped fitted gradients g, and
+the last scales psi by b in place for its memory term, then adds c * g.
 
 Plane-wave injection uses the standard total-field/scattered-field
 bookkeeping: for an update with weights w(p, q), the stored field needs
@@ -184,12 +185,14 @@ class TfsfInjector:
     Only update points whose stencil straddles the rectangle edge get a
     correction; `index` (3, rows) holds their flat indices into a
     contiguous (Hx, Hy, Ez) stack.  Their fit weights come from one
-    factorization of just those stencils.  The incident wave depends on x
-    alone, so it is evaluated once per distinct stencil x position and
-    gathered, and its Hy = -Ez leaves three contractions per call.
+    factorization of just those stencils, their material factors from the
+    reciprocal planes `inv_eps`/`inv_mu` (None for free space).  The
+    incident wave depends on x alone, so it is evaluated once per distinct
+    stencil x position and gathered, and its Hy = -Ez leaves three
+    contractions per call.
     """
 
-    def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
+    def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, inv_eps, inv_mu):
         inside = geom.interior
         pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets
         ax, ay = pos[:, :, 0], pos[:, :, 1]
@@ -210,8 +213,8 @@ class TfsfInjector:
         # the fitted-center base only exists for ls_theta; the ls_cd base is
         # the point's own value, whose chi difference is identically zero
         self.dw0 = d * weights[:, 0, :] if kind == "ls_theta" else None
-        self.inv_eps = 1.0 if eps is None else 1.0 / eps[field]
-        self.inv_mu = 1.0 if mu is None else 1.0 / mu[field]
+        self.inv_eps = 1.0 if inv_eps is None else inv_eps[field]
+        self.inv_mu = 1.0 if inv_mu is None else inv_mu[field]
 
     def corrections(self, t, sdt):
         """(3, rows) corrections (dHx, dHy, dEz) to add at `index` to the
@@ -232,23 +235,24 @@ class TfsfInjector:
         return d
 
 
-def _collar_blocks(sigma, b, c, axis, shape):
-    """(name, index, b, c, 1 + c) for each run of damped rows (axis 0) or
-    columns (axis 1), where sigma != 0: `index` slices the run out of an
-    (nx, ny) plane, `name` names its work array, and the coefficients are
-    whole block-shaped arrays, since numpy runs an (n, 1) or (1, n) operand
-    through iteration buffers, at several times the cost.  Outside the
-    blocks b = 1 and c = 0, so the collar leaves a derivative as it is and
-    its memory at zero."""
+def _collar_blocks(sigma, b, c, axis, held):
+    """(index, b, c, 1 + c) for each run of damped rows (axis 0) or columns
+    (axis 1), where sigma != 0: `index` slices the run out of an (nx, ny)
+    plane, and the coefficients are whole block-shaped arrays, since numpy
+    runs an (n, 1) or (1, n) operand through iteration buffers, at several
+    times the cost.  On the points `held`, a bounded grid's outer ring,
+    which has no update rule, c = 0, so their memory stays zero.  Outside
+    the blocks b = 1 and c = 0, so the collar leaves a derivative as it is
+    and its memory at zero."""
     on = np.concatenate(([False], sigma != 0.0, [False]))
     blocks = []
-    for k, (lo, hi) in enumerate(np.flatnonzero(on[1:] != on[:-1]).reshape(-1, 2)):
+    for lo, hi in np.flatnonzero(on[1:] != on[:-1]).reshape(-1, 2):
         run = slice(int(lo), int(hi))
         index = (run,) if axis == 0 else (slice(None), run)
-        bshape = (hi - lo, shape[1]) if axis == 0 else (shape[0], hi - lo)
-        bb, cb = (np.broadcast_to(np.expand_dims(a[run], 1 - axis), bshape).copy()
+        bb, cb = (np.broadcast_to(np.expand_dims(a[run], 1 - axis), held[index].shape).copy()
                   for a in (b, c))
-        blocks.append((f"collar_{'xy'[axis]}{k}", index, bb, cb, 1.0 + cb))
+        cb[held[index]] = 0.0
+        blocks.append((index, bb, cb, 1.0 + cb))
     return blocks
 
 
@@ -260,15 +264,17 @@ class PmlRunner:
     composition of bfecc.bfecc_apply) or `plain_step`.  Every substep fits
     the stacked state with schemes._ls_fit_all, scales the derivative
     planes by the collar's (1 + c), and applies step_2d's least-squares
-    assembly; the memory term joins only a step's final substep and the
-    TF/SF corrections every substep.  The collar work runs only on the row
-    and column blocks where the damping profile is nonzero.  A step
-    evaluates the corrections twice, for the forward substeps at t and the
-    backward one at t + dt.  A runner keeps one set of work buffers for
-    all its steps, and forms the materials' reciprocal planes and the edge
-    corrections when it first sees a state's materials.  The memory fields
-    in `pml` are updated in place (they stay zero outside the blocks);
-    field states are never mutated.
+    assembly with a signed step; the memory term joins only a step's final
+    substep and the TF/SF corrections every substep.  The collar work runs
+    only on the row and column blocks where the damping profile is
+    nonzero, and the memory recursion reuses the first substep's c * g and
+    the last substep's b * psi.  A step evaluates the corrections twice,
+    for the forward substeps at t and the backward one at t + dt.  A runner
+    keeps one set of work buffers for all its steps, and forms the
+    materials' reciprocal planes and the edge corrections when it first
+    sees a state's materials.  The memory fields in `pml` are updated in
+    place (they stay zero outside the blocks); field states are never
+    mutated.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -276,13 +282,10 @@ class PmlRunner:
                  geometry: Optional[StencilGeometry] = None, weights=None):
         if spec.kind not in LS_KINDS:
             raise ValueError(f"collar stepping supports kinds {LS_KINDS}, got {spec.kind!r}")
-        if spec.direction != "forward":
-            raise ValueError("pass a forward spec; substeps handle reversal")
         if pml.psi_hxy.shape != (grid.nx, grid.ny):
             raise ValueError("pml state shape does not match the grid")
         if pml.dt != spec.dt:
             raise ValueError(f"pml state was built for dt = {pml.dt}, the scheme steps {spec.dt}")
-        self.grid = grid
         self.spec = spec
         self.source = source
         self.geom = geometry if geometry is not None else StencilGeometry(grid)
@@ -305,12 +308,18 @@ class PmlRunner:
 
     def _set_collar(self, pml: PmlState):
         self.pml = pml
-        shape = pml.psi_hxy.shape
-        x = _collar_blocks(pml.sigma_x, pml.b_x, pml.c_x, 0, shape)
-        y = _collar_blocks(pml.sigma_y, pml.b_y, pml.c_y, 1, shape)
+        held = np.ones(pml.psi_hxy.shape, dtype=bool)
+        held[self.geom.interior] = False
+        x = _collar_blocks(pml.sigma_x, pml.b_x, pml.c_x, 0, held)
+        y = _collar_blocks(pml.sigma_y, pml.b_y, pml.c_y, 1, held)
         # (memory field, blocks) in the order of the derivative planes
-        # d/dx (Hy, Ez), d/dy (Hx, Ez) they belong to
-        self._collar = ((pml.psi_ezx, x), (pml.psi_hyx, x), (pml.psi_ezy, y), (pml.psi_hxy, y))
+        # d/dx (Hy, Ez), d/dy (Hx, Ez); each block adds its view of the
+        # memory field and a c * g work array of its own
+        self._collar = tuple(
+            (psi, [(*block, psi[block[0]], self.work(f"collar_{name}{k}", block[1].shape))
+                   for k, block in enumerate(blocks)])
+            for name, psi, blocks in (("ezx", pml.psi_ezx, x), ("hyx", pml.psi_hyx, x),
+                                      ("ezy", pml.psi_ezy, y), ("hxy", pml.psi_hxy, y)))
 
     def with_dt(self, dt: float) -> "PmlRunner":
         """This runner stepping dt, for a run's shorter final step: the same
@@ -333,53 +342,39 @@ class PmlRunner:
             return
         self._materials = (eps, mu, _reciprocal(eps), _reciprocal(mu))
         if self.source is not None:
-            self._injector = TfsfInjector(self.source, self.geom, self.spec.kind, eps, mu)
+            self._injector = TfsfInjector(self.source, self.geom, self.spec.kind,
+                                          *self._materials[2:])
 
-    def _apply(self, v, out, sdt, corrections, start, history):
+    def _apply(self, v, out, sdt, corrections, first, last):
         """One substep with signed step sdt on the stack v, into `out`
         (fresh when None).
 
-        `start` keeps the undamped gradients for the memory update (the
-        substep acting on the step-start state); `history` adds the memory
-        term b * psi; `corrections` are the edge corrections for this
-        substep's time and direction (None without a source).
+        The `first` substep, acting on the step-start state, keeps c * g of
+        its undamped gradients g; the `last` scales psi by b in place, adds
+        that as the memory term and, once assembled, completes the
+        recursion psi <- b psi + c g.  `corrections` are the edge
+        corrections for this substep's time and sign of step (None without
+        a source).
         """
         fits = _ls_fit_all(self.geom, self.weights, v, LS_CENTER[self.spec.kind], self.work)
-        planes = (*fits[1], *fits[2])
-        if start:
-            grads = self._start_gradients(v.shape)
-            for start_g, g, (_, blocks) in zip(grads, planes, self._collar):
-                for _, index, *_ in blocks:
-                    start_g[index] = g[index]
-            for ring in self.geom.ring:
-                grads[ring] = 0.0
-        for g, (psi, blocks) in zip(planes, self._collar):
-            for name, index, b, _, one_c in blocks:
+        for g, (_, blocks) in zip((*fits[1], *fits[2]), self._collar):
+            for index, b, c, one_c, memory, cg in blocks:
                 block = g[index]
+                if first:
+                    np.multiply(block, c, out=cg)
                 block *= one_c
-                if history:
-                    block += np.multiply(psi[index], b, out=self.work(name, b.shape))
+                if last:
+                    memory *= b
+                    block += memory
         out = _ls_assemble(v, fits, self.geom, sdt, *self._materials[2:], out, self.work)
+        if last:
+            for _, blocks in self._collar:
+                for *_, memory, cg in blocks:
+                    memory += cg
         if corrections is not None:
             # `out` is contiguous, so the flat view writes through
             out.reshape(-1)[self._injector.index] += corrections
         return out
-
-    def _start_gradients(self, shape):
-        """The (4, nx, ny) undamped gradients of a step's start state, kept
-        on the collar blocks only."""
-        return self.work("start_gradients", (4,) + shape[1:])
-
-    def _advance_memory(self, grads):
-        """psi <- b psi + c g on the collar blocks of the four memory
-        fields, from the step-start gradients `grads`, (4, nx, ny) in the
-        order d/dx (Hy, Ez), d/dy (Hx, Ez) and zero on a bounded grid's
-        outer ring, so the ring keeps no memory."""
-        for g, (psi, blocks) in zip(grads, self._collar):
-            for name, index, b, c, _ in blocks:
-                block = psi[index]
-                block *= b
-                block += np.multiply(g[index], c, out=self.work(name, b.shape))
 
     def _corrections(self, t, sdt):
         return None if self._injector is None else self._injector.corrections(t, sdt)
@@ -394,22 +389,17 @@ class PmlRunner:
         """
         dt = self.spec.dt
         self._prepare(state)
-        fwd = self._corrections(t, dt)
-        bwd = self._corrections(t + dt, -dt)
-
-        def substep(k, v, out):
-            if k == 1:
-                return self._apply(v, out, -dt, bwd, False, False)
-            return self._apply(v, out, dt, fwd, k == 0, k == 2)
-
-        u = bfecc_apply(substep, state.u, self.work)
-        self._advance_memory(self._start_gradients(u.shape))
+        # (signed step, edge corrections) of the forward and backward substeps
+        fwd = (dt, self._corrections(t, dt))
+        bwd = (-dt, self._corrections(t + dt, -dt))
+        u = bfecc_apply(lambda k, v, out: self._apply(v, out, *(bwd if k == 1 else fwd),
+                                                      k == 0, k == 2),
+                        state.u, self.work)
         return FieldState2._of(u, state.eps, state.mu)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""
         self._prepare(state)
-        sdt = self.spec.signed_dt
-        u = self._apply(state.u, None, sdt, self._corrections(t, sdt), True, True)
-        self._advance_memory(self._start_gradients(u.shape))
+        dt = self.spec.dt
+        u = self._apply(state.u, None, dt, self._corrections(t, dt), True, True)
         return FieldState2._of(u, state.eps, state.mu)

@@ -20,25 +20,26 @@ Scheme kinds
 A state keeps its components as one stacked array `u`, (E, H) in 1D and
 (Hx, Hy, Ez) in 2D; the named components are views of it.  The kernels act
 on the whole stack per numpy call and write into given arrays.
-`_operator` checks a (kind, state, grid) combination once and returns the
-one-step operator op(spec, u, out, work), which writes the step into `out`
-(a fresh array when None) with scratch arrays from a `Workspace`.
-step_1d/step_2d apply it once; bfecc.bfecc_step runs it three times, into
-the array it returns and one buffer that a run keeps for all its steps.
+`_operator` checks a (spec, state, grid) combination once and returns the
+one-step operator op(sdt, u, out, work), which writes the step of signed
+size sdt into `out` (a fresh array when None) with scratch arrays from a
+`Workspace`.  step_1d/step_2d apply it once with dt; bfecc.bfecc_step runs
+it three times, with dt, -dt and dt, into the array it returns and one
+buffer that a run keeps for all its steps.
 
 A least-squares fit on an unmoved five-point cross is exactly the center
 blend and the centered differences, so the ls_* kinds run the uniform slice
 kernels over the whole field and refit only the irregular stencils, those
 with a point off its rectangular position.
 
-All schemes are one-step and linear; `direction="backward"` negates dt
-(the averaging terms are part of the spatial operator and keep their sign).
-Steps never mutate their input state.
+All schemes are one-step and linear; the backward step is the forward one
+with -dt (the averaging terms are part of the spatial operator and keep
+their sign).  Steps never mutate their input state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,7 +49,6 @@ from .lsq import batched_fit_weights
 
 SCHEME_KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 UNIFORM_KINDS = ("cd", "lf", "theta")
-DIRECTIONS = ("forward", "backward")
 
 
 def _check_material(arr, shape, name):
@@ -140,12 +140,13 @@ class Workspace:
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Underlying-scheme selector: kind, time step, theta, direction."""
+    """Underlying-scheme selector: kind, time step dt > 0 and theta.  The
+    operators take the step's sign at each call, so one spec serves the
+    forward (dt) and backward (-dt) substeps of the wrapper."""
 
     kind: str
     dt: float
     theta: float = 0.0
-    direction: str = "forward"
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -154,16 +155,6 @@ class SchemeSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-
-    def reversed(self) -> "SchemeSpec":
-        other = "backward" if self.direction == "forward" else "forward"
-        return replace(self, direction=other)
-
-    @property
-    def signed_dt(self) -> float:
-        return self.dt if self.direction == "forward" else -self.dt
 
 
 def lincomb1(ca: float, a, cb: float, b):
@@ -261,34 +252,34 @@ def _theta_eff(kind, theta):
     return {"cd": 0.0, "lf": 1.0, "theta": theta}[kind]
 
 
-def _uniform_blend(spec, u, work):
-    th = _theta_eff(spec.kind, spec.theta)
+def _uniform_blend(th, u, work):
     if th == 0.0:
         return u
     return _center_blend(th, u, work("blend", u.shape), work("blend_spare", u.shape))
 
 
-def _uniform_1d(spec, u, dx, inv_eps, inv_mu, out, work):
-    """E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE on u = (E, H)."""
+def _uniform_1d(sdt, u, dx, th, inv_eps, inv_mu, out, work):
+    """E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE on u = (E, H),
+    lam = sdt / dx, with neighbor-average weight th in the blend."""
     if out is None:
         out = np.empty_like(u)
-    lam = spec.signed_dt / dx
+    lam = sdt / dx
     de, dh = _dc(u, 1, work("d", u.shape))
     np.multiply(dh, _coef(lam, inv_eps, work), out=out[0])
     np.multiply(de, _coef(lam, inv_mu, work), out=out[1])
-    out += _uniform_blend(spec, u, work)
+    out += _uniform_blend(th, u, work)
     return out
 
 
-def _uniform_2d(spec, u, grid, inv_eps, inv_mu, out, work):
+def _uniform_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work):
     """The TMz update of u = (Hx, Hy, Ez), finishing one component at a
     time so that each stays in cache on large grids; dHx/dy passes through
     the Hx plane before that plane's own update."""
     if out is None:
         out = np.empty_like(u)
-    lx = spec.signed_dt / grid.dx
-    ly = spec.signed_dt / grid.dy
-    blend = _uniform_blend(spec, u, work)
+    lx = sdt / grid.dx
+    ly = sdt / grid.dy
+    blend = _uniform_blend(th, u, work)
     hx, hy, ez = out
     _dc(u[1], 0, ez)
     ez *= lx
@@ -427,51 +418,50 @@ def _ls_assemble(u, fits, geom: StencilGeometry, sdt, inv_eps, inv_mu, out, work
     return out
 
 
-def _ls_step(spec, u, geom, weights, inv_eps, inv_mu, out, work):
-    fits = _ls_fit_all(geom, weights, u, LS_CENTER[spec.kind], work)
-    return _ls_assemble(u, fits, geom, spec.signed_dt, inv_eps, inv_mu, out, work)
-
-
-def _operator(kind, state, where, geometry=None, weights=None):
-    """The one-step operator of `kind` for states like `state`, checked once.
+def _operator(spec, state, where, geometry=None, weights=None):
+    """The one-step operator of `spec` for states like `state`, checked once.
 
     `where` is the spacing dx of a FieldState1 or the Grid2 of a
-    FieldState2.  Returns op(spec, u, out, work), which writes one step of
-    the stacked fields u into `out` (a fresh array when None), takes its
-    scratch arrays from the Workspace `work` and returns the result.
-    The materials' reciprocal planes are formed here, once per operator.
-    For least-squares kinds a missing `geometry` is built here and missing
-    `weights` come from the geometry's cache.
+    FieldState2.  Returns op(sdt, u, out, work), which writes one step of
+    signed size sdt of the stacked fields u into `out` (a fresh array when
+    None), takes its scratch arrays from the Workspace `work` and returns
+    the result.  The center weight, the materials' reciprocal planes and,
+    for least-squares kinds, the geometry are bound here, once per
+    operator: a missing `geometry` is built and missing `weights` come
+    from the geometry's cache.
     """
+    kind = spec.kind
     if isinstance(state, FieldState1):
         if kind not in UNIFORM_KINDS:
             raise ValueError("least-squares kinds are 2D schemes; use step_2d")
-        dx = where
-        if not dx > 0:
-            raise ValueError(f"dx must be positive, got {dx}")
-        inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
-        return lambda spec, u, out, work: _uniform_1d(spec, u, dx, inv_eps, inv_mu, out, work)
-    if not isinstance(state, FieldState2):
+        if not where > 0:
+            raise ValueError(f"dx must be positive, got {where}")
+    elif isinstance(state, FieldState2):
+        grid: Grid2 = where
+        if state.shape != (grid.nx, grid.ny):
+            raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")
+        if kind in UNIFORM_KINDS and grid.boundary_kind != "periodic":
+            raise ValueError(f"kind {kind!r} needs a periodic grid; bounded grids need a ls_* kind")
+        if kind in UNIFORM_KINDS and not grid.uniform:
+            raise ValueError(f"kind {kind!r} requires a uniform grid; use ls_cd or ls_theta")
+    else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
-    grid: Grid2 = where
-    if state.shape != (grid.nx, grid.ny):
-        raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")
     inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
     if kind in UNIFORM_KINDS:
-        if grid.boundary_kind != "periodic":
-            raise ValueError(f"kind {kind!r} needs a periodic grid; bounded grids need a ls_* kind")
-        if not grid.uniform:
-            raise ValueError(f"kind {kind!r} requires a uniform grid; use ls_cd or ls_theta")
-        return lambda spec, u, out, work: _uniform_2d(spec, u, grid, inv_eps, inv_mu, out, work)
+        th = _theta_eff(kind, spec.theta)
+        kernel = _uniform_1d if isinstance(state, FieldState1) else _uniform_2d
+        return lambda sdt, u, out, work: kernel(sdt, u, where, th, inv_eps, inv_mu, out, work)
     geom = geometry if geometry is not None else StencilGeometry(grid)
     w = weights if weights is not None else geom.cached_weights()
-    return lambda spec, u, out, work: _ls_step(spec, u, geom, w, inv_eps, inv_mu, out, work)
+    center = LS_CENTER[kind]
+    return lambda sdt, u, out, work: _ls_assemble(
+        u, _ls_fit_all(geom, w, u, center, work), geom, sdt, inv_eps, inv_mu, out, work)
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
     """One step of a uniform-grid scheme on a periodic 1D state."""
-    op = _operator(spec.kind, state, dx)
-    return FieldState1._of(op(spec, state.u, None, Workspace()), state.eps, state.mu)
+    op = _operator(spec, state, dx)
+    return FieldState1._of(op(spec.dt, state.u, None, Workspace()), state.eps, state.mu)
 
 
 def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
@@ -486,5 +476,5 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
     `weights` the geometry's cached weights are used, so the factorization
     runs once per geometry.
     """
-    op = _operator(spec.kind, state, grid, geometry, weights)
-    return FieldState2._of(op(spec, state.u, None, Workspace()), state.eps, state.mu)
+    op = _operator(spec, state, grid, geometry, weights)
+    return FieldState2._of(op(spec.dt, state.u, None, Workspace()), state.eps, state.mu)

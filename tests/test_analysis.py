@@ -58,7 +58,7 @@ def test_least_squares_kinds_have_no_closed_symbol():
 def test_backward_symbol_is_entrywise_conjugate():
     for kind in ("cd", "lf", "theta"):
         Q = symbol(kind, 1, 3, 1.0 / 16, 0.8, theta=0.3)
-        Qb = symbol(kind, 1, 3, 1.0 / 16, 0.8, theta=0.3, direction="backward")
+        Qb = symbol(kind, 1, 3, 1.0 / 16, -0.8, theta=0.3)
         assert np.array_equal(Qb, Q.conj())
 
 

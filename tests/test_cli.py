@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bfecc_maxwell import cli
 from bfecc_maxwell.cli import main
 
 
@@ -53,6 +54,38 @@ def test_nan_blowup_exits_3(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: solution blew up")
+
+
+def test_remainder_step_blowup_exits_3(capsys):
+    # dt exceeds t_final, so the run's only step is the shorter remainder:
+    # the monitor must check it too, naming step 1 at t_final
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "-p", "dt_ratio=1e306", "-p", "t_final=1e300", "--allow-unstable"])
+    assert rc == 3
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: solution blew up")
+    assert "after step 1 (t = 1e+300)" in err[0]
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_refused_allocation_exits_2_with_one_line(message, monkeypatch, capsys):
+    # numpy refuses an oversized array, such as the mode grid of a huge
+    # analyze --samples, with a MemoryError; nothing large is allocated here
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "stability_scan", refuse)
+    rc = main(["analyze", "--dims", "2", "--samples", "1000000"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == [f"error: {message or 'MemoryError'}"]
 
 
 @pytest.mark.parametrize("setting", ["check_every=0", "check_every=-3", "dt_ratio=nan",

@@ -154,7 +154,7 @@ def test_monitor_catches_nan_in_any_field(nan_field):
     fields[nan_field][3] = np.nan
     cfg = ExperimentConfig(check_every=1)
     with pytest.raises(InstabilityError) as e:
-        _monitor(cfg, FieldState1(**fields), 4, 10, 0.1)
+        _monitor(cfg, FieldState1(**fields), 5, 0.5)
     assert np.isnan(e.value.sup)
     assert e.value.step == 5
 
