@@ -22,6 +22,22 @@ class GridError(ValueError):
     pass
 
 
+class _Axis(NamedTuple):
+    """One axis of a grid: points origin + k*spacing for k < count, spanning
+    extent (the period on a periodic axis)."""
+
+    origin: float
+    spacing: float
+    count: int
+    extent: float
+
+
+def _cells(n, boundary_kind):
+    """Cells spanned by n points: n on a periodic axis, where point n would
+    alias point 0, and n - 1 on a bounded one, which holds both ends."""
+    return n if boundary_kind == "periodic" else n - 1
+
+
 class Intersection(NamedTuple):
     """Curve/grid-line crossing.
 
@@ -62,25 +78,19 @@ class Grid2:
             raise GridError(f"grid spacings must be positive, got dx={self.dx}, dy={self.dy}")
         if self.boundary_kind not in ("periodic", "bounded"):
             raise GridError(f"unknown boundary kind {self.boundary_kind!r}")
+        self._axes = tuple(_Axis(o, h, n, _cells(n, self.boundary_kind) * h) for o, h, n in
+                           ((self.x0, self.dx, self.nx), (self.y0, self.dy, self.ny)))
         if self.coords.shape != (self.nx, self.ny, 2):
             raise GridError(f"coords shape {self.coords.shape} != {(self.nx, self.ny, 2)}")
         if self.shifted_mask is None:
             self.shifted_mask = np.zeros((self.nx, self.ny), dtype=bool)
 
-    @property
-    def width(self) -> float:
-        n = self.nx if self.boundary_kind == "periodic" else self.nx - 1
-        return n * self.dx
-
-    @property
-    def height(self) -> float:
-        n = self.ny if self.boundary_kind == "periodic" else self.ny - 1
-        return n * self.dy
+    width = property(lambda self: self._axes[0].extent)
+    height = property(lambda self: self._axes[1].extent)
 
     def rect_coords(self) -> np.ndarray:
         """Unshifted reference positions (i*dx + x0, j*dy + y0)."""
-        x = self.x0 + self.dx * np.arange(self.nx)
-        y = self.y0 + self.dy * np.arange(self.ny)
+        x, y = (ax.origin + ax.spacing * np.arange(ax.count) for ax in self._axes)
         out = np.empty((self.nx, self.ny, 2))
         out[:, :, 0] = x[:, None]
         out[:, :, 1] = y[None, :]
@@ -104,14 +114,8 @@ def build_uniform(nx, ny, domain=((0.0, 1.0), (0.0, 1.0)), boundary_kind="period
     (xa, xb), (ya, yb) = domain
     if not (xb > xa and yb > ya):
         raise GridError(f"degenerate domain {domain}")
-    if boundary_kind == "periodic":
-        dx = (xb - xa) / nx
-        dy = (yb - ya) / ny
-    elif boundary_kind == "bounded":
-        dx = (xb - xa) / (nx - 1)
-        dy = (yb - ya) / (ny - 1)
-    else:
-        raise GridError(f"unknown boundary kind {boundary_kind!r}")
+    dx = (xb - xa) / _cells(nx, boundary_kind)
+    dy = (yb - ya) / _cells(ny, boundary_kind)
     g = Grid2(nx, ny, dx, dy, xa, ya, boundary_kind, np.zeros((nx, ny, 2)))
     g.coords[...] = g.rect_coords()
     return g
@@ -207,20 +211,6 @@ class StarCurve(ImplicitCurve):
         return r - self.r0 * (1.0 + self.ripple * np.cos(self.lobes * theta))
 
 
-def _line_nodes(grid: Grid2, axis: str):
-    """Reference node coordinates along a grid line, with the wrap segment
-    appended on periodic grids so seam-crossing roots are bracketed."""
-    if axis == "x":
-        nodes = grid.y0 + grid.dy * np.arange(grid.ny)
-        if grid.boundary_kind == "periodic":
-            nodes = np.append(nodes, grid.y0 + grid.height)
-    else:
-        nodes = grid.x0 + grid.dx * np.arange(grid.nx)
-        if grid.boundary_kind == "periodic":
-            nodes = np.append(nodes, grid.x0 + grid.width)
-    return nodes
-
-
 def curve_grid_intersections(grid: Grid2, curve: ImplicitCurve) -> list[Intersection]:
     """All crossings of the curve with the rectangular reference grid lines.
 
@@ -229,37 +219,32 @@ def curve_grid_intersections(grid: Grid2, curve: ImplicitCurve) -> list[Intersec
     is 1e-14 * min(dx, dy).
     """
     tol = 1e-14 * min(grid.dx, grid.dy)
+    periodic = grid.boundary_kind == "periodic"
     out: list[Intersection] = []
-    ynodes = _line_nodes(grid, "x")
-    for i in range(grid.nx):
-        xline = grid.x0 + i * grid.dx
-        for s in sorted(curve.intersections_on_line("x", xline, ynodes, tol)):
-            out.append(Intersection(xline, s, "x", i))
-    xnodes = _line_nodes(grid, "y")
-    for j in range(grid.ny):
-        yline = grid.y0 + j * grid.dy
-        for s in sorted(curve.intersections_on_line("y", yline, xnodes, tol)):
-            out.append(Intersection(s, yline, "y", j))
+    x_axis, y_axis = grid._axes
+    for axis, line, along in (("x", x_axis, y_axis), ("y", y_axis, x_axis)):
+        # a periodic line also gets its wrap node, so seam-crossing roots are bracketed
+        nodes = along.origin + along.spacing * np.arange(along.count + periodic)
+        for index in range(line.count):
+            value = line.origin + index * line.spacing
+            for s in sorted(curve.intersections_on_line(axis, value, nodes, tol)):
+                out.append(Intersection(*((value, s) if axis == "x" else (s, value)), axis, index))
     return out
 
 
-def _nearest_index_along(coord, origin, spacing, n, periodic):
-    """Nearest grid index to `coord` on a 1D axis, lexicographic tie-break.
-
-    Returns (index, distance).  On ties the smaller stored index wins.
-    """
-    t = (coord - origin) / spacing
-    lo = math.floor(t)
+def _nearest_index_along(coord, axis: _Axis, periodic):
+    """Index of the node nearest `coord` on one axis, picked as the least
+    (distance, index), so on a tie the smaller index wins.  The two nodes
+    either side of `coord` are the candidates; their indices wrap on a
+    periodic axis and clamp on a bounded one."""
+    origin, spacing, n, _ = axis
+    lo = math.floor((coord - origin) / spacing)
     best = None
-    for cand in (lo, lo + 1):
-        if periodic:
-            idx = cand % n
-        else:
-            idx = min(max(cand, 0), n - 1)
-        dist = abs(coord - (origin + cand * spacing)) if periodic else abs(coord - (origin + idx * spacing))
-        if best is None or dist < best[1] or (dist == best[1] and idx < best[0]):
-            best = (idx, dist)
-    return best
+    for k in (lo, lo + 1):
+        near = (abs(coord - (origin + k * spacing)), k % n if periodic else min(max(k, 0), n - 1))
+        if best is None or near < best:
+            best = near
+    return best[1]
 
 
 def point_shift(grid: Grid2, curve: ImplicitCurve) -> Grid2:
@@ -278,22 +263,14 @@ def point_shift(grid: Grid2, curve: ImplicitCurve) -> Grid2:
     coords = grid.rect_coords()
     mask = np.zeros((grid.nx, grid.ny), dtype=bool)
     for p in crossings:
-        if p.axis == "x":
-            i = p.index
-            j, _ = _nearest_index_along(p.y, grid.y0, grid.dy, grid.ny, periodic)
-            y = p.y
-            if periodic:  # the crossing's image nearest node j, which may sit across the seam
-                y -= round((y - grid.y0 - j * grid.dy) / grid.height) * grid.height
-            coords[i, j] = (p.x, y)
-            mask[i, j] = True
-        else:
-            j = p.index
-            i, _ = _nearest_index_along(p.x, grid.x0, grid.dx, grid.nx, periodic)
-            x = p.x
-            if periodic:
-                x -= round((x - grid.x0 - i * grid.dx) / grid.width) * grid.width
-            coords[i, j] = (x, p.y)
-            mask[i, j] = True
+        a = 1 if p.axis == "x" else 0  # p[a] is the coordinate along the crossing's line
+        along, s = grid._axes[a], p[a]
+        k = _nearest_index_along(s, along, periodic)
+        if periodic:
+            s -= round((s - along.origin - k * along.spacing) / along.extent) * along.extent
+        node = (p.index, k) if a else (k, p.index)
+        coords[node] = (p.x, s) if a else (s, p.y)
+        mask[node] = True
     return Grid2(grid.nx, grid.ny, grid.dx, grid.dy, grid.x0, grid.y0,
                  grid.boundary_kind, coords, mask)
 
@@ -310,16 +287,10 @@ def smooth_shift(grid_shifted: Grid2, grid_rect: Grid2, iterations: int = 1) -> 
         raise GridError("shifted and rectangular grids have different shapes")
     d = grid_shifted.coords - grid_rect.coords
     on_curve = grid_shifted.shifted_mask
-    periodic = grid_shifted.boundary_kind == "periodic"
+    mode = "wrap" if grid_shifted.boundary_kind == "periodic" else "constant"
     for _ in range(iterations):
-        if periodic:
-            avg = 0.25 * (np.roll(d, 1, axis=0) + np.roll(d, -1, axis=0)
-                          + np.roll(d, 1, axis=1) + np.roll(d, -1, axis=1))
-        else:
-            padded = np.zeros((d.shape[0] + 2, d.shape[1] + 2, 2))
-            padded[1:-1, 1:-1] = d
-            avg = 0.25 * (padded[:-2, 1:-1] + padded[2:, 1:-1]
-                          + padded[1:-1, :-2] + padded[1:-1, 2:])
+        p = np.pad(d, ((1, 1), (1, 1), (0, 0)), mode=mode)
+        avg = 0.25 * (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:])
         d = np.where(on_curve[:, :, None], d, avg)
     return Grid2(grid_shifted.nx, grid_shifted.ny, grid_shifted.dx, grid_shifted.dy,
                  grid_shifted.x0, grid_shifted.y0, grid_shifted.boundary_kind,

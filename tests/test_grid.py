@@ -158,6 +158,47 @@ def test_point_shift_keeps_a_crossing_next_to_the_seam_within_half_a_cell():
     assert gs.coords[n // 2, 0] == pytest.approx((0.5, -0.2 / n), abs=1e-12)
 
 
+def _snap_by_search(grid, crossings):
+    """point_shift's coordinates and mask, found by trying every node on each
+    crossing's line, and on periodic grids the crossing's images one period
+    either side: the nearest (distance, index) wins, so a tie goes to the
+    smaller index, and a later crossing overwrites an earlier one."""
+    rect = grid.rect_coords()
+    coords, mask = rect.copy(), np.zeros((grid.nx, grid.ny), dtype=bool)
+    for p in crossings:
+        if p.axis == "x":
+            s, nodes, period = p.y, rect[p.index, :, 1], grid.height
+        else:
+            s, nodes, period = p.x, rect[:, p.index, 0], grid.width
+        images = (s - period, s, s + period) if grid.boundary_kind == "periodic" else (s,)
+        _, k, image = min((abs(im - node), k, im) for k, node in enumerate(nodes) for im in images)
+        node = (p.index, k) if p.axis == "x" else (k, p.index)
+        coords[node] = (p.x, image) if p.axis == "x" else (image, p.y)
+        mask[node] = True
+    return coords, mask
+
+
+@pytest.mark.parametrize("n, domain, boundary, curve", [
+    # crossings at 7/16 and 9/16 sit midway between nodes: the smaller index wins
+    (8, ((0.0, 1.0), (0.0, 1.0)), "periodic", Circle(0.5, 0.5, 1.0 / 16)),
+    # a crossing just below the seam snaps to row 0 across it
+    (16, ((0.0, 1.0), (0.0, 1.0)), "periodic", Circle(0.5, 0.9, 0.1 - 0.2 / 16)),
+    # the circle leaves the domain through the walls of a bounded grid
+    (13, ((-0.5, 1.5), (0.0, 1.0)), "bounded", Circle(1.3, 0.15, 0.3)),
+    (21, ((0.0, 1.0), (0.0, 1.0)), "bounded", StarCurve(0.45, 0.5, 0.3, 0.3, 5)),
+])
+def test_point_shift_snaps_each_crossing_to_the_nearest_node_on_its_line(n, domain, boundary, curve):
+    g = build_uniform(n, n, domain, boundary)
+    gs = point_shift(g, curve)
+    coords, mask = _snap_by_search(g, curve_grid_intersections(g, curve))
+    assert mask.any()
+    assert np.array_equal(gs.shifted_mask, mask)
+    np.testing.assert_allclose(gs.coords, coords, rtol=0.0, atol=1e-12)
+    if n == 8:
+        assert sorted(zip(*np.nonzero(mask))) == [(3, 4), (4, 3), (4, 4)]
+        assert tuple(gs.coords[4, 4]) == (9 / 16, 0.5)  # the later, horizontal crossing
+
+
 def test_point_shift_is_reproducible():
     g = build_uniform(30, 30, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     c = Circle(0.5, 0.5, 0.24)
