@@ -6,6 +6,12 @@ with a grid line pulls the nearest rectangular grid point onto itself.  The
 displacement of any point is at most max(dx, dy)/2 and the logical (i, j)
 topology is unchanged, so finite-difference stencils keep their index
 structure and only their geometry changes.
+
+One rule per axis serves both grid-line families.  A crossing on a grid
+line snaps to the nearest node along that line, and on a tie to the node
+with the smaller index.  On a periodic axis the node may sit across the
+seam from the crossing, and the point then takes the crossing's image
+nearest the node.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ class _Axis(NamedTuple):
 def _cells(n, boundary_kind):
     """Cells spanned by n points: n on a periodic axis, where point n would
     alias point 0, and n - 1 on a bounded one, which holds both ends."""
+    if n < 3:
+        raise GridError(f"a grid axis needs at least 3 points, got {n}")
     return n if boundary_kind == "periodic" else n - 1
 
 
@@ -72,14 +80,14 @@ class Grid2:
     shifted_mask: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise GridError(f"grid needs at least 3x3 points, got {self.nx}x{self.ny}")
-        if self.dx <= 0 or self.dy <= 0:
-            raise GridError(f"grid spacings must be positive, got dx={self.dx}, dy={self.dy}")
         if self.boundary_kind not in ("periodic", "bounded"):
             raise GridError(f"unknown boundary kind {self.boundary_kind!r}")
         self._axes = tuple(_Axis(o, h, n, _cells(n, self.boundary_kind) * h) for o, h, n in
                            ((self.x0, self.dx, self.nx), (self.y0, self.dy, self.ny)))
+        for name, ax in zip("xy", self._axes):
+            if not (ax.spacing > 0 and math.isfinite(ax.origin + ax.extent)):
+                raise GridError(f"the {name} axis needs a positive spacing and finite ends, "
+                                f"got {name}0={ax.origin}, d{name}={ax.spacing}")
         if self.coords.shape != (self.nx, self.ny, 2):
             raise GridError(f"coords shape {self.coords.shape} != {(self.nx, self.ny, 2)}")
         if self.shifted_mask is None:
@@ -132,6 +140,12 @@ class ImplicitCurve:
     def phi(self, x, y):
         raise NotImplementedError
 
+    def _set_center(self, cx, cy):
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise GridError(f"curve center must be finite, got ({cx}, {cy})")
+        self.cx, self.cy = float(cx), float(cy)
+
+    @np.errstate(over="ignore")  # phi and its products may overflow; only signs are used
     def intersections_on_line(self, axis, value, nodes, tol):
         """Ordered curve crossings on the segment [nodes[0], nodes[-1]].
 
@@ -173,9 +187,10 @@ class Circle(ImplicitCurve):
     """Circle of radius r about (cx, cy); intersections are closed-form."""
 
     def __init__(self, cx, cy, r):
-        if not r > 0:
-            raise GridError(f"circle radius must be positive, got {r}")
-        self.cx, self.cy, self.r = float(cx), float(cy), float(r)
+        if not 0 < r < math.inf:
+            raise GridError(f"circle radius must be positive and finite, got {r}")
+        self._set_center(cx, cy)
+        self.r = float(r)
 
     def phi(self, x, y):
         return np.hypot(np.asarray(x) - self.cx, np.asarray(y) - self.cy) - self.r
@@ -183,7 +198,12 @@ class Circle(ImplicitCurve):
     def intersections_on_line(self, axis, value, nodes, tol):
         c_perp = self.cx if axis == "x" else self.cy
         c_along = self.cy if axis == "x" else self.cx
-        disc = self.r * self.r - (value - c_perp) ** 2
+        try:
+            disc = self.r * self.r - (value - c_perp) ** 2
+        except OverflowError:
+            disc = math.nan
+        if not disc < math.inf:  # a square left the float range: bracket phi's roots instead
+            return super().intersections_on_line(axis, value, nodes, tol)
         if disc < 0.0:
             return []
         half = math.sqrt(disc)
@@ -196,11 +216,14 @@ class StarCurve(ImplicitCurve):
     """Star-shaped curve r(theta) = r0 * (1 + ripple*cos(lobes*theta))."""
 
     def __init__(self, cx, cy, r0=0.24, ripple=0.25, lobes=5):
-        if not r0 > 0:
-            raise GridError(f"star radius r0 must be positive, got {r0}")
         if not (0 <= ripple < 1):
             raise GridError(f"ripple must lie in [0, 1), got {ripple}")
-        self.cx, self.cy = float(cx), float(cy)
+        if not 0 < r0 * (1.0 + ripple) < math.inf:
+            raise GridError(f"star radius r0 must be positive and r0*(1 + ripple) finite, "
+                            f"got {r0}")
+        if not lobes >= 1:
+            raise GridError(f"a star needs at least 1 lobe, got {lobes}")
+        self._set_center(cx, cy)
         self.r0, self.ripple, self.lobes = float(r0), float(ripple), int(lobes)
 
     def phi(self, x, y):
@@ -251,12 +274,14 @@ def point_shift(grid: Grid2, curve: ImplicitCurve) -> Grid2:
     """Move, for each curve/grid-line intersection, the nearest rectangular
     grid point onto that intersection.
 
-    Later intersections overwrite earlier ones at the same index; nearest
-    is Euclidean against the rectangular reference positions with ties
-    broken by the smallest (i, j) in lexicographic order.  Displacements
-    never exceed max(dx, dy)/2 and the grid topology is unchanged.
-    Re-applying to an already shifted grid reproduces the same result
-    because intersections are always computed on the reference lines.
+    The node is the nearest one on the crossing's grid line, against the
+    rectangular reference positions; on a tie the smaller index along the
+    line wins.  On a periodic grid the point takes the crossing's image
+    nearest the node, which may sit across the seam.  Later intersections
+    overwrite earlier ones at the same node.  Displacements never exceed
+    max(dx, dy)/2 and the grid topology is unchanged.  Re-applying to an
+    already shifted grid reproduces the same result because intersections
+    are always computed on the reference lines.
     """
     crossings = curve_grid_intersections(grid, curve)
     periodic = grid.boundary_kind == "periodic"

@@ -36,7 +36,7 @@ from .bfecc import BfeccStep, bfecc_step
 from .diagnostics import component_rms, convergence_orders, l2_error, restrict_to_coarse
 from .grid import Circle, Grid2, StarCurve, build_uniform, point_shift, smooth_shift
 from .pml import PmlRunner, TfsfSource, build_pml
-from .schemes import (SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
+from .schemes import (LS_KINDS, SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
                       StencilGeometry, step_1d, step_2d)
 
 EXPERIMENTS = ("periodic1d", "periodic2d", "scatter_cylinder", "scatter_complex")
@@ -303,7 +303,7 @@ def _error_norms(state, exact) -> dict:
 
 
 def run_periodic1d(cfg: ExperimentConfig) -> dict:
-    if cfg.scheme in ("ls_cd", "ls_theta"):
+    if cfg.scheme in LS_KINDS:
         raise ValueError("periodic1d supports the uniform-grid schemes cd, lf, theta")
     n = cfg.n
     h = 1.0 / n
@@ -332,7 +332,7 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
     _check_cfl(cfg, cfg.scheme, 2, (grid.dx, grid.dy), dt)
     xs = grid.coords[:, :, 0]
     ys = grid.coords[:, :, 1]
-    geom = StencilGeometry(grid) if cfg.scheme in ("ls_cd", "ls_theta") else None
+    geom = StencilGeometry(grid) if cfg.scheme in LS_KINDS else None
     stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
     def step(s, st, t):
@@ -385,7 +385,7 @@ def build_scatter_grid(cfg: ExperimentConfig, n: int):
 
 
 def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
-    if cfg.scheme not in ("ls_cd", "ls_theta"):
+    if cfg.scheme not in LS_KINDS:
         raise ValueError("scattering runs on a bounded grid and needs ls_cd or ls_theta")
     n = cfg.n if n is None else n
     grid, eps = build_scatter_grid(cfg, n)

@@ -49,10 +49,8 @@ from .bfecc import bfecc_apply
 from .grid import Grid2
 # lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
-from .schemes import (LS_CENTER, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
+from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
                       Workspace, _ls_assemble, _ls_fit_all, _reciprocal, lincomb2)
-
-LS_KINDS = ("ls_cd", "ls_theta")
 
 
 def _depth_fraction(n, thickness):
@@ -109,12 +107,12 @@ def build_pml(grid: Grid2, dt: float, thickness: int = 10,
     if min(grid.nx, grid.ny) < 2 * thickness + 3:
         raise ValueError(
             f"grid {grid.nx}x{grid.ny} too small for a {thickness}-cell collar on each side")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if sigma_max is None:
         sigma_max = 8.0 / min(grid.dx, grid.dy)
-    if sigma_max < 0:
-        raise ValueError(f"sigma_max must be >= 0, got {sigma_max}")
+    if not 0 <= sigma_max < math.inf:
+        raise ValueError(f"sigma_max must be finite and >= 0, got {sigma_max}")
     if not exponent > 0:
         raise ValueError(f"exponent must be positive, got {exponent}")
     sx = sigma_max * _depth_fraction(grid.nx, thickness) ** exponent

@@ -47,8 +47,9 @@ import numpy as np
 from .grid import Grid2, STENCIL_OFFSETS
 from .lsq import batched_fit_weights
 
-SCHEME_KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 UNIFORM_KINDS = ("cd", "lf", "theta")
+LS_KINDS = ("ls_cd", "ls_theta")
+SCHEME_KINDS = UNIFORM_KINDS + LS_KINDS
 
 
 def _check_material(arr, shape, name):
@@ -92,10 +93,6 @@ class FieldState1(_State):
 
     E = property(lambda self: self.u[0])
     H = property(lambda self: self.u[1])
-
-    @property
-    def n(self):
-        return self.u.shape[1]
 
 
 class FieldState2(_State):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -197,6 +198,58 @@ def test_point_shift_snaps_each_crossing_to_the_nearest_node_on_its_line(n, doma
     if n == 8:
         assert sorted(zip(*np.nonzero(mask))) == [(3, 4), (4, 3), (4, 4)]
         assert tuple(gs.coords[4, 4]) == (9 / 16, 0.5)  # the later, horizontal crossing
+
+
+def test_a_circle_too_large_to_square_conforms_like_its_unit_copy():
+    # at this scale the closed form's squares overflow; phi's roots still
+    # put the same nodes where the unit case puts them
+    size = 1e155
+    big = point_shift(build_uniform(16, 16, ((0.0, size), (0.0, size)), "bounded"),
+                      Circle(0.5 * size, 0.45 * size, 0.3 * size))
+    unit = point_shift(build_uniform(16, 16, ((0.0, 1.0), (0.0, 1.0)), "bounded"),
+                       Circle(0.5, 0.45, 0.3))
+    assert np.array_equal(big.shifted_mask, unit.shifted_mask)
+    np.testing.assert_allclose(big.coords / size, unit.coords, rtol=0.0, atol=1e-14)
+
+
+HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data(), what=hst.sampled_from(["circle", "star", "grid", "uniform"]),
+       boundary=hst.sampled_from(["periodic", "bounded"]))
+def test_grid_inputs_raise_grid_error_or_give_finite_coordinates(data, what, boundary):
+    """Hostile numbers for the grid and curve constructors either stop with
+    a GridError or build something whose coordinates are finite; a curve's
+    shifted nodes must then lie on it, or on a periodic grid their image
+    across a seam may."""
+    def num(ordinary):
+        return data.draw(hst.sampled_from(HOSTILE + [ordinary]))
+
+    count = data.draw(hst.sampled_from([-1, 0, 1, 2, 3, 8]))
+    curve = grid = None
+    try:
+        if what == "circle":
+            curve = Circle(num(0.5), num(0.5), num(0.2))
+        elif what == "star":
+            curve = StarCurve(num(0.5), num(0.5), num(0.24), num(0.25),
+                              data.draw(hst.sampled_from([-1, 0, 1, 5])))
+        elif what == "grid":
+            grid = Grid2(count, 8, num(0.125), num(0.125), num(0.0), num(0.0), boundary,
+                         np.zeros((max(count, 0), 8, 2)))
+        else:
+            grid = build_uniform(count, 8, ((num(0.0), num(1.0)), (num(0.0), num(1.0))), boundary)
+    except GridError as exc:
+        assert "\n" not in str(exc)
+        return
+    if curve is not None:
+        grid = point_shift(build_uniform(8, 8, boundary_kind=boundary), curve)
+        on = grid.coords[grid.shifted_mask]
+        images = (-1.0, 0.0, 1.0) if boundary == "periodic" else (0.0,)
+        phi = [np.abs(curve.phi(on[:, 0] + a, on[:, 1] + b)) for a in images for b in images]
+        assert np.all(np.min(phi, axis=0) < 1e-9)
+    assert np.all(np.isfinite(grid.coords)) and np.all(np.isfinite(grid.rect_coords()))
+    assert math.isfinite(grid.x0 + grid.width) and math.isfinite(grid.y0 + grid.height)
 
 
 def test_point_shift_is_reproducible():
