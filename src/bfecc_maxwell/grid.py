@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -221,8 +222,10 @@ class StarCurve(ImplicitCurve):
         if not 0 < r0 * (1.0 + ripple) < math.inf:
             raise GridError(f"star radius r0 must be positive and r0*(1 + ripple) finite, "
                             f"got {r0}")
-        if not lobes >= 1:
-            raise GridError(f"a star needs at least 1 lobe, got {lobes}")
+        # compared with the bound before `% 1`, which would be nan for inf
+        if not (1 <= lobes <= sys.float_info.max / math.pi and lobes % 1 == 0):
+            raise GridError(f"a star needs a whole number of lobes, at least 1 and with "
+                            f"lobes*pi finite, got {lobes}")
         self._set_center(cx, cy)
         self.r0, self.ripple, self.lobes = float(r0), float(ripple), int(lobes)
 

@@ -153,6 +153,11 @@ class TfsfSource:
 
     def __post_init__(self):
         x0, x1, y0, y1 = self.rect
+        # a difference is finite only when both ends are and it does not overflow
+        sizes = (x1 - x0, y1 - y0, self.omega, self.amplitude, self.ramp_time)
+        if not all(math.isfinite(v) for v in sizes):
+            raise ValueError(f"the TF/SF rectangle's edges and size, omega, amplitude and "
+                             f"ramp_time must be finite, got {self}")
         if not (x0 < x1 and y0 < y1):
             raise ValueError(f"degenerate total-field rectangle {self.rect}")
         if not (self.omega > 0 and self.ramp_time > 0):

@@ -35,6 +35,13 @@ with a point off its rectangular position.
 All schemes are one-step and linear; the backward step is the forward one
 with -dt (the averaging terms are part of the spatial operator and keep
 their sign).  Steps never mutate their input state.
+
+A scale factor is folded into another only where the product is exact:
+the centered differences' 0.5 and the average's 0.5 or 0.25 ride in the
+factor (lam, theta, 2 h) that the same values are multiplied or divided
+by anyway.  A power of two only moves an exponent, so every rounding
+stays where it was and the results are the same bits.  Material and
+collar factors are never folded (their products round).
 """
 
 from __future__ import annotations
@@ -58,8 +65,8 @@ def _check_material(arr, shape, name):
     arr = np.asarray(arr, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} shape {arr.shape} does not match fields {shape}")
-    if np.any(arr <= 0):
-        raise ValueError(f"{name} must be positive everywhere")
+    if not np.all((arr > 0) & (arr < np.inf)):
+        raise ValueError(f"{name} must be positive and finite everywhere")
     return arr
 
 
@@ -148,8 +155,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; expected one of {SCHEME_KINDS}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
@@ -171,7 +178,10 @@ def _rows(a):
 
 
 def _dc(f, axis, out):
-    """0.5 * (f[i+1] - f[i-1]) along `axis`, periodic, written into `out`.
+    """The raw difference f[i+1] - f[i-1] along `axis`, periodic, written
+    into `out`.  The centered difference's 0.5 is left to the callers,
+    which fold it into the factor they multiply or divide by anyway; that
+    is exact, since halving a factor only changes its exponent.
 
     Along the last axis the differences run over whole rows merged end to
     end, one contiguous pass, in which only the first and last column
@@ -190,7 +200,6 @@ def _dc(f, axis, out):
         np.subtract(g[2:], g[:-2], out=o[1:-1])
         np.subtract(g[1:2], g[-1:], out=o[:1])
         np.subtract(g[:1], g[-2:-1], out=o[-1:])
-    out *= 0.5
     return out
 
 
@@ -202,7 +211,10 @@ def _center_blend(theta_eff, f, out, spare):
     and theta = 0 returns f itself.  The neighbor sum runs axis by axis in
     a fixed order, f[i-1] + f[i+1], then + f[j-1], then + f[j+1], which
     fixes its rounding; the j neighbors are added over merged rows, as in
-    `_dc`, with the two wrapped columns redone from their saved sums.
+    `_dc`, with the two wrapped columns redone from their sums saved in
+    `spare`, which is free until the (1 - theta)*f term.  The average's
+    0.5 or 0.25 and theta are one factor: the quarter is exact, so
+    fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
     """
     if theta_eff == 0.0:
         return f
@@ -212,16 +224,16 @@ def _center_blend(theta_eff, f, out, spare):
     np.add(g[-2:-1], g[:1], out=a[-1:])
     if f.ndim == 3:
         fr, ar = _rows(f), _rows(out)
-        first = out[..., 0].copy()
+        first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
+        np.copyto(first, out[..., 0])
         ar[..., 1:] += fr[..., :-1]
         np.add(first, f[..., -1], out=out[..., 0])
-        last = out[..., -1].copy()
+        np.copyto(last, out[..., -1])
         ar[..., :-1] += fr[..., 1:]
         np.add(last, f[..., 0], out=out[..., -1])
-    out *= 0.5 / (f.ndim - 1)
+    out *= 0.5 / (f.ndim - 1) * theta_eff
     if theta_eff == 1.0:
         return out
-    out *= theta_eff
     out += np.multiply(f, 1.0 - theta_eff, out=spare)
     return out
 
@@ -233,7 +245,8 @@ def _reciprocal(material):
 
 def _coef(scale, inv, work):
     """`scale`, or the plane scale * inv in the work array, where `inv` is a
-    material's reciprocal plane (None for free space)."""
+    material's reciprocal plane, or the 1D (1/eps, 1/mu) stack (None for
+    free space)."""
     if inv is None:
         return scale
     return np.multiply(inv, scale, out=work("coef", inv.shape))
@@ -255,15 +268,17 @@ def _uniform_blend(th, u, work):
     return _center_blend(th, u, work("blend", u.shape), work("blend_spare", u.shape))
 
 
-def _uniform_1d(sdt, u, dx, th, inv_eps, inv_mu, out, work):
+def _uniform_1d(sdt, u, dx, th, inv, out, work):
     """E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE on u = (E, H),
-    lam = sdt / dx, with neighbor-average weight th in the blend."""
+    lam = sdt / dx, with neighbor-average weight th in the blend.
+
+    Both components come from one multiply of the swapped raw differences
+    (dH, dE) by 0.5 lam, or with materials by the (2, n) plane
+    fl(inv 0.5 lam) of the reciprocals inv = (1/eps, 1/mu).
+    """
     if out is None:
         out = np.empty_like(u)
-    lam = sdt / dx
-    de, dh = _dc(u, 1, work("d", u.shape))
-    np.multiply(dh, _coef(lam, inv_eps, work), out=out[0])
-    np.multiply(de, _coef(lam, inv_mu, work), out=out[1])
+    np.multiply(_dc(u, 1, work("d", u.shape))[::-1], _coef(0.5 * (sdt / dx), inv, work), out=out)
     out += _uniform_blend(th, u, work)
     return out
 
@@ -271,11 +286,12 @@ def _uniform_1d(sdt, u, dx, th, inv_eps, inv_mu, out, work):
 def _uniform_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work):
     """The TMz update of u = (Hx, Hy, Ez), finishing one component at a
     time so that each stays in cache on large grids; dHx/dy passes through
-    the Hx plane before that plane's own update."""
+    the Hx plane before that plane's own update.  lx and ly carry the
+    centered differences' 0.5."""
     if out is None:
         out = np.empty_like(u)
-    lx = sdt / grid.dx
-    ly = sdt / grid.dy
+    lx = 0.5 * (sdt / grid.dx)
+    ly = 0.5 * (sdt / grid.dy)
     blend = _uniform_blend(th, u, work)
     hx, hy, ez = out
     _dc(u[1], 0, ez)
@@ -373,8 +389,8 @@ def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
     fit = work("fit", (7,) + u.shape[1:])
     a = _center_blend(center, u, fit[:3], fit[3:6])
     gx, gy = fit[3:5], fit[5:]
-    np.divide(_dc(u[1:], 1, gx), geom.grid.dx, out=gx)
-    np.divide(_dc(u[::2], 2, gy), geom.grid.dy, out=gy)
+    np.divide(_dc(u[1:], 1, gx), 2.0 * geom.grid.dx, out=gx)
+    np.divide(_dc(u[::2], 2, gy), 2.0 * geom.grid.dy, out=gy)
     rows = geom.irregular_index
     vals = np.take(u.reshape(3, -1), rows, axis=1, mode="clip",
                    out=work("gather", (3,) + rows.shape))
@@ -446,8 +462,11 @@ def _operator(spec, state, where, geometry=None, weights=None):
     inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
     if kind in UNIFORM_KINDS:
         th = _theta_eff(kind, spec.theta)
-        kernel = _uniform_1d if isinstance(state, FieldState1) else _uniform_2d
-        return lambda sdt, u, out, work: kernel(sdt, u, where, th, inv_eps, inv_mu, out, work)
+        if isinstance(state, FieldState1):
+            inv = None if inv_eps is None and inv_mu is None else np.stack(
+                [np.ones(state.u.shape[1]) if r is None else r for r in (inv_eps, inv_mu)])
+            return lambda sdt, u, out, work: _uniform_1d(sdt, u, where, th, inv, out, work)
+        return lambda sdt, u, out, work: _uniform_2d(sdt, u, where, th, inv_eps, inv_mu, out, work)
     geom = geometry if geometry is not None else StencilGeometry(grid)
     w = weights if weights is not None else geom.cached_weights()
     center = LS_CENTER[kind]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as hst
 from bfecc_maxwell.grid import (STENCIL_OFFSETS, Circle, StarCurve, build_uniform,
                                 point_shift, smooth_shift)
 from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
+from bfecc_maxwell.pml import TfsfSource
 from bfecc_maxwell.schemes import (
     FieldState1,
     FieldState2,
@@ -49,6 +52,53 @@ def test_spec_validation():
         SchemeSpec("unknown", 0.1)
     with pytest.raises(ValueError):
         SchemeSpec("theta", 0.1, theta=1.5)
+
+
+HOSTILE = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, 2.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=hst.data(), what=hst.sampled_from(["spec", "state1", "state2", "tfsf", "star"]))
+def test_api_inputs_raise_one_line_or_build_finite_objects(data, what):
+    """Hostile numbers for the scheme spec, the states' material planes,
+    the TF/SF source and the star curve either stop with a one-line
+    ValueError (GridError is one) or build an object whose numbers are
+    all finite; a star keeps exactly the lobe count it was given."""
+    def num(ordinary):
+        return data.draw(hst.sampled_from(HOSTILE + [ordinary]))
+
+    def plane(shape):
+        if data.draw(hst.booleans()):
+            return None
+        p = np.ones(shape)
+        p.flat[data.draw(hst.integers(0, p.size - 1))] = num(1.0)
+        return p
+
+    try:
+        if what == "spec":
+            obj = SchemeSpec(data.draw(hst.sampled_from(SCHEME_KINDS)), num(0.01), num(0.5))
+            numbers = [obj.dt, obj.theta]
+        elif what == "state1":
+            obj = FieldState1(np.zeros(5), np.zeros(5), plane((5,)), plane((5,)))
+            numbers = [m for m in (obj.eps, obj.mu) if m is not None]
+        elif what == "state2":
+            obj = FieldState2(*np.zeros((3, 4, 3)), plane((4, 3)), plane((4, 3)))
+            numbers = [m for m in (obj.eps, obj.mu) if m is not None]
+        elif what == "tfsf":
+            obj = TfsfSource((num(0.3), num(0.7), num(0.3), num(0.7)), num(10.0), num(1.0),
+                             num(0.6))
+            numbers = [*obj.rect, obj.rect[1] - obj.rect[0], obj.rect[3] - obj.rect[2],
+                       obj.omega, obj.amplitude, obj.ramp_time]
+        else:
+            # the grid test feeds the star's other numbers
+            lobes = num(5)
+            obj = StarCurve(0.5, 0.5, 0.24, 0.25, lobes)
+            assert obj.lobes == lobes
+            numbers = [obj.lobes * math.pi]
+    except ValueError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert all(np.all(np.isfinite(v)) for v in numbers)
 
 
 def test_field_state_validation():
@@ -372,6 +422,19 @@ def roll_step_1d(spec, sdt, st, dx):
     return blend(st.E) + lam * inv_eps * dh, blend(st.H) + lam * inv_mu * de
 
 
+def roll_blend_2d(f, th):
+    """(1 - th) f + th (mean of the four neighbors) of one periodic plane,
+    the neighbors summed i-1, i+1, j-1, j+1 as the kernels sum them."""
+    avg = 0.25 * (np.roll(f, 1, axis=0) + np.roll(f, -1, axis=0)
+                  + np.roll(f, 1, axis=1) + np.roll(f, -1, axis=1))
+    return f if th == 0.0 else avg if th == 1.0 else (1.0 - th) * f + th * avg
+
+
+def roll_dc(f, axis):
+    """The centered difference 0.5 (f[i+1] - f[i-1]) along `axis`, periodic."""
+    return 0.5 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
+
+
 def roll_step_2d(spec, sdt, st, g):
     """Reference 2D step of signed size sdt built from np.roll, in the
     kernels' rounding order."""
@@ -379,18 +442,9 @@ def roll_step_2d(spec, sdt, st, g):
     th = {"cd": 0.0, "lf": 1.0, "theta": spec.theta}[spec.kind]
     inv_eps = 1.0 if st.eps is None else 1.0 / st.eps
     inv_mu = 1.0 if st.mu is None else 1.0 / st.mu
-
-    def blend(f):
-        avg = 0.25 * (np.roll(f, 1, axis=0) + np.roll(f, -1, axis=0)
-                      + np.roll(f, 1, axis=1) + np.roll(f, -1, axis=1))
-        return f if th == 0.0 else avg if th == 1.0 else (1.0 - th) * f + th * avg
-
-    def dc(f, axis):
-        return 0.5 * (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis))
-
-    return (blend(st.Hx) - ly * inv_mu * dc(st.Ez, 1),
-            blend(st.Hy) + lx * inv_mu * dc(st.Ez, 0),
-            blend(st.Ez) + inv_eps * (lx * dc(st.Hy, 0) - ly * dc(st.Hx, 1)))
+    return (roll_blend_2d(st.Hx, th) - ly * inv_mu * roll_dc(st.Ez, 1),
+            roll_blend_2d(st.Hy, th) + lx * inv_mu * roll_dc(st.Ez, 0),
+            roll_blend_2d(st.Ez, th) + inv_eps * (lx * roll_dc(st.Hy, 0) - ly * roll_dc(st.Hx, 1)))
 
 
 uniform_specs = hst.builds(SchemeSpec, kind=hst.sampled_from(("cd", "lf", "theta")),
@@ -405,11 +459,15 @@ def apply_operator(spec, sign, st, where):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=hst.integers(3, 40), spec=uniform_specs, sign=signs, materials=hst.booleans(),
-       seed=hst.integers(0, 2 ** 16))
+@given(n=hst.integers(3, 40), spec=uniform_specs, sign=signs,
+       materials=hst.sampled_from(["none", "eps", "mu", "both"]), seed=hst.integers(0, 2 ** 16))
 def test_slice_kernels_equal_roll_reference_1d(n, spec, sign, materials, seed):
+    """Bit for bit, also with only one material, whose missing reciprocal
+    the kernel takes as 1.0."""
     rng = np.random.default_rng(seed)
-    eps, mu = rng.uniform(0.2, 5.0, (2, n)) if materials else (None, None)
+    eps, mu = rng.uniform(0.2, 5.0, (2, n))
+    eps = eps if materials in ("eps", "both") else None
+    mu = mu if materials in ("mu", "both") else None
     st = FieldState1(*rng.standard_normal((2, n)), eps, mu)
     out = apply_operator(spec, sign, st, 1.0 / n)
     ref_e, ref_h = roll_step_1d(spec, sign * spec.dt, st, 1.0 / n)
@@ -430,6 +488,26 @@ def test_slice_kernels_equal_roll_reference_2d(nx, ny, spec, sign, width, height
     out = apply_operator(spec, sign, st, g)
     for got, ref in zip(out, roll_step_2d(spec, sign * spec.dt, st, g)):
         assert np.array_equal(got, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=hst.integers(3, 20), ny=hst.integers(3, 20), width=hst.floats(0.2, 5.0),
+       height=hst.floats(0.2, 5.0), seed=hst.integers(0, 2 ** 16))
+def test_plane_fit_equals_roll_reference_on_an_unshifted_grid(nx, ny, width, height, seed):
+    """With no irregular stencil the fit is the slice kernels alone, bit for
+    bit: the theta = 0.8 blend for the centers and fl(fl(0.5 diff) / h)
+    for the derivatives."""
+    g = build_uniform(nx, ny, ((0.0, width), (0.0, height)), "periodic")
+    u = np.random.default_rng(seed).standard_normal((3, nx, ny))
+    geom = StencilGeometry(g)
+    assert len(geom.irregular) == 0
+    a, gx, gy = _ls_fit_all(geom, geom.cached_weights(), u, 0.8, Workspace())
+    for k in range(3):
+        assert np.array_equal(a[k], roll_blend_2d(u[k], 0.8))
+    for got, f in zip(gx, u[1:]):
+        assert np.array_equal(got, roll_dc(f, 0) / g.dx)
+    for got, f in zip(gy, u[::2]):
+        assert np.array_equal(got, roll_dc(f, 1) / g.dy)
 
 
 def test_uniform_grid_kinds_reject_a_deformed_periodic_grid():
