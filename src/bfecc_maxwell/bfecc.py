@@ -16,41 +16,67 @@ TF/SF corrections into the substeps they belong to, both run through it.
 It works on stacked states: a step allocates only the array it returns,
 the compensated state lives in a work buffer that a run allocates once,
 and the input is never mutated.
+
+The underlying operator is the same for every step of a run, so a
+`BfeccStep` binds it once (schemes._operator) and keeps it; `bfecc_step`
+binds again only when it is handed other objects than at its last call.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import replace
+from operator import is_
 from typing import Optional, Union
 
 import numpy as np
 
+# _operator is looked up in its module at each binding, so that a wrapper
+# installed there sees every binding
+from . import schemes
 # step_1d, step_2d, lincomb1, lincomb2 and StencilGeometry are looked up in
 # this module by bench/tracing.py, which wraps them in place
 from .schemes import (FieldState1, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      Workspace, _operator, lincomb1, lincomb2, step_1d, step_2d)
+                      Workspace, lincomb1, lincomb2, step_1d, step_2d)
 
 State = Union[FieldState1, FieldState2]
 
 
 class BfeccStep:
-    """BFECC-wrapped underlying scheme and the work buffers of its steps.
+    """BFECC-wrapped underlying scheme, its bound operator and the work
+    buffers of its steps.
 
     `spec` is the underlying scheme; its operator steps dt in the forward
     substeps and -dt in the backward one.  A run builds one and steps with
     it throughout; `with_dt` gives the wrapper for a shorter final step,
-    sharing the buffers.
+    sharing the buffers, and binds its own operator at its first step.
     """
 
     def __init__(self, spec: SchemeSpec):
         self.spec = spec
         self.work = Workspace()
+        self._key = None
 
     def with_dt(self, dt: float) -> "BfeccStep":
         other = copy.copy(self)
         other.spec = replace(self.spec, dt=dt)
         return other
+
+    def _substep(self, state, where, geometry, weights):
+        """substep(k, v, out) of the operator for these arguments, as
+        bfecc_apply calls it.  The operator is bound at the first call and
+        again only when the spec, an argument, or the state's type or
+        materials are other objects than at the last binding, or the
+        state's shape differs.  (An object without materials, which is no
+        state, reaches _operator and its TypeError.)"""
+        key = (self.spec, where, geometry, weights, type(state),
+               getattr(state, "eps", None), getattr(state, "mu", None))
+        if self._key is None or not all(map(is_, key, self._key)) or state.u.shape != self._shape:
+            op = schemes._operator(self.spec, state, where, geometry, weights, self.work)
+            dt = self.spec.dt
+            self._bound = lambda k, v, out: op(-dt if k == 1 else dt, v, out)
+            self._key, self._shape = key, state.u.shape
+        return self._bound
 
 
 def bfecc_apply(substep, u, work):
@@ -80,8 +106,9 @@ def bfecc_step(step: BfeccStep, state: State, where,
     `where` is the grid spacing dx for 1D states or the Grid2 for 2D
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
     data across substeps and steps (all three substeps share one grid).
+    The operator that `step` bound at an earlier call is reused as long as
+    the spec, `where`, `geometry`, `weights` and the state's materials are
+    the same objects, so pass the same ones every step.
     """
-    op = _operator(step.spec, state, where, geometry, weights)
-    dt, work = step.spec.dt, step.work
-    u = bfecc_apply(lambda k, v, out: op(-dt if k == 1 else dt, v, out, work), state.u, work)
+    u = bfecc_apply(step._substep(state, where, geometry, weights), state.u, step.work)
     return type(state)._of(u, state.eps, state.mu)

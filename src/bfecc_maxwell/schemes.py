@@ -20,12 +20,13 @@ Scheme kinds
 A state keeps its components as one stacked array `u`, (E, H) in 1D and
 (Hx, Hy, Ez) in 2D; the named components are views of it.  The kernels act
 on the whole stack per numpy call and write into given arrays.
-`_operator` checks a (spec, state, grid) combination once and returns the
-one-step operator op(sdt, u, out, work), which writes the step of signed
-size sdt into `out` (a fresh array when None) with scratch arrays from a
-`Workspace`.  step_1d/step_2d apply it once with dt; bfecc.bfecc_step runs
-it three times, with dt, -dt and dt, into the array it returns and one
-buffer that a run keeps for all its steps.
+`_operator` checks a (spec, state, grid) combination once and binds the
+one-step operator op(sdt, u, out), which writes the step of signed size
+sdt into `out` (a fresh array when None) with scratch arrays from a
+`Workspace`.  step_1d/step_2d bind one and apply it once with dt; a
+bfecc.BfeccStep binds one per run and keeps it, running it three times
+per step, with dt, -dt and dt, into the array it returns and one buffer
+that the run keeps for all its steps.
 
 A least-squares fit on an unmoved five-point cross is exactly the center
 blend and the centered differences, so the ls_* kinds run the uniform slice
@@ -210,19 +211,24 @@ def _center_blend(theta_eff, f, out, spare):
     goes into `out` (contiguous too), with `spare` (f's shape) as scratch,
     and theta = 0 returns f itself.  The neighbor sum runs axis by axis in
     a fixed order, f[i-1] + f[i+1], then + f[j-1], then + f[j+1], which
-    fixes its rounding; the j neighbors are added over merged rows, as in
-    `_dc`, with the two wrapped columns redone from their sums saved in
-    `spare`, which is free until the (1 - theta)*f term.  The average's
-    0.5 or 0.25 and theta are one factor: the quarter is exact, so
-    fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
+    fixes its rounding.  The last axis, the only one of 1D fields, is
+    summed over merged rows, as in `_dc`; in 2D, its two wrapped columns
+    are redone from their sums saved in `spare`, which is free until the
+    (1 - theta)*f term.  The average's 0.5 or 0.25 and theta are one
+    factor: the quarter is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
     """
     if theta_eff == 0.0:
         return f
-    g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
-    np.add(g[:-2], g[2:], out=a[1:-1])
-    np.add(g[-1:], g[1:2], out=a[:1])
-    np.add(g[-2:-1], g[:1], out=a[-1:])
-    if f.ndim == 3:
+    if f.ndim == 2:
+        g = f.reshape(-1)
+        np.add(g[:-2], g[2:], out=out.reshape(-1)[1:-1])
+        np.add(f[:, -1], f[:, 1], out=out[:, 0])
+        np.add(f[:, -2], f[:, 0], out=out[:, -1])
+    else:
+        g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
+        np.add(g[:-2], g[2:], out=a[1:-1])
+        np.add(g[-1:], g[1:2], out=a[:1])
+        np.add(g[-2:-1], g[:1], out=a[-1:])
         fr, ar = _rows(f), _rows(out)
         first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
         np.copyto(first, out[..., 0])
@@ -262,25 +268,40 @@ def _theta_eff(kind, theta):
     return {"cd": 0.0, "lf": 1.0, "theta": theta}[kind]
 
 
-def _uniform_blend(th, u, work):
-    if th == 0.0:
-        return u
-    return _center_blend(th, u, work("blend", u.shape), work("blend_spare", u.shape))
+def _bind_1d(dx, th, inv, n, work):
+    """op(sdt, u, out) of E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE
+    on u = (E, H) of length n, lam = sdt / dx, with neighbor-average weight
+    th in the blend and inv = (1/eps, 1/mu) (None for free space).
 
-
-def _uniform_1d(sdt, u, dx, th, inv, out, work):
-    """E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE on u = (E, H),
-    lam = sdt / dx, with neighbor-average weight th in the blend.
-
-    Both components come from one multiply of the swapped raw differences
-    (dH, dE) by 0.5 lam, or with materials by the (2, n) plane
-    fl(inv 0.5 lam) of the reciprocals inv = (1/eps, 1/mu).
+    The scratch arrays and their views are taken from `work` here, once.
+    The raw differences run over both rows merged end to end, as in `_dc`,
+    into rows 0-1 of a (3, n) array; its two wrapped columns are then
+    rewritten and its row 2 takes a copy of dE, so that rows 1-2 are the
+    swapped stack (dH, dE), contiguous.  One multiply of it by 0.5 lam, or
+    with materials by the plane fl(inv 0.5 lam), gives both components.
+    (Through a reversed-row view numpy would buffer that multiply, which
+    allocates up to a state's worth per call and is no faster.)
     """
-    if out is None:
-        out = np.empty_like(u)
-    np.multiply(_dc(u, 1, work("d", u.shape))[::-1], _coef(0.5 * (sdt / dx), inv, work), out=out)
-    out += _uniform_blend(th, u, work)
-    return out
+    d = work("d", (3, n))
+    d_rows, d_first, d_last = d.reshape(-1)[1:2 * n - 1], d[:2, 0], d[:2, -1]
+    swapped, de, de_copy = d[1:], d[0], d[2]
+    coef = None if inv is None else work("coef", inv.shape)
+    blend = None if th == 0.0 else (work("blend", (2, n)), work("blend_spare", (2, n)))
+
+    def op(sdt, u, out):
+        if out is None:
+            out = np.empty_like(u)
+        g = u.reshape(-1)
+        np.subtract(g[2:], g[:-2], out=d_rows)
+        np.subtract(u[:, 1], u[:, -1], out=d_first)
+        np.subtract(u[:, 0], u[:, -2], out=d_last)
+        np.copyto(de_copy, de)
+        lam = 0.5 * (sdt / dx)
+        np.multiply(swapped, lam if coef is None else np.multiply(inv, lam, out=coef), out=out)
+        out += u if blend is None else _center_blend(th, u, *blend)
+        return out
+
+    return op
 
 
 def _uniform_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work):
@@ -292,7 +313,8 @@ def _uniform_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work):
         out = np.empty_like(u)
     lx = 0.5 * (sdt / grid.dx)
     ly = 0.5 * (sdt / grid.dy)
-    blend = _uniform_blend(th, u, work)
+    blend = u if th == 0.0 else _center_blend(th, u, work("blend", u.shape),
+                                              work("blend_spare", u.shape))
     hx, hy, ez = out
     _dc(u[1], 0, ez)
     ez *= lx
@@ -328,7 +350,9 @@ class StencilGeometry:
     `irregular_index` (r, 5) holds their rows of `index`.  Every other
     stencil is the uniform cross, whose fit is the theta = 0.8 center blend
     and the centered differences, so `cached_weights()` factors only the
-    irregular stencils, (r, 3, 5) in `irregular` order.
+    irregular stencils, (r, 3, 5) in `irregular` order;
+    `irregular_center` (r,) holds the flat field index of their centers,
+    contiguous, where their refit goes.
     """
 
     def __init__(self, grid: Grid2):
@@ -350,6 +374,7 @@ class StencilGeometry:
         moved = np.any(grid.coords != grid.rect_coords(), axis=2).ravel()
         self.irregular = np.flatnonzero(moved[self.index].any(axis=1))
         self.irregular_index = self.index[self.irregular]
+        self.irregular_center = self.index[self.irregular, 0]
         self._weights = None
 
     def fit_weights(self, rows):
@@ -392,16 +417,15 @@ def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
     np.divide(_dc(u[1:], 1, gx), 2.0 * geom.grid.dx, out=gx)
     np.divide(_dc(u[::2], 2, gy), 2.0 * geom.grid.dy, out=gy)
     rows = geom.irregular_index
-    vals = np.take(u.reshape(3, -1), rows, axis=1, mode="clip",
-                   out=work("gather", (3,) + rows.shape))
+    vals = u.reshape(3, -1).take(rows, axis=1, mode="clip", out=work("gather", (3,) + rows.shape))
     refit = np.einsum("rks,frs->kfr", weights, vals, out=work("refit", (3, 3, len(rows))))
-    fit.reshape(7, -1)[:, rows[:, 0]] = refit.reshape(9, -1)[_FIT_PLANES]
+    fit.reshape(7, -1)[:, geom.irregular_center] = refit.reshape(9, -1).take(_FIT_PLANES, axis=0)
     return a, gx, gy
 
 
-# the (plane, field) pairs of the contraction kept in "fit": a of all three
+# the (kind, field) rows of the contraction kept in "fit": a of all three
 # fields, d/dx of Hy and Ez, d/dy of Hx and Ez
-_FIT_PLANES = [0, 1, 2, 4, 5, 6, 8]
+_FIT_PLANES = np.array([0, 1, 2, 4, 5, 6, 8])
 
 
 def _ls_assemble(u, fits, geom: StencilGeometry, sdt, inv_eps, inv_mu, out, work):
@@ -431,16 +455,18 @@ def _ls_assemble(u, fits, geom: StencilGeometry, sdt, inv_eps, inv_mu, out, work
     return out
 
 
-def _operator(spec, state, where, geometry=None, weights=None):
-    """The one-step operator of `spec` for states like `state`, checked once.
+def _operator(spec, state, where, geometry=None, weights=None, work=None):
+    """The one-step operator of `spec` for states like `state`, checked and
+    bound once.
 
     `where` is the spacing dx of a FieldState1 or the Grid2 of a
-    FieldState2.  Returns op(sdt, u, out, work), which writes one step of
-    signed size sdt of the stacked fields u into `out` (a fresh array when
-    None), takes its scratch arrays from the Workspace `work` and returns
-    the result.  The center weight, the materials' reciprocal planes and,
-    for least-squares kinds, the geometry are bound here, once per
-    operator: a missing `geometry` is built and missing `weights` come
+    FieldState2.  Returns op(sdt, u, out), which writes one step of signed
+    size sdt of the stacked fields u into `out` (a fresh array when None)
+    and returns it.  What stays fixed from step to step is bound here, once
+    per operator: the center weight, the materials' reciprocal planes, the
+    Workspace `work` the scratch arrays come from (a fresh one when None),
+    in 1D those arrays and their views too, and for least-squares kinds
+    the geometry: a missing `geometry` is built and missing `weights` come
     from the geometry's cache.
     """
     kind = spec.kind
@@ -459,25 +485,28 @@ def _operator(spec, state, where, geometry=None, weights=None):
             raise ValueError(f"kind {kind!r} requires a uniform grid; use ls_cd or ls_theta")
     else:
         raise TypeError(f"unsupported state type {type(state).__name__}")
+    if work is None:
+        work = Workspace()
     inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
     if kind in UNIFORM_KINDS:
         th = _theta_eff(kind, spec.theta)
         if isinstance(state, FieldState1):
+            n = state.u.shape[1]
             inv = None if inv_eps is None and inv_mu is None else np.stack(
-                [np.ones(state.u.shape[1]) if r is None else r for r in (inv_eps, inv_mu)])
-            return lambda sdt, u, out, work: _uniform_1d(sdt, u, where, th, inv, out, work)
-        return lambda sdt, u, out, work: _uniform_2d(sdt, u, where, th, inv_eps, inv_mu, out, work)
+                [np.ones(n) if r is None else r for r in (inv_eps, inv_mu)])
+            return _bind_1d(where, th, inv, n, work)
+        return lambda sdt, u, out: _uniform_2d(sdt, u, where, th, inv_eps, inv_mu, out, work)
     geom = geometry if geometry is not None else StencilGeometry(grid)
     w = weights if weights is not None else geom.cached_weights()
     center = LS_CENTER[kind]
-    return lambda sdt, u, out, work: _ls_assemble(
+    return lambda sdt, u, out: _ls_assemble(
         u, _ls_fit_all(geom, w, u, center, work), geom, sdt, inv_eps, inv_mu, out, work)
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
     """One step of a uniform-grid scheme on a periodic 1D state."""
     op = _operator(spec, state, dx)
-    return FieldState1._of(op(spec.dt, state.u, None, Workspace()), state.eps, state.mu)
+    return FieldState1._of(op(spec.dt, state.u, None), state.eps, state.mu)
 
 
 def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
@@ -493,4 +522,4 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
     runs once per geometry.
     """
     op = _operator(spec, state, grid, geometry, weights)
-    return FieldState2._of(op(spec.dt, state.u, None, Workspace()), state.eps, state.mu)
+    return FieldState2._of(op(spec.dt, state.u, None), state.eps, state.mu)

@@ -9,7 +9,8 @@ from bfecc_maxwell import schemes
 from bfecc_maxwell.analysis import cfl_bound
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import Grid2, build_uniform
-from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
+from bfecc_maxwell.harness import (ExperimentConfig, build_scatter_grid, build_variant_grid,
+                                   run_experiment)
 from bfecc_maxwell.pml import PmlRunner, TfsfSource, build_pml
 from bfecc_maxwell.schemes import (
     FieldState1,
@@ -67,10 +68,10 @@ def test_three_substep_expansion_1d():
     st = FieldState1(rng.standard_normal(n), rng.standard_normal(n))
     out = bfecc_step(BfeccStep(spec), st, dx)
     op = _operator(spec, st, dx)
-    u1 = op(spec.dt, st.u, None, Workspace())
-    u2 = op(-spec.dt, u1, None, Workspace())
+    u1 = op(spec.dt, st.u, None)
+    u2 = op(-spec.dt, u1, None)
     u3 = 1.5 * st.u + -0.5 * u2
-    expect = op(spec.dt, u3, None, Workspace())
+    expect = op(spec.dt, u3, None)
     assert np.array_equal(out.u, expect)
 
 
@@ -126,8 +127,10 @@ def test_2d_dispatch_accepts_grid():
 
 
 def test_least_squares_step_without_weights_factorizes_once(monkeypatch):
-    """Without a geometry each step builds one and factorizes only its
-    irregular stencils: r of them on a shifted grid, none on a uniform one."""
+    """Without a geometry a stepper builds one when it binds its operator
+    and factorizes only its irregular stencils: r of them on a shifted
+    grid, once for all its steps, again for another grid and none for a
+    uniform one."""
     calls = []
     original = schemes.batched_fit_weights
 
@@ -143,12 +146,96 @@ def test_least_squares_step_without_weights_factorizes_once(monkeypatch):
     r = len(schemes.StencilGeometry(g).irregular)
     assert 0 < r < n * n
     step = BfeccStep(SchemeSpec("ls_theta", 0.3 * g.dx))
-    st = bfecc_step(step, st, g)
+    for _ in range(3):
+        st = bfecc_step(step, st, g)
     assert calls == [r]
-    bfecc_step(step, st, g)
+    st = bfecc_step(step, st, build_variant_grid("d", n))
     assert calls == [r, r]
     bfecc_step(step, st, build_variant_grid("a", n))
     assert calls == [r, r]
+
+
+def count_bindings(monkeypatch):
+    """The list that every schemes._operator call appends to."""
+    calls = []
+    original = schemes._operator
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, "_operator", counting)
+    return calls
+
+
+def test_a_run_binds_its_operator_once_and_once_more_for_the_remainder(monkeypatch):
+    calls = count_bindings(monkeypatch)
+    result = run_experiment(ExperimentConfig(experiment="periodic1d", n=32, dt_ratio=1.7,
+                                             t_final=0.33))
+    dt = result["dt"]
+    assert result["steps"] == 7 and 0.33 - 6 * dt < dt
+    assert [spec.dt for spec in calls] == [dt, pytest.approx(0.33 - 6 * dt)]
+
+
+def test_a_state_with_other_materials_rebinds(monkeypatch):
+    n = 16
+    dx = 1.0 / n
+    rng = np.random.default_rng(8)
+    eps, mu = rng.uniform(0.5, 2.0, (2, n))
+    step = BfeccStep(SchemeSpec("theta", 0.5 * dx, 0.4))
+    st = bfecc_step(step, FieldState1(*rng.standard_normal((2, n)), eps, mu), dx)
+    others = [FieldState1(*st.u, eps.copy(), mu), FieldState1(*st.u, eps, 2.0 * mu),
+              FieldState1(*st.u)]
+    fresh = [bfecc_step(BfeccStep(step.spec), other, dx).u for other in others]
+    calls = count_bindings(monkeypatch)
+    # a new state around the same material arrays keeps the binding
+    bfecc_step(step, FieldState1(*st.u, eps, mu), dx)
+    assert calls == []
+    for k, (other, expect) in enumerate(zip(others, fresh)):
+        assert np.array_equal(bfecc_step(step, other, dx).u, expect)
+        assert len(calls) == k + 1
+
+
+def march(make_step, st, where, steps, remainder, **kw):
+    """`steps` BFECC steps, then one of size `remainder`, each with the
+    stepper make_step() returns for it: make_step() is either one stepper
+    kept for the run or a fresh one every call."""
+    for _ in range(steps):
+        st = bfecc_step(make_step(), st, where, **kw)
+    return bfecc_step(make_step().with_dt(remainder), st, where, **kw)
+
+
+def cached_case(case):
+    """(spec, state, where, keywords) of a cached-operator case."""
+    rng = np.random.default_rng(12)
+    if case.startswith("1d"):
+        _, kind, materials = case.split("_")
+        n = 24
+        eps, mu = rng.uniform(0.5, 2.0, (2, n)) if materials == "materials" else (None, None)
+        return (SchemeSpec(kind, 0.9 / n, 0.3), FieldState1(*rng.standard_normal((2, n)), eps, mu),
+                1.0 / n, {})
+    n = 12
+    st = FieldState2(*rng.standard_normal((3, n, n)))
+    if case == "2d_cd":
+        g = build_uniform(n, n)
+        return SchemeSpec("cd", 0.5 * g.dx), st, g, {}
+    g = build_variant_grid("d", n)
+    return SchemeSpec("ls_theta", 0.25 * g.dx), st, g, dict(geometry=StencilGeometry(g))
+
+
+@pytest.mark.parametrize("case", [f"1d_{kind}_{m}" for kind in ("cd", "lf", "theta")
+                                  for m in ("free", "materials")] + ["2d_cd", "2d_ls_theta"])
+def test_a_cached_operator_steps_like_a_fresh_one(case):
+    """A stepper kept for a run, remainder step included, gives the same
+    bits as a fresh stepper for every step: a stale binding would not."""
+    spec, st, where, kw = cached_case(case)
+    kept = BfeccStep(spec)
+    cached = march(lambda: kept, st, where, 6, 0.4 * spec.dt, **kw)
+    fresh = march(lambda: BfeccStep(spec), st, where, 6, 0.4 * spec.dt, **kw)
+    assert np.array_equal(cached.u, fresh.u)
+    # the stepper kept for the run still steps dt after its remainder copy
+    again = bfecc_step(kept, cached, where, **kw)
+    assert np.array_equal(again.u, bfecc_step(BfeccStep(spec), cached, where, **kw).u)
 
 
 def test_uniform_step_checks_the_grid_once(monkeypatch):
@@ -214,11 +301,18 @@ def peak_states_per_step(step, st, warm=3, steps=5):
 
 
 def stepper(case, n):
-    """(step, state) of a 2D case: cd on a uniform periodic grid, ls_theta on
-    the conforming grid d, ls_theta with an absorbing collar on a bounded
-    grid, and the scattering set-up (collar, cylinder and TF/SF plane wave)
-    on the scatter grid of resolution n."""
+    """(step, state) of a case: 1D cd on n points in free space or with
+    materials, 2D cd on a uniform periodic grid, ls_theta on the conforming
+    grid d, ls_theta with an absorbing collar on a bounded grid, and the
+    scattering set-up (collar, cylinder and TF/SF plane wave) on the
+    scatter grid of resolution n."""
     rng = np.random.default_rng(5)
+    if case.startswith("1d"):
+        dx = 1.0 / n
+        materials = rng.uniform(0.5, 2.0, (2, n)) if case == "1d_materials" else (None, None)
+        step = BfeccStep(SchemeSpec("cd", 1.7 * dx))
+        return (lambda s: bfecc_step(step, s, dx),
+                FieldState1(*rng.standard_normal((2, n)), *materials))
     st = FieldState2(*rng.standard_normal((3, n, n)))
     if case == "cd":
         g = build_uniform(n, n)
@@ -243,10 +337,10 @@ def stepper(case, n):
     return lambda s: runner.step(s, 0.0), FieldState2(*st.u, eps=np.ones((n, n)))
 
 
-@pytest.mark.parametrize("case", ["cd", "ls_theta", "collar", "tfsf"])
+@pytest.mark.parametrize("case", ["1d", "1d_materials", "cd", "ls_theta", "collar", "tfsf"])
 def test_a_step_allocates_little_more_than_its_output(case):
     """Substeps write into buffers kept across steps, so a step's only
-    large allocation is the state it returns; the TF/SF case runs on the
-    53 x 53 scatter grid of n = 32."""
-    step, st = stepper(case, 32 if case == "tfsf" else 64)
+    large allocation is the state it returns; the 1D cases run on 256
+    points, the TF/SF case on the 53 x 53 scatter grid of n = 32."""
+    step, st = stepper(case, {"1d": 256, "1d_materials": 256, "tfsf": 32}.get(case, 64))
     assert peak_states_per_step(step, st) <= 1.5

@@ -103,7 +103,7 @@ def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):
     "disk_radius=nan", "disk_radius=inf", "disk_center=nan,0.5", "eps_inside=inf",
     "pml.sigma_max=nan", "pml.sigma_max=inf", "pml.exponent=nan", "pml.exponent=-1",
     "experiment=scatter_complex star.r0=nan", "experiment=scatter_complex star.r0=-0.1",
-    "smooth_sweeps=-2"])
+    "smooth_sweeps=-2", "tfsf.omega=1e308", "t_final=2.5 tfsf.omega=1e308"])
 def test_bad_scatter_setting_exits_2_with_one_line(settings, capsys):
     args = ["run", "-p", "experiment=scatter_cylinder", "-p", "scheme=ls_theta",
             "-p", "n=16", "-p", "t_final=0.2"]

@@ -129,7 +129,7 @@ def test_backward_direction_negates_the_update():
     st = random_state1(n, seed=6)
     dx = 1.0 / n
     spec = SchemeSpec("cd", 0.4 * dx)
-    out = _operator(spec, st, dx)(-spec.dt, st.u, None, Workspace())
+    out = _operator(spec, st, dx)(-spec.dt, st.u, None)
     lam = spec.dt / dx
     dh = 0.5 * (np.roll(st.H, -1) - np.roll(st.H, 1))
     assert np.allclose(out[0], st.E - lam * dh, atol=1e-15)
@@ -455,7 +455,7 @@ signs = hst.sampled_from((1.0, -1.0))
 
 def apply_operator(spec, sign, st, where):
     """One step of signed size sign * dt with the spec's operator."""
-    return _operator(spec, st, where)(sign * spec.dt, st.u, None, Workspace())
+    return _operator(spec, st, where)(sign * spec.dt, st.u, None)
 
 
 @settings(max_examples=60, deadline=None)
