@@ -50,6 +50,8 @@ class BfeccStep:
     substeps and -dt in the backward one.  A run builds one and steps with
     it throughout; `with_dt` gives the wrapper for a shorter final step,
     sharing the buffers, and binds its own operator at its first step.
+    A binding keeps 1/eps and 1/mu, so material arrays must not be changed
+    in place between steps.
     """
 
     def __init__(self, spec: SchemeSpec):
@@ -60,17 +62,17 @@ class BfeccStep:
     def with_dt(self, dt: float) -> "BfeccStep":
         other = copy.copy(self)
         other.spec = replace(self.spec, dt=dt)
+        other._key = None
         return other
 
     def _substep(self, state, where, geometry, weights):
         """substep(k, v, out) of the operator for these arguments, as
         bfecc_apply calls it.  The operator is bound at the first call and
-        again only when the spec, an argument, or the state's type or
-        materials are other objects than at the last binding, or the
-        state's shape differs.  (An object without materials, which is no
-        state, reaches _operator and its TypeError.)"""
-        key = (self.spec, where, geometry, weights, type(state),
-               getattr(state, "eps", None), getattr(state, "mu", None))
+        again only when an argument or the state's materials are other
+        objects than at the last binding, or the state's shape differs
+        (which also tells 1D from 2D states).  (An object without
+        materials, which is no state, reaches _operator and its TypeError.)"""
+        key = (where, geometry, weights, getattr(state, "eps", None), getattr(state, "mu", None))
         if self._key is None or not all(map(is_, key, self._key)) or state.u.shape != self._shape:
             op = schemes._operator(self.spec, state, where, geometry, weights, self.work)
             dt = self.spec.dt
@@ -107,8 +109,10 @@ def bfecc_step(step: BfeccStep, state: State, where,
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
     data across substeps and steps (all three substeps share one grid).
     The operator that `step` bound at an earlier call is reused as long as
-    the spec, `where`, `geometry`, `weights` and the state's materials are
-    the same objects, so pass the same ones every step.
+    `where`, `geometry`, `weights` and the state's materials are the same
+    objects, so pass the same ones every step.  It keeps 1/eps and 1/mu
+    from its binding: do not change a material array in place after the
+    first step; give the state new arrays instead, which binds again.
     """
     u = bfecc_apply(step._substep(state, where, geometry, weights), state.u, step.work)
     return type(state)._of(u, state.eps, state.mu)

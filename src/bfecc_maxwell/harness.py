@@ -397,7 +397,6 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     pml = build_pml(grid, dt, pad, cfg.pml_sigma_max, cfg.pml_exponent)
     source = TfsfSource(tuple(cfg.tfsf_rect), cfg.tfsf_omega, cfg.tfsf_amplitude,
                         cfg.tfsf_ramp)
-    runner = PmlRunner(grid, spec, pml, source)
     # the incident phase omega (t - (x - x_lo)) must stay finite for t up to
     # t_final at every x of the grid (twice over, to spare the rounding)
     reach = cfg.t_final + max(abs(grid.x0 - source.rect[0]),
@@ -405,6 +404,7 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     if not math.isfinite(2.0 * source.omega * reach):
         raise ValueError(f"tfsf.omega = {source.omega:g} makes the incident wave's phase "
                          f"overflow over t <= {cfg.t_final:g} on this grid")
+    runner = PmlRunner(grid, spec, pml, source)
 
     def step(r, st, t):
         return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)

@@ -211,24 +211,19 @@ def _center_blend(theta_eff, f, out, spare):
     goes into `out` (contiguous too), with `spare` (f's shape) as scratch,
     and theta = 0 returns f itself.  The neighbor sum runs axis by axis in
     a fixed order, f[i-1] + f[i+1], then + f[j-1], then + f[j+1], which
-    fixes its rounding.  The last axis, the only one of 1D fields, is
-    summed over merged rows, as in `_dc`; in 2D, its two wrapped columns
-    are redone from their sums saved in `spare`, which is free until the
-    (1 - theta)*f term.  The average's 0.5 or 0.25 and theta are one
-    factor: the quarter is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
+    fixes its rounding; the j neighbors are added over merged rows, as in
+    `_dc`, with the two wrapped columns redone from their sums saved in
+    `spare`, which is free until the (1 - theta)*f term.  The average's
+    0.5 or 0.25 and theta are one factor: the quarter is exact, so
+    fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
     """
     if theta_eff == 0.0:
         return f
-    if f.ndim == 2:
-        g = f.reshape(-1)
-        np.add(g[:-2], g[2:], out=out.reshape(-1)[1:-1])
-        np.add(f[:, -1], f[:, 1], out=out[:, 0])
-        np.add(f[:, -2], f[:, 0], out=out[:, -1])
-    else:
-        g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
-        np.add(g[:-2], g[2:], out=a[1:-1])
-        np.add(g[-1:], g[1:2], out=a[:1])
-        np.add(g[-2:-1], g[:1], out=a[-1:])
+    g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
+    np.add(g[:-2], g[2:], out=a[1:-1])
+    np.add(g[-1:], g[1:2], out=a[:1])
+    np.add(g[-2:-1], g[:1], out=a[-1:])
+    if f.ndim == 3:
         fr, ar = _rows(f), _rows(out)
         first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
         np.copyto(first, out[..., 0])
