@@ -17,9 +17,10 @@ It works on stacked states: a step allocates only the array it returns,
 the compensated state lives in a work buffer that a run allocates once,
 and the input is never mutated.
 
-The underlying operator is the same for every step of a run, so a
-`BfeccStep` binds it once (schemes._operator) and keeps it; `bfecc_step`
-binds again only when it is handed other objects than at its last call.
+A stepper binds what is fixed for a run once, by one rule (`_bound`), and
+its `with_dt` copy shares the binding: a `BfeccStep` binds the underlying
+operator (schemes._operator), which takes the signed step at each call,
+and pml.PmlRunner, a `BfeccStep` too, its materials and edge corrections.
 """
 
 from __future__ import annotations
@@ -43,15 +44,14 @@ State = Union[FieldState1, FieldState2]
 
 
 class BfeccStep:
-    """BFECC-wrapped underlying scheme, its bound operator and the work
-    buffers of its steps.
+    """BFECC-wrapped underlying scheme, its binding and the work buffers of
+    its steps.
 
     `spec` is the underlying scheme; its operator steps dt in the forward
     substeps and -dt in the backward one.  A run builds one and steps with
     it throughout; `with_dt` gives the wrapper for a shorter final step,
-    sharing the buffers, and binds its own operator at its first step.
-    A binding keeps 1/eps and 1/mu, so material arrays must not be changed
-    in place between steps.
+    sharing the buffers and the binding.  A binding keeps 1/eps and 1/mu,
+    so material arrays must not be changed in place between steps.
     """
 
     def __init__(self, spec: SchemeSpec):
@@ -62,23 +62,23 @@ class BfeccStep:
     def with_dt(self, dt: float) -> "BfeccStep":
         other = copy.copy(self)
         other.spec = replace(self.spec, dt=dt)
-        other._key = None
         return other
 
-    def _substep(self, state, where, geometry, weights):
-        """substep(k, v, out) of the operator for these arguments, as
-        bfecc_apply calls it.  The operator is bound at the first call and
+    def _bound(self, state, *args):
+        """What self._bind(state, *args) gave, bound at the first call and
         again only when an argument or the state's materials are other
         objects than at the last binding, or the state's shape differs
         (which also tells 1D from 2D states).  (An object without
-        materials, which is no state, reaches _operator and its TypeError.)"""
-        key = (where, geometry, weights, getattr(state, "eps", None), getattr(state, "mu", None))
+        materials, which is no state, reaches _bind and its TypeError.)"""
+        key = (*args, getattr(state, "eps", None), getattr(state, "mu", None))
         if self._key is None or not all(map(is_, key, self._key)) or state.u.shape != self._shape:
-            op = schemes._operator(self.spec, state, where, geometry, weights, self.work)
-            dt = self.spec.dt
-            self._bound = lambda k, v, out: op(-dt if k == 1 else dt, v, out)
+            self._value = self._bind(state, *args)
             self._key, self._shape = key, state.u.shape
-        return self._bound
+        return self._value
+
+    def _bind(self, state, where, geometry, weights):
+        """The underlying operator op(sdt, u, out) for these arguments."""
+        return schemes._operator(self.spec, state, where, geometry, weights, self.work)
 
 
 def bfecc_apply(substep, u, work):
@@ -108,11 +108,13 @@ def bfecc_step(step: BfeccStep, state: State, where,
     `where` is the grid spacing dx for 1D states or the Grid2 for 2D
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
     data across substeps and steps (all three substeps share one grid).
-    The operator that `step` bound at an earlier call is reused as long as
-    `where`, `geometry`, `weights` and the state's materials are the same
-    objects, so pass the same ones every step.  It keeps 1/eps and 1/mu
-    from its binding: do not change a material array in place after the
-    first step; give the state new arrays instead, which binds again.
+    The operator that `step` (or the stepper it is a `with_dt` copy of)
+    bound is reused as long as `where`, `geometry`, `weights` and the
+    state's materials are the same objects, so pass the same ones every
+    step.  It keeps 1/eps and 1/mu: do not change a material array in place
+    after the first step; give the state new arrays instead.
     """
-    u = bfecc_apply(step._substep(state, where, geometry, weights), state.u, step.work)
+    op = step._bound(state, where, geometry, weights)
+    dt = step.spec.dt
+    u = bfecc_apply(lambda k, v, out: op(-dt if k == 1 else dt, v, out), state.u, step.work)
     return type(state)._of(u, state.eps, state.mu)

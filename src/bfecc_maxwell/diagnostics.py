@@ -24,30 +24,27 @@ def rms(arr) -> float:
     return float(np.sqrt(np.mean(arr * arr)))
 
 
-def component_rms(a, b) -> dict:
-    """Root-mean-square difference per field component."""
+def _differences(a, b):
+    """(name, fa - fb) for each pair of components of a and b."""
     ca, cb = _components(a), _components(b)
     if len(ca) != len(cb):
         raise ValueError("operands have different component counts")
-    out = {}
     for (name, fa), (_, fb) in zip(ca, cb):
         if fa.shape != fb.shape:
             raise ValueError(f"component {name} shapes differ: {fa.shape} vs {fb.shape}")
-        out[name] = rms(fa - fb)
-    return out
+        yield name, fa - fb
+
+
+def component_rms(a, b) -> dict:
+    """Root-mean-square difference per field component."""
+    return {name: rms(d) for name, d in _differences(a, b)}
 
 
 def l2_error(a, b) -> float:
     """RMS difference over every (point, component) entry."""
-    ca, cb = _components(a), _components(b)
-    if len(ca) != len(cb):
-        raise ValueError("operands have different component counts")
     total = 0.0
     count = 0
-    for (name, fa), (_, fb) in zip(ca, cb):
-        if fa.shape != fb.shape:
-            raise ValueError(f"component {name} shapes differ: {fa.shape} vs {fb.shape}")
-        d = fa - fb
+    for _, d in _differences(a, b):
         total += float(np.sum(d * d))
         count += d.size
     return float(np.sqrt(total / count))

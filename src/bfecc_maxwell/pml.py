@@ -38,19 +38,18 @@ positions of the edge stencils only.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .bfecc import bfecc_apply
+from .bfecc import BfeccStep, bfecc_apply
 from .grid import Grid2
 # lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      Workspace, _ls_assemble, _ls_fit_all, _reciprocal, lincomb2)
+                      _check_state, _ls_assemble, _ls_fit_all, _reciprocal, lincomb2)
 
 
 def _depth_fraction(n, thickness):
@@ -259,25 +258,26 @@ def _collar_blocks(sigma, b, c, axis, held):
     return blocks
 
 
-class PmlRunner:
+class PmlRunner(BfeccStep):
     """Time stepper for a least-squares scheme with collar and injection.
 
-    Builds the stencil geometry, fit weights, recursion coefficients and
-    edge corrections once, then advances states with `step` (the BFECC
-    composition of bfecc.bfecc_apply) or `plain_step`.  Every substep fits
-    the stacked state with schemes._ls_fit_all, scales the derivative
-    planes by the collar's (1 + c), and applies step_2d's least-squares
-    assembly with a signed step; the memory term joins only a step's final
-    substep and the TF/SF corrections every substep.  The collar work runs
-    only on the row and column blocks where the damping profile is
-    nonzero, and the memory recursion reuses the first substep's c * g and
-    the last substep's b * psi.  A step evaluates the corrections twice,
-    for the forward substeps at t and the backward one at t + dt.  A runner
-    keeps one set of work buffers for all its steps, and forms the
-    materials' reciprocal planes and the edge corrections when it first
-    sees a state's materials.  The memory fields in `pml` are updated in
-    place (they stay zero outside the blocks); field states are never
-    mutated.
+    Builds the stencil geometry, fit weights and recursion coefficients
+    once, then advances states with `step` (the BFECC composition of
+    bfecc.bfecc_apply) or `plain_step`.  Every substep fits the stacked
+    state with schemes._ls_fit_all, scales the derivative planes by the
+    collar's (1 + c), and applies step_2d's least-squares assembly with a
+    signed step; the memory term joins only a step's final substep and the
+    TF/SF corrections every substep.  The collar work runs only on the row
+    and column blocks where the damping profile is nonzero, and the memory
+    recursion reuses the first substep's c * g and the last substep's
+    b * psi.  A step evaluates the corrections twice, for the forward
+    substeps at t and the backward one at t + dt.  As a bfecc.BfeccStep, a
+    runner keeps one set of work buffers for all its steps and binds by the
+    same rule: it forms the materials' reciprocal planes and the edge
+    corrections when it first sees a state's materials, again only for
+    other ones, and its `with_dt` copy shares them.  The memory fields in
+    `pml` are updated in place (they stay zero outside the blocks); field
+    states are never mutated.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -289,14 +289,11 @@ class PmlRunner:
             raise ValueError("pml state shape does not match the grid")
         if pml.dt != spec.dt:
             raise ValueError(f"pml state was built for dt = {pml.dt}, the scheme steps {spec.dt}")
-        self.spec = spec
+        super().__init__(spec)
         self.source = source
         self.geom = geometry if geometry is not None else StencilGeometry(grid)
         self.weights = weights if weights is not None else self.geom.cached_weights()
-        self.work = Workspace()
         self._set_collar(pml)
-        self._materials = None
-        self._injector = None
         if source is not None:
             margin = max(pml.thickness, 1)
             xlo = grid.x0 + margin * grid.dx
@@ -326,31 +323,25 @@ class PmlRunner:
 
     def with_dt(self, dt: float) -> "PmlRunner":
         """This runner stepping dt, for a run's shorter final step: the same
-        geometry, edge corrections, work buffers and collar memory, with
-        recursion coefficients for dt."""
-        other = copy.copy(self)
-        other.spec = replace(self.spec, dt=dt)
+        geometry, binding, work buffers and collar memory, with recursion
+        coefficients for dt."""
+        other = super().with_dt(dt)
         other._set_collar(self.pml.with_dt(dt))
         return other
 
-    def _prepare(self, state: FieldState2):
-        """Form the materials' reciprocal planes and the edge corrections
-        when the runner first sees the materials of `state` (again only if
-        a state brings other ones); at a run's first step this comes before
-        the step's work buffers exist, so that the set-up arrays never add
-        to them."""
-        eps, mu = state.eps, state.mu
-        seen = self._materials
-        if seen is not None and seen[0] is eps and seen[1] is mu:
-            return
-        self._materials = (eps, mu, _reciprocal(eps), _reciprocal(mu))
-        if self.source is not None:
-            self._injector = TfsfInjector(self.source, self.geom, self.spec.kind,
-                                          *self._materials[2:])
+    def _bind(self, state: FieldState2):
+        """(1/eps, 1/mu, the TfsfInjector or None) for the materials of
+        `state`; at a run's first step this comes before the step's work
+        buffers exist, so that the set-up arrays never add to them."""
+        _check_state(state, self.geom.grid)
+        inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
+        injector = None if self.source is None else TfsfInjector(
+            self.source, self.geom, self.spec.kind, inv_eps, inv_mu)
+        return inv_eps, inv_mu, injector
 
-    def _apply(self, v, out, sdt, corrections, first, last):
+    def _apply(self, v, out, bound, sdt, corrections, first, last):
         """One substep with signed step sdt on the stack v, into `out`
-        (fresh when None).
+        (fresh when None), with the runner's binding `bound`.
 
         The `first` substep, acting on the step-start state, keeps c * g of
         its undamped gradients g; the `last` scales psi by b in place, adds
@@ -369,18 +360,18 @@ class PmlRunner:
                 if last:
                     memory *= b
                     block += memory
-        out = _ls_assemble(v, fits, self.geom, sdt, *self._materials[2:], out, self.work)
+        out = _ls_assemble(v, fits, self.geom, sdt, *bound[:2], out, self.work)
         if last:
             for _, blocks in self._collar:
                 for *_, memory, cg in blocks:
                     memory += cg
         if corrections is not None:
             # `out` is contiguous, so the flat view writes through
-            out.reshape(-1)[self._injector.index] += corrections
+            out.reshape(-1)[bound[2].index] += corrections
         return out
 
-    def _corrections(self, t, sdt):
-        return None if self._injector is None else self._injector.corrections(t, sdt)
+    def _corrections(self, bound, t, sdt):
+        return None if bound[2] is None else bound[2].corrections(t, sdt)
 
     def step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt from time t with the three-substep wrapper.
@@ -391,18 +382,19 @@ class PmlRunner:
         substeps share one set of corrections.
         """
         dt = self.spec.dt
-        self._prepare(state)
+        bound = self._bound(state)
         # (signed step, edge corrections) of the forward and backward substeps
-        fwd = (dt, self._corrections(t, dt))
-        bwd = (-dt, self._corrections(t + dt, -dt))
-        u = bfecc_apply(lambda k, v, out: self._apply(v, out, *(bwd if k == 1 else fwd),
+        fwd = (dt, self._corrections(bound, t, dt))
+        bwd = (-dt, self._corrections(bound, t + dt, -dt))
+        u = bfecc_apply(lambda k, v, out: self._apply(v, out, bound, *(bwd if k == 1 else fwd),
                                                       k == 0, k == 2),
                         state.u, self.work)
         return FieldState2._of(u, state.eps, state.mu)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""
-        self._prepare(state)
+        bound = self._bound(state)
         dt = self.spec.dt
-        u = self._apply(state.u, None, dt, self._corrections(t, dt), True, True)
+        u = self._apply(state.u, None, bound, dt, self._corrections(bound, t, dt), True, True)
         return FieldState2._of(u, state.eps, state.mu)
+

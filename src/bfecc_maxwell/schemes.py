@@ -450,6 +450,15 @@ def _ls_assemble(u, fits, geom: StencilGeometry, sdt, inv_eps, inv_mu, out, work
     return out
 
 
+def _check_state(state, where):
+    """Check that `state` steps on `where`: a FieldState1 on a spacing dx, a
+    FieldState2 on a Grid2 of its shape."""
+    if not isinstance(state, FieldState2 if isinstance(where, Grid2) else FieldState1):
+        raise TypeError(f"unsupported state type {type(state).__name__} on {type(where).__name__}")
+    if isinstance(where, Grid2) and state.shape != (where.nx, where.ny):
+        raise ValueError(f"state shape {state.shape} does not match grid {(where.nx, where.ny)}")
+
+
 def _operator(spec, state, where, geometry=None, weights=None, work=None):
     """The one-step operator of `spec` for states like `state`, checked and
     bound once.
@@ -465,21 +474,18 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
     from the geometry's cache.
     """
     kind = spec.kind
+    _check_state(state, where)
     if isinstance(state, FieldState1):
         if kind not in UNIFORM_KINDS:
             raise ValueError("least-squares kinds are 2D schemes; use step_2d")
         if not where > 0:
             raise ValueError(f"dx must be positive, got {where}")
-    elif isinstance(state, FieldState2):
+    else:
         grid: Grid2 = where
-        if state.shape != (grid.nx, grid.ny):
-            raise ValueError(f"state shape {state.shape} does not match grid {(grid.nx, grid.ny)}")
         if kind in UNIFORM_KINDS and grid.boundary_kind != "periodic":
             raise ValueError(f"kind {kind!r} needs a periodic grid; bounded grids need a ls_* kind")
         if kind in UNIFORM_KINDS and not grid.uniform:
             raise ValueError(f"kind {kind!r} requires a uniform grid; use ls_cd or ls_theta")
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
     if work is None:
         work = Workspace()
     inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)

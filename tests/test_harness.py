@@ -263,21 +263,30 @@ def test_scatter_remainder_step_lands_on_t_final(bfecc, sup, rms):
 
 def test_scatter_remainder_step_reuses_the_edge_factorization(monkeypatch):
     # 22 full steps plus a remainder: one factorization for the irregular
-    # stencils, one for the TF/SF edge rows, none more for the remainder
-    from bfecc_maxwell import schemes
+    # stencils, one for the TF/SF edge rows of the one injector, none more
+    # for the remainder
+    from bfecc_maxwell import pml, schemes
 
     calls = []
+    injectors = []
     original = schemes.batched_fit_weights
+    original_injector = pml.TfsfInjector
 
     def counting(offsets):
         calls.append(len(offsets))
         return original(offsets)
 
+    def counting_injector(*args):
+        injectors.append(args)
+        return original_injector(*args)
+
     monkeypatch.setattr(schemes, "batched_fit_weights", counting)
+    monkeypatch.setattr(pml, "TfsfInjector", counting_injector)
     out = run_experiment(ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta",
                                           n=16, t_final=0.7))
     assert out["steps"] == 23
     assert len(calls) == 2
+    assert len(injectors) == 1
 
 
 def test_scatter_requires_least_squares_scheme():

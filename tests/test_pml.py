@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from bfecc_maxwell import pml as pml_module
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
 from bfecc_maxwell.grid import build_uniform
 from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid
@@ -12,6 +15,7 @@ from bfecc_maxwell.pml import (
 )
 from bfecc_maxwell.schemes import (
     LS_CENTER,
+    FieldState1,
     FieldState2,
     SchemeSpec,
     StencilGeometry,
@@ -211,6 +215,63 @@ def test_runner_rejects_unsupported_configurations():
     src = TfsfSource(rect=(0.1, 0.9, 0.1, 0.9))
     with pytest.raises(ValueError):
         PmlRunner(g, SchemeSpec("ls_theta", dt), pml, source=src)
+    # a state of another shape or type is rejected when the runner binds
+    # it, with the one line the BFECC stepper gives
+    small = bounded_grid(24)
+    spec = SchemeSpec("ls_theta", 0.5 * small.dx)
+    r = PmlRunner(small, spec, build_pml(small, spec.dt, thickness=4))
+    wrong = random_state(20)
+    mismatch = r"^state shape \(20, 20\) does not match grid \(24, 24\)$"
+    with pytest.raises(ValueError, match=mismatch):
+        bfecc_step(BfeccStep(spec), wrong, small)
+    for step in (r.step, r.plain_step):
+        with pytest.raises(ValueError, match=mismatch):
+            step(wrong, 0.0)
+        with pytest.raises(TypeError, match="FieldState1"):
+            step(FieldState1(np.zeros(22), np.zeros(22)), 0.0)
+    # the runner still steps a state of its grid after the rejections
+    assert r.step(random_state(24), 0.0).u.shape == (3, 24, 24)
+
+
+def test_a_runner_binds_once_per_materials_and_shares_the_binding(monkeypatch):
+    built = []
+    original = pml_module.TfsfInjector
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pml_module, "TfsfInjector", counting)
+    n = 40
+    g = bounded_grid(n)
+    dt = 0.5 * g.dx
+    spec = SchemeSpec("ls_theta", dt)
+    src = TfsfSource(rect=(0.35, 0.65, 0.35, 0.65))
+    rng = np.random.default_rng(21)
+    eps = rng.uniform(1.0, 2.0, (n, n))
+    r = PmlRunner(g, spec, build_pml(g, dt, thickness=10), src)
+    st = r.step(FieldState2(*rng.standard_normal((3, n, n)), eps=eps), 0.0)
+    assert len(built) == 1
+    # a new state around the same material arrays keeps the binding
+    st = r.step(FieldState2(*st.u, eps=st.eps, mu=st.mu), dt)
+    assert len(built) == 1
+    # another eps array binds again, and the runner steps like a fresh one
+    # on a copy of its collar
+    fresh = PmlRunner(g, spec, copy.deepcopy(r.pml), src)
+    other = FieldState2(*st.u, eps=2.0 * eps)
+    a, b = r.step(other, 2 * dt), fresh.step(other, 2 * dt)
+    assert np.array_equal(a.u, b.u)
+    assert np.array_equal(r.pml.psi_ezx, fresh.pml.psi_ezx)
+    assert len(built) == 3
+    # a with_dt copy shares the binding
+    h = 0.4 * dt
+    a, b = r.with_dt(h).step(a, 3 * dt), fresh.with_dt(h).step(b, 3 * dt)
+    assert np.array_equal(a.u, b.u)
+    assert len(built) == 3
+    # and the kept runner still steps dt
+    again = PmlRunner(g, spec, copy.deepcopy(r.pml), src)
+    assert r.spec.dt == dt
+    assert np.array_equal(r.step(a, 3 * dt + h).u, again.step(a, 3 * dt + h).u)
 
 
 def test_source_validation():
