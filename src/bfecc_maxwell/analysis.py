@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .bfecc import BfeccStep, bfecc_step
-from .schemes import FieldState1, SchemeSpec, _theta_eff
-
-_IdxType = Union[int, float]
+from .schemes import LS_CENTER, FieldState1, SchemeSpec, _theta_eff
 
 
 def _as_pair(v):
@@ -252,7 +249,8 @@ def cfl_bound(kind, dims, spacings, theta=0.0):
     2D:  the largest dt with radius <= 2 on every mode, from `_edge_2d`;
          sqrt(3) / sqrt(1/hx^2 + 1/hy^2) for cd, and for hx = hy the 1D
          constant over sqrt(1/hx^2 + 1/hy^2).
-    ls_cd / ls_theta use their uniform-grid reductions (cd, theta(0.8)).
+    ls_cd / ls_theta use their uniform-grid reduction: theta with the
+    center weight schemes.LS_CENTER[kind] (0 for ls_cd, which is cd).
     """
     sp = [float(s) for s in (spacings if np.iterable(spacings) else [spacings])]
     if len(sp) != dims:
@@ -261,10 +259,8 @@ def cfl_bound(kind, dims, spacings, theta=0.0):
         raise ValueError(f"spacings must be finite and positive, got {sp}")
     if dims not in (1, 2):
         raise ValueError(f"dims must be 1 or 2, got {dims}")
-    if kind == "ls_cd":
-        kind = "cd"
-    elif kind == "ls_theta":
-        kind, theta = "theta", 0.8
+    if kind in LS_CENTER:
+        kind, theta = "theta", LS_CENTER[kind]
     th = _theta_eff(kind, theta)
     if dims == 1:
         return theta_cfl_constant(th) * sp[0]

@@ -26,8 +26,8 @@ t_final.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class InstabilityError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """Run settings.  Each field is a config-file key of its own name,
+    unless its metadata names another, parsed by the converter of its type."""
+
     experiment: str = "periodic1d"
     scheme: str = "cd"
     theta: float = 0.8
@@ -63,7 +66,7 @@ class ExperimentConfig:
     n: int = 64
     dt_ratio: float = 0.5
     t_final: float = 0.6
-    grid_variant: str = "a"
+    grid_variant: str = field(default="a", metadata={"key": "grid"})
     levels: int = 3
     smooth_sweeps: int = 0
     disk_center: tuple = (0.5, 0.5)
@@ -74,16 +77,16 @@ class ExperimentConfig:
     allow_unstable: bool = False
     check_every: int = 10
     blowup_threshold: float = 1e6
-    pml_cells: int = 10
-    pml_sigma_max: Optional[float] = None
-    pml_exponent: float = 3.0
-    tfsf_rect: tuple = (0.1, 0.9, 0.1, 0.9)
-    tfsf_omega: float = 2.0 * math.pi / 0.6
-    tfsf_amplitude: float = 1.0
-    tfsf_ramp: float = 0.6
-    star_lobes: int = 5
-    star_ripple: float = 0.25
-    star_r0: float = 0.24
+    pml_cells: int = field(default=10, metadata={"key": "pml.cells"})
+    pml_sigma_max: Optional[float] = field(default=None, metadata={"key": "pml.sigma_max"})
+    pml_exponent: float = field(default=3.0, metadata={"key": "pml.exponent"})
+    tfsf_rect: tuple = field(default=(0.1, 0.9, 0.1, 0.9), metadata={"key": "tfsf.rect"})
+    tfsf_omega: float = field(default=2.0 * math.pi / 0.6, metadata={"key": "tfsf.omega"})
+    tfsf_amplitude: float = field(default=1.0, metadata={"key": "tfsf.amplitude"})
+    tfsf_ramp: float = field(default=0.6, metadata={"key": "tfsf.ramp"})
+    star_lobes: int = field(default=5, metadata={"key": "star.lobes"})
+    star_ripple: float = field(default=0.25, metadata={"key": "star.ripple"})
+    star_r0: float = field(default=0.24, metadata={"key": "star.r0"})
 
 
 def _parse_bool(s):
@@ -103,37 +106,12 @@ def _parse_opt_float(s):
     return None if s.strip().lower() in ("none", "auto") else float(s)
 
 
-# config-file key -> (attribute, converter)
-KNOWN_KEYS = {
-    "experiment": ("experiment", str),
-    "scheme": ("scheme", str),
-    "theta": ("theta", float),
-    "bfecc": ("bfecc", _parse_bool),
-    "n": ("n", int),
-    "dt_ratio": ("dt_ratio", float),
-    "t_final": ("t_final", float),
-    "grid": ("grid_variant", str),
-    "levels": ("levels", int),
-    "smooth_sweeps": ("smooth_sweeps", int),
-    "disk_center": ("disk_center", _parse_floats),
-    "disk_radius": ("disk_radius", float),
-    "eps_inside": ("eps_inside", float),
-    "shift_to_boundary": ("shift_to_boundary", _parse_bool),
-    "reference_n": ("reference_n", int),
-    "allow_unstable": ("allow_unstable", _parse_bool),
-    "check_every": ("check_every", int),
-    "blowup_threshold": ("blowup_threshold", float),
-    "pml.cells": ("pml_cells", int),
-    "pml.sigma_max": ("pml_sigma_max", _parse_opt_float),
-    "pml.exponent": ("pml_exponent", float),
-    "tfsf.rect": ("tfsf_rect", _parse_floats),
-    "tfsf.omega": ("tfsf_omega", float),
-    "tfsf.amplitude": ("tfsf_amplitude", float),
-    "tfsf.ramp": ("tfsf_ramp", float),
-    "star.lobes": ("star_lobes", int),
-    "star.ripple": ("star_ripple", float),
-    "star.r0": ("star_r0", float),
-}
+_CONVERTERS = {str: str, int: int, float: float, bool: _parse_bool, tuple: _parse_floats,
+               Optional[float]: _parse_opt_float}
+_TYPES = get_type_hints(ExperimentConfig)
+# config-file key -> (attribute, converter), in field order
+KNOWN_KEYS = {f.metadata.get("key", f.name): (f.name, _CONVERTERS[_TYPES[f.name]])
+              for f in fields(ExperimentConfig)}
 
 # float settings, tuples and the optional pml.sigma_max included; each
 # must be finite (filtered once, as validate_config runs inside every run)
@@ -170,6 +148,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"dt_ratio must be positive, got {cfg.dt_ratio}")
     if not cfg.t_final >= 0:
         raise ValueError(f"t_final must be nonnegative, got {cfg.t_final}")
+    if not cfg.blowup_threshold > 0:
+        raise ValueError(f"blowup_threshold must be positive, got {cfg.blowup_threshold}")
     if cfg.check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {cfg.check_every}")
     if cfg.levels < 1:

@@ -204,19 +204,17 @@ class TfsfInjector:
         d = dchi[rows]
         weights = geom.fit_weights(rows)
         self.source = source
-        ring = inside[0].start
-        field = tuple(r + ring for r in np.unravel_index(rows, geom.shape))
-        plane = (geom.grid.nx, geom.grid.ny)
-        self.index = np.ravel_multi_index(field, plane) + np.arange(3)[:, None] * math.prod(plane)
+        center = geom.index[rows, 0]
+        self.index = center + np.arange(3)[:, None] * (geom.grid.nx * geom.grid.ny)
         self.x, inverse = np.unique(ax[rows], return_inverse=True)
         self.x_index = inverse.reshape(d.shape)
         self.dwx = d * weights[:, 1, :]
         self.dwy = d * weights[:, 2, :]
-        # the fitted-center base only exists for ls_theta; the ls_cd base is
-        # the point's own value, whose chi difference is identically zero
-        self.dw0 = d * weights[:, 0, :] if kind == "ls_theta" else None
-        self.inv_eps = 1.0 if inv_eps is None else inv_eps[field]
-        self.inv_mu = 1.0 if inv_mu is None else inv_mu[field]
+        # the fitted-center base only exists for a kind whose base blends in
+        # the neighbors; a point's own value has chi difference zero
+        self.dw0 = d * weights[:, 0, :] if LS_CENTER[kind] else None
+        self.inv_eps = 1.0 if inv_eps is None else inv_eps.take(center)
+        self.inv_mu = 1.0 if inv_mu is None else inv_mu.take(center)
 
     def corrections(self, t, sdt):
         """(3, rows) corrections (dHx, dHy, dEz) to add at `index` to the
@@ -312,12 +310,12 @@ class PmlRunner(BfeccStep):
         held[self.geom.interior] = False
         x = _collar_blocks(pml.sigma_x, pml.b_x, pml.c_x, 0, held)
         y = _collar_blocks(pml.sigma_y, pml.b_y, pml.c_y, 1, held)
-        # (memory field, blocks) in the order of the derivative planes
-        # d/dx (Hy, Ez), d/dy (Hx, Ez); each block adds its view of the
-        # memory field and a c * g work array of its own
+        # the blocks of each derivative plane, in the order d/dx (Hy, Ez),
+        # d/dy (Hx, Ez); each block adds its view of the memory field and a
+        # c * g work array of its own
         self._collar = tuple(
-            (psi, [(*block, psi[block[0]], self.work(f"collar_{name}{k}", block[1].shape))
-                   for k, block in enumerate(blocks)])
+            [(*block, psi[block[0]], self.work(f"collar_{name}{k}", block[1].shape))
+             for k, block in enumerate(blocks)]
             for name, psi, blocks in (("ezx", pml.psi_ezx, x), ("hyx", pml.psi_hyx, x),
                                       ("ezy", pml.psi_ezy, y), ("hxy", pml.psi_hxy, y)))
 
@@ -345,13 +343,13 @@ class PmlRunner(BfeccStep):
 
         The `first` substep, acting on the step-start state, keeps c * g of
         its undamped gradients g; the `last` scales psi by b in place, adds
-        that as the memory term and, once assembled, completes the
-        recursion psi <- b psi + c g.  `corrections` are the edge
-        corrections for this substep's time and sign of step (None without
-        a source).
+        that as the memory term and then completes the recursion
+        psi <- b psi + c g, which nothing later in the substep reads.
+        `corrections` are the edge corrections for this substep's time and
+        sign of step (None without a source).
         """
         fits = _ls_fit_all(self.geom, self.weights, v, LS_CENTER[self.spec.kind], self.work)
-        for g, (_, blocks) in zip((*fits[1], *fits[2]), self._collar):
+        for g, blocks in zip((*fits[1], *fits[2]), self._collar):
             for index, b, c, one_c, memory, cg in blocks:
                 block = g[index]
                 if first:
@@ -360,11 +358,8 @@ class PmlRunner(BfeccStep):
                 if last:
                     memory *= b
                     block += memory
-        out = _ls_assemble(v, fits, self.geom, sdt, *bound[:2], out, self.work)
-        if last:
-            for _, blocks in self._collar:
-                for *_, memory, cg in blocks:
                     memory += cg
+        out = _ls_assemble(v, fits, self.geom, sdt, *bound[:2], out, self.work)
         if corrections is not None:
             # `out` is contiguous, so the flat view writes through
             out.reshape(-1)[bound[2].index] += corrections

@@ -20,7 +20,7 @@ from bfecc_maxwell.analysis import (
 )
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
 from bfecc_maxwell.grid import build_uniform
-from bfecc_maxwell.schemes import FieldState1, FieldState2, SchemeSpec
+from bfecc_maxwell.schemes import LS_CENTER, FieldState1, FieldState2, SchemeSpec
 
 
 def test_symbol_1d_structure():
@@ -235,9 +235,10 @@ def test_worst_lattice_mode_keeps_its_energy_at_the_2d_bound():
 
 
 def test_cfl_bound_least_squares_kinds_map_to_uniform_limits():
-    assert cfl_bound("ls_cd", 2, [0.1, 0.1]) == cfl_bound("cd", 2, [0.1, 0.1])
-    assert cfl_bound("ls_theta", 2, [0.1, 0.1]) == pytest.approx(
-        cfl_bound("theta", 2, [0.1, 0.1], theta=0.8))
+    for dims, sp in ((1, [0.1]), (2, [0.1, 0.1]), (2, [0.1, 0.03])):
+        for kind in ("ls_cd", "ls_theta"):
+            assert cfl_bound(kind, dims, sp) == cfl_bound("theta", dims, sp, LS_CENTER[kind])
+        assert cfl_bound("ls_cd", dims, sp) == cfl_bound("cd", dims, sp)
 
 
 def test_cfl_bound_validation():

@@ -90,7 +90,8 @@ def test_refused_allocation_exits_2_with_one_line(message, monkeypatch, capsys):
 
 @pytest.mark.parametrize("setting", ["check_every=0", "check_every=-3", "dt_ratio=nan",
                                      "dt_ratio=inf", "t_final=inf", "t_final=nan",
-                                     "blowup_threshold=nan", "blowup_threshold=inf"])
+                                     "blowup_threshold=nan", "blowup_threshold=inf",
+                                     "blowup_threshold=0", "blowup_threshold=-1"])
 def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):
     rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=16", "-p", setting])
     assert rc == 2

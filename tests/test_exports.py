@@ -71,6 +71,49 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
+def unread_private_definitions(sources):
+    """{module: sorted names} of the module-level private definitions
+    (`_x = ...`, `def _x`, `class _X`; dunders excluded) that none of the
+    sources {module: text} reads, by name or as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {}
+    for name, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        names = sorted(n for n in defined - read
+                       if n.startswith("_") and not (n.startswith("__") and n.endswith("__")))
+        if names:
+            unread[name] = names
+    return unread
+
+
+def test_unread_private_definitions_are_caught():
+    sources = {"a": "_x = 1\n_y, _z = 2, 3\n__all__ = []\n"
+                    "def _f():\n    return _x\nclass _C:\n    pass\n",
+               "b": "import a\nfrom a import _f\n_f()\nprint(a._z)\n"}
+    assert unread_private_definitions(sources) == {"a": ["_C", "_y"]}
+
+
+def test_no_module_defines_a_private_name_nothing_reads():
+    # a private helper or constant left behind by a refactor fails this
+    package = Path(__file__).resolve().parents[1] / "src" / "bfecc_maxwell"
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unread_private_definitions(sources) == {}
+
+
 @pytest.mark.parametrize("settings", [
     dict(experiment="periodic1d", n=32, dt_ratio=1.7, t_final=0.3),
     dict(experiment="periodic2d", scheme="ls_theta", grid_variant="d", n=16,
