@@ -150,6 +150,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"t_final must be nonnegative, got {cfg.t_final}")
     if not cfg.blowup_threshold > 0:
         raise ValueError(f"blowup_threshold must be positive, got {cfg.blowup_threshold}")
+    if not math.isfinite(cfg.blowup_threshold * cfg.tfsf_amplitude):
+        raise ValueError(f"tfsf.amplitude = {cfg.tfsf_amplitude:g} overflows the monitor's "
+                         f"limit at blowup_threshold = {cfg.blowup_threshold:g}")
     if cfg.check_every < 1:
         raise ValueError(f"check_every must be at least 1, got {cfg.check_every}")
     if cfg.levels < 1:
@@ -246,32 +249,36 @@ def _check_cfl(cfg, kind, dims, spacings, dt):
             f"{kind!r}; reduce dt_ratio or pass allow_unstable")
 
 
-def _monitor(cfg, state, step, t):
+def _monitor(cfg, state, step, t, scale=1.0):
     """Sup-norm check of each component after step `step`, which ends at
-    time t; NaN counts as blown up."""
+    time t, against blowup_threshold times the run's `scale`; NaN counts as
+    blown up."""
     for f in state.u:
         sup = float(np.max(np.abs(f)))
-        if not sup <= cfg.blowup_threshold:
+        if not sup <= cfg.blowup_threshold * scale:
             raise InstabilityError(step, t, sup)
 
 
-def _march(cfg, state, stepper, step):
+def _march(cfg, state, stepper, step, scale=1.0):
     """Advance `state` to cfg.t_final: floor(T / dt) full steps of the
     stepper's dt, then one remainder step of size h < dt when one is left,
     taken with stepper.with_dt(h).  The monitor checks every check_every-th
-    full step, the last one and the remainder.  `step(s, state, t)` takes
-    one step from time t with the stepper s; returns (state, steps)."""
+    full step, the last one and the remainder against `scale`, the
+    amplitude of the run's wave: 1 for the exact waves the periodic
+    experiments start from, the source's for a scatter run, which starts
+    at rest.  `step(s, state, t)` takes one step from time t with the
+    stepper s; returns (state, steps)."""
     dt = stepper.spec.dt
     n_full = int(math.floor(cfg.t_final / dt + 1e-9))
     for k in range(1, n_full + 1):
         state = step(stepper, state, (k - 1) * dt)
         if k % cfg.check_every == 0 or k == n_full:
-            _monitor(cfg, state, k, k * dt)
+            _monitor(cfg, state, k, k * dt, scale)
     partial = cfg.t_final - n_full * dt
     if partial <= 1e-9 * dt:
         return state, n_full
     state = step(stepper.with_dt(partial), state, n_full * dt)
-    _monitor(cfg, state, n_full + 1, cfg.t_final)
+    _monitor(cfg, state, n_full + 1, cfg.t_final, scale)
     return state, n_full + 1
 
 
@@ -390,7 +397,8 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
         return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)
 
     zeros = np.zeros((grid.nx, grid.ny))
-    state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), runner, step)
+    state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), runner, step,
+                          abs(cfg.tfsf_amplitude))
     phys = slice(pad, pad + n + 1)
     return {
         "experiment": cfg.experiment, "n": n, "h": h, "dt": dt,

@@ -10,7 +10,8 @@ with b = exp(-sigma * dt) and c = b - 1, one memory field psi per
 interior scheme: b = 1, c = 0 and psi stays zero.  So the collar work
 (the (1 + c) scaling, the memory term and the recursion) runs only on the
 row and column blocks where the profile is nonzero; an inert collar does
-none.
+none.  It acts on the 2D kernel's raw differences u[i+1] - u[i-1] =
+2 h d_xi u, so psi is held as 2 h psi, whose units do not depend on dt.
 
 Inside the three-substep wrapper (bfecc.bfecc_apply, with the sources
 below as per-substep hooks) the (1 + c) derivative scaling is part of the
@@ -49,7 +50,8 @@ from .grid import Grid2
 # lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _check_state, _ls_assemble, _ls_fit_all, _reciprocal, lincomb2)
+                      _check_state, _correction_weights, _kernel_2d, _ls_fit_all, _reciprocal,
+                      lincomb2)
 
 
 def _depth_fraction(n, thickness):
@@ -61,7 +63,8 @@ def _depth_fraction(n, thickness):
 
 @dataclass
 class PmlState:
-    """Damping profiles, recursion coefficients and the four memory fields."""
+    """Damping profiles, recursion coefficients and the four memory fields,
+    held as raw differences (2 dx psi for the x memories, 2 dy psi for y)."""
 
     thickness: int
     dt: float
@@ -259,23 +262,19 @@ def _collar_blocks(sigma, b, c, axis, held):
 class PmlRunner(BfeccStep):
     """Time stepper for a least-squares scheme with collar and injection.
 
-    Builds the stencil geometry, fit weights and recursion coefficients
-    once, then advances states with `step` (the BFECC composition of
-    bfecc.bfecc_apply) or `plain_step`.  Every substep fits the stacked
-    state with schemes._ls_fit_all, scales the derivative planes by the
-    collar's (1 + c), and applies step_2d's least-squares assembly with a
-    signed step; the memory term joins only a step's final substep and the
-    TF/SF corrections every substep.  The collar work runs only on the row
-    and column blocks where the damping profile is nonzero, and the memory
-    recursion reuses the first substep's c * g and the last substep's
-    b * psi.  A step evaluates the corrections twice, for the forward
-    substeps at t and the backward one at t + dt.  As a bfecc.BfeccStep, a
-    runner keeps one set of work buffers for all its steps and binds by the
-    same rule: it forms the materials' reciprocal planes and the edge
-    corrections when it first sees a state's materials, again only for
-    other ones, and its `with_dt` copy shares them.  The memory fields in
-    `pml` are updated in place (they stay zero outside the blocks); field
-    states are never mutated.
+    Builds the stencil geometry, the irregular stencils' correction
+    weights and recursion coefficients once, then advances states with
+    `step` (the BFECC composition of bfecc.bfecc_apply) or `plain_step`.
+    Every substep is step_2d's kernel with a signed step, whose hook adds
+    the corrections of schemes._ls_fit_all to the raw difference planes
+    and damps their collar blocks; the memory term joins only a step's
+    final substep, the TF/SF corrections every substep, twice evaluated
+    per step (the forward substeps at t, the backward one at t + dt).  As
+    a bfecc.BfeccStep, a runner keeps one set of work buffers and binds by
+    the same rule: the materials' reciprocal planes and the edge
+    corrections, formed for each new set of materials and shared by its
+    `with_dt` copy.  The memory fields in `pml` are updated in place (they
+    stay zero outside the blocks); field states are never mutated.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -290,7 +289,8 @@ class PmlRunner(BfeccStep):
         super().__init__(spec)
         self.source = source
         self.geom = geometry if geometry is not None else StencilGeometry(grid)
-        self.weights = weights if weights is not None else self.geom.cached_weights()
+        w = weights if weights is not None else self.geom.cached_weights()
+        self.weights = _correction_weights(grid, w, LS_CENTER[spec.kind])
         self._set_collar(pml)
         if source is not None:
             margin = max(pml.thickness, 1)
@@ -310,14 +310,14 @@ class PmlRunner(BfeccStep):
         held[self.geom.interior] = False
         x = _collar_blocks(pml.sigma_x, pml.b_x, pml.c_x, 0, held)
         y = _collar_blocks(pml.sigma_y, pml.b_y, pml.c_y, 1, held)
-        # the blocks of each derivative plane, in the order d/dx (Hy, Ez),
-        # d/dy (Hx, Ez); each block adds its view of the memory field and a
-        # c * g work array of its own
-        self._collar = tuple(
+        # the blocks of _kernel_2d's planes k = 0-4: none for the blend, then
+        # d/dx Hy, d/dy Hx, d/dy Ez, d/dx Ez; each block adds its view of the
+        # memory field and a c * g work array of its own
+        self._collar = ((),) + tuple(
             [(*block, psi[block[0]], self.work(f"collar_{name}{k}", block[1].shape))
              for k, block in enumerate(blocks)]
-            for name, psi, blocks in (("ezx", pml.psi_ezx, x), ("hyx", pml.psi_hyx, x),
-                                      ("ezy", pml.psi_ezy, y), ("hxy", pml.psi_hxy, y)))
+            for name, psi, blocks in (("ezx", pml.psi_ezx, x), ("ezy", pml.psi_ezy, y),
+                                      ("hxy", pml.psi_hxy, y), ("hyx", pml.psi_hyx, x)))
 
     def with_dt(self, dt: float) -> "PmlRunner":
         """This runner stepping dt, for a run's shorter final step: the same
@@ -339,19 +339,19 @@ class PmlRunner(BfeccStep):
 
     def _apply(self, v, out, bound, sdt, corrections, first, last):
         """One substep with signed step sdt on the stack v, into `out`
-        (fresh when None), with the runner's binding `bound`.
+        (fresh when None), with the runner's binding `bound` and the edge
+        `corrections` for its time and sign of step (None without a
+        source).  The `first` substep, acting on the step-start state, keeps
+        c * g of its undamped raw differences g; the `last` scales psi by b
+        in place, adds it as the memory term and then completes the
+        recursion psi <- b psi + c g, which nothing later reads."""
+        th = LS_CENTER[self.spec.kind]
+        irregular = _ls_fit_all(self.geom, self.weights, v, th, self.work)
 
-        The `first` substep, acting on the step-start state, keeps c * g of
-        its undamped gradients g; the `last` scales psi by b in place, adds
-        that as the memory term and then completes the recursion
-        psi <- b psi + c g, which nothing later in the substep reads.
-        `corrections` are the edge corrections for this substep's time and
-        sign of step (None without a source).
-        """
-        fits = _ls_fit_all(self.geom, self.weights, v, LS_CENTER[self.spec.kind], self.work)
-        for g, blocks in zip((*fits[1], *fits[2]), self._collar):
-            for index, b, c, one_c, memory, cg in blocks:
-                block = g[index]
+        def fix(k, plane):
+            irregular(k, plane)
+            for index, b, c, one_c, memory, cg in self._collar[k]:
+                block = plane[index]
                 if first:
                     np.multiply(block, c, out=cg)
                 block *= one_c
@@ -359,7 +359,9 @@ class PmlRunner(BfeccStep):
                     memory *= b
                     block += memory
                     memory += cg
-        out = _ls_assemble(v, fits, self.geom, sdt, *bound[:2], out, self.work)
+
+        out = _kernel_2d(sdt, v, self.geom.grid, th, *bound[:2], out, self.work, fix,
+                         self.geom.ring)
         if corrections is not None:
             # `out` is contiguous, so the flat view writes through
             out.reshape(-1)[bound[2].index] += corrections

@@ -28,10 +28,13 @@ bfecc.BfeccStep binds one per run and keeps it, running it three times
 per step, with dt, -dt and dt, into the array it returns and one buffer
 that the run keeps for all its steps.
 
-A least-squares fit on an unmoved five-point cross is exactly the center
-blend and the centered differences, so the ls_* kinds run the uniform slice
-kernels over the whole field and refit only the irregular stencils, those
-with a point off its rectangular position.
+One 2D kernel, `_kernel_2d`, serves all five kinds.  A least-squares fit
+on an unmoved five-point cross is exactly the center blend and the
+centered differences, so the ls_* kinds run the slice kernels over the
+whole field and correct only the irregular stencils, those with a point
+off its rectangular position: their fit weights less the cross act on
+their gathered values, and the results go into the blend and the raw
+differences before these are scaled, where the collar (pml) acts too.
 
 All schemes are one-step and linear; the backward step is the forward one
 with -dt (the averaging terms are part of the spatial operator and keep
@@ -209,16 +212,14 @@ def _center_blend(theta_eff, f, out, spare):
 
     f is a contiguous stack of fields, spatial axes 1 onward; the blend
     goes into `out` (contiguous too), with `spare` (f's shape) as scratch,
-    and theta = 0 returns f itself.  The neighbor sum runs axis by axis in
-    a fixed order, f[i-1] + f[i+1], then + f[j-1], then + f[j+1], which
-    fixes its rounding; the j neighbors are added over merged rows, as in
-    `_dc`, with the two wrapped columns redone from their sums saved in
-    `spare`, which is free until the (1 - theta)*f term.  The average's
-    0.5 or 0.25 and theta are one factor: the quarter is exact, so
-    fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
+    for theta > 0 (at 0 the callers take f itself).  The neighbor sum runs
+    axis by axis in a fixed order, f[i-1] + f[i+1], then + f[j-1], then +
+    f[j+1], which fixes its rounding; the j neighbors are added over
+    merged rows, as in `_dc`, with the two wrapped columns redone from
+    their sums saved in `spare`, which is free until the (1 - theta)*f
+    term.  The average's 0.5 or 0.25 and theta are one factor: the quarter
+    is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
     """
-    if theta_eff == 0.0:
-        return f
     g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
     np.add(g[:-2], g[2:], out=a[1:-1])
     np.add(g[-1:], g[1:2], out=a[:1])
@@ -246,8 +247,7 @@ def _reciprocal(material):
 
 def _coef(scale, inv, work):
     """`scale`, or the plane scale * inv in the work array, where `inv` is a
-    material's reciprocal plane, or the 1D (1/eps, 1/mu) stack (None for
-    free space)."""
+    material's reciprocal plane (None for free space)."""
     if inv is None:
         return scale
     return np.multiply(inv, scale, out=work("coef", inv.shape))
@@ -299,32 +299,40 @@ def _bind_1d(dx, th, inv, n, work):
     return op
 
 
-def _uniform_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work):
+def _kernel_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work, fix=lambda k, plane: None,
+               ring=()):
     """The TMz update of u = (Hx, Hy, Ez), finishing one component at a
     time so that each stays in cache on large grids; dHx/dy passes through
     the Hx plane before that plane's own update.  lx and ly carry the
-    centered differences' 0.5."""
+    centered differences' 0.5.  `fix(k, plane)` may change in place the
+    center blend (k = 0; not called at th = 0, where the blend is u) and
+    each raw difference before it is scaled (k = 1-4: d/dx Hy, d/dy Hx,
+    d/dy Ez, d/dx Ez).  The points `ring` get their input values back."""
     if out is None:
         out = np.empty_like(u)
     lx = 0.5 * (sdt / grid.dx)
     ly = 0.5 * (sdt / grid.dy)
-    blend = u if th == 0.0 else _center_blend(th, u, work("blend", u.shape),
-                                              work("blend_spare", u.shape))
+    blend = u
+    if th != 0.0:
+        blend = _center_blend(th, u, work("blend", u.shape), work("blend_spare", u.shape))
+        fix(0, blend)
     hx, hy, ez = out
-    _dc(u[1], 0, ez)
+    fix(1, _dc(u[1], 0, ez))
     ez *= lx
-    _dc(u[0], 1, hx)
+    fix(2, _dc(u[0], 1, hx))
     hx *= ly
     ez -= hx
     if inv_eps is not None:
         ez *= inv_eps
     ez += blend[2]
-    _dc(u[2], 1, hx)
+    fix(3, _dc(u[2], 1, hx))
     hx *= _coef(ly, inv_mu, work)
     np.subtract(blend[0], hx, out=hx)
-    _dc(u[2], 0, hy)
+    fix(4, _dc(u[2], 0, hy))
     hy *= _coef(lx, inv_mu, work)
     hy += blend[1]
+    for points in ring:
+        out[points] = u[points]
     return out
 
 
@@ -342,12 +350,12 @@ class StencilGeometry:
     (m, 5, 2) their positions relative to the center, a wrapped neighbor
     sitting one domain extent away.  A stencil is irregular when any of its
     points has left its rect_coords() position; `irregular` lists them and
-    `irregular_index` (r, 5) holds their rows of `index`.  Every other
-    stencil is the uniform cross, whose fit is the theta = 0.8 center blend
-    and the centered differences, so `cached_weights()` factors only the
-    irregular stencils, (r, 3, 5) in `irregular` order;
-    `irregular_center` (r,) holds the flat field index of their centers,
-    contiguous, where their refit goes.
+    `irregular_index` (5, r) holds their rows of `index`, transposed.  Every
+    other stencil is the uniform cross, whose fit is the theta = 0.8 center
+    blend and the centered differences, so `cached_weights()` factors only
+    the irregular stencils, (r, 3, 5) in `irregular` order;
+    `irregular_center` (3, r) holds the flat indices of their centers in a
+    contiguous (Hx, Hy, Ez) stack, where their corrections go.
     """
 
     def __init__(self, grid: Grid2):
@@ -368,8 +376,8 @@ class StencilGeometry:
         self.offsets = (pos - pos[:, :, :1]).reshape(-1, 5, 2)
         moved = np.any(grid.coords != grid.rect_coords(), axis=2).ravel()
         self.irregular = np.flatnonzero(moved[self.index].any(axis=1))
-        self.irregular_index = self.index[self.irregular]
-        self.irregular_center = self.index[self.irregular, 0]
+        self.irregular_index = np.ascontiguousarray(self.index[self.irregular].T)
+        self.irregular_center = self.irregular_index[0] + np.arange(3)[:, None] * (nx * ny)
         self._weights = None
 
     def fit_weights(self, rows):
@@ -391,63 +399,41 @@ class StencilGeometry:
 LS_CENTER = {"ls_cd": 0.0, "ls_theta": 0.8}
 
 
+def _correction_weights(grid: Grid2, weights, center):
+    """The (r, 3, 5) fit weights of irregular stencils less the uniform
+    cross that _kernel_2d applies, in its units: the d/dx and d/dy rows
+    times 2 dx and 2 dy, the center row less the blend of neighbor weight
+    `center`.  Laid out (3, 5, r) in memory, so that _ls_fit_all's
+    contraction runs along r, at a fraction of the cost along the 5 points."""
+    di, dj = np.array(STENCIL_OFFSETS, dtype=float).T
+    cross = np.stack((np.where((di == 0) & (dj == 0), 1.0 - center, 0.25 * center), di, dj))
+    dw = weights * np.array([[1.0], [2.0 * grid.dx], [2.0 * grid.dy]]) - cross
+    return np.ascontiguousarray(dw.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+# (row of a correction, field) of _kernel_2d's raw difference planes k = 1-4:
+# d/dx Hy, d/dy Hx, d/dy Ez, d/dx Ez; d/dx and d/dy are the last two rows
+_RAW_PLANES = (None, (-2, 1), (-1, 0), (-1, 2), (-2, 2))
+
+
 def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
-    """Fitted (a, d/dx, d/dy) of the stacked fields u = (Hx, Hy, Ez): a for
-    all three fields, d/dx of (Hy, Ez) and d/dy of (Hx, Ez), the
-    derivatives an update reads; whole (nx, ny) planes, valid at the update
-    points.
-
-    The fits fill the (7, nx, ny) work array "fit" in that order, so the
-    four derivative planes are fit[3:]; on a bounded grid the outer ring
-    holds periodic-wrap values that no update uses, so every plane stays
-    contiguous.  The slice kernels give every uniform cross's fit over the
-    whole field: a is the center blend of weight `center` (0 leaves a = u
-    and skips the blend).  `weights`, the (r, 3, 5) block from
-    StencilGeometry.cached_weights(), then refits the irregular stencils
-    from their gathered values, all three fields in one contraction.
-    """
-    fit = work("fit", (7,) + u.shape[1:])
-    a = _center_blend(center, u, fit[:3], fit[3:6])
-    gx, gy = fit[3:5], fit[5:]
-    np.divide(_dc(u[1:], 1, gx), 2.0 * geom.grid.dx, out=gx)
-    np.divide(_dc(u[::2], 2, gy), 2.0 * geom.grid.dy, out=gy)
-    rows = geom.irregular_index
+    """The _kernel_2d hook that adds the irregular stencils' corrections at
+    their centers: `weights`, the block from _correction_weights, applied to
+    the stencils' gathered values of all three fields in one contraction,
+    its rows (center, d/dx, d/dy), the center row only for a nonzero blend
+    weight `center` (a zero weight leaves the point values as base)."""
+    rows, at = geom.irregular_index, geom.irregular_center
     vals = u.reshape(3, -1).take(rows, axis=1, mode="clip", out=work("gather", (3,) + rows.shape))
-    refit = np.einsum("rks,frs->kfr", weights, vals, out=work("refit", (3, 3, len(rows))))
-    fit.reshape(7, -1)[:, geom.irregular_center] = refit.reshape(9, -1).take(_FIT_PLANES, axis=0)
-    return a, gx, gy
+    w = weights if center else weights[:, 1:]
+    refit = np.einsum("rks,fsr->kfr", w, vals, out=work("refit", (w.shape[1], 3, rows.shape[1])))
 
+    def fix(k, plane):
+        if k == 0:
+            plane.reshape(-1)[at] += refit[0]
+        else:
+            plane.reshape(-1)[at[0]] += refit[_RAW_PLANES[k]]
 
-# the (kind, field) rows of the contraction kept in "fit": a of all three
-# fields, d/dx of Hy and Ez, d/dy of Hx and Ez
-_FIT_PLANES = np.array([0, 1, 2, 4, 5, 6, 8])
-
-
-def _ls_assemble(u, fits, geom: StencilGeometry, sdt, inv_eps, inv_mu, out, work):
-    """The least-squares update of the stack u from its fits, into `out`
-    (a fresh array when None); `inv_eps`/`inv_mu` are the materials'
-    reciprocal planes (None for free space).
-
-    `fits` are whole planes: the base values (the fitted center for
-    ls_theta, the point values for ls_cd), d/dx of (Hy, Ez) and d/dy of
-    (Hx, Ez), the fitted gradients or the collar's damped form of them.
-    The update runs over whole planes; the outer ring of a bounded grid
-    then gets its input values back.
-    """
-    if out is None:
-        out = np.empty_like(u)
-    base, (dhy_dx, dez_dx), (dhx_dy, dez_dy) = fits
-    sdt_mu = _coef(sdt, inv_mu, work)
-    np.multiply(dez_dy, sdt_mu, out=out[0])
-    np.subtract(base[0], out[0], out=out[0])
-    np.multiply(dez_dx, sdt_mu, out=out[1])
-    out[1] += base[1]
-    np.subtract(dhy_dx, dhx_dy, out=out[2])
-    out[2] *= _coef(sdt, inv_eps, work)
-    out[2] += base[2]
-    for ring in geom.ring:
-        out[ring] = u[ring]
-    return out
+    return fix
 
 
 def _check_state(state, where):
@@ -496,12 +482,12 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
             inv = None if inv_eps is None and inv_mu is None else np.stack(
                 [np.ones(n) if r is None else r for r in (inv_eps, inv_mu)])
             return _bind_1d(where, th, inv, n, work)
-        return lambda sdt, u, out: _uniform_2d(sdt, u, where, th, inv_eps, inv_mu, out, work)
+        return lambda sdt, u, out: _kernel_2d(sdt, u, where, th, inv_eps, inv_mu, out, work)
     geom = geometry if geometry is not None else StencilGeometry(grid)
-    w = weights if weights is not None else geom.cached_weights()
-    center = LS_CENTER[kind]
-    return lambda sdt, u, out: _ls_assemble(
-        u, _ls_fit_all(geom, w, u, center, work), geom, sdt, inv_eps, inv_mu, out, work)
+    th = LS_CENTER[kind]
+    dw = _correction_weights(grid, weights if weights is not None else geom.cached_weights(), th)
+    return lambda sdt, u, out: _kernel_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work,
+                                          _ls_fit_all(geom, dw, u, th, work), geom.ring)
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:

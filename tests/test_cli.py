@@ -104,7 +104,8 @@ def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):
     "disk_radius=nan", "disk_radius=inf", "disk_center=nan,0.5", "eps_inside=inf",
     "pml.sigma_max=nan", "pml.sigma_max=inf", "pml.exponent=nan", "pml.exponent=-1",
     "experiment=scatter_complex star.r0=nan", "experiment=scatter_complex star.r0=-0.1",
-    "smooth_sweeps=-2", "tfsf.omega=1e308", "t_final=2.5 tfsf.omega=1e308"])
+    "smooth_sweeps=-2", "tfsf.omega=1e308", "t_final=2.5 tfsf.omega=1e308",
+    "tfsf.amplitude=1e308", "blowup_threshold=1e300 tfsf.amplitude=-1e10"])
 def test_bad_scatter_setting_exits_2_with_one_line(settings, capsys):
     args = ["run", "-p", "experiment=scatter_cylinder", "-p", "scheme=ls_theta",
             "-p", "n=16", "-p", "t_final=0.2"]
@@ -258,3 +259,12 @@ def test_dispersion_measured_column_agrees(capsys):
 def test_missing_subcommand_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_a_large_stable_source_runs_to_the_end(capsys):
+    # the monitor's limit scales with the incident amplitude: a run whose
+    # fields reach about 1.5e6 with amplitude 1e7 is stable, not blown up
+    rc = main(["run", "-p", "experiment=scatter_cylinder", "-p", "scheme=ls_cd", "-p", "n=16",
+               "-p", "tfsf.amplitude=1e7", "-p", "t_final=0.5"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""

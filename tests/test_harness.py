@@ -159,6 +159,29 @@ def test_monitor_catches_nan_in_any_field(nan_field):
     assert e.value.step == 5
 
 
+@pytest.mark.parametrize("experiment, scheme, amplitude, scale", [
+    ("periodic1d", "cd", 1.0, 1.0), ("periodic2d", "cd", 1.0, 1.0),
+    ("scatter_cylinder", "ls_theta", 1.0, 1.0), ("scatter_cylinder", "ls_cd", -3.0, 3.0)])
+def test_the_monitor_compares_with_the_amplitude_of_the_run(experiment, scheme, amplitude, scale,
+                                                            monkeypatch):
+    """The monitor compares with blowup_threshold times the amplitude of
+    the run's wave: 1 for the periodic exact waves and |tfsf.amplitude| for
+    a scatter run, so the default runs keep the absolute threshold."""
+    from bfecc_maxwell import harness
+
+    scales = []
+    original = harness._monitor
+
+    def recording(cfg, state, step, t, scale=1.0):
+        scales.append(scale)
+        return original(cfg, state, step, t, scale)
+
+    monkeypatch.setattr(harness, "_monitor", recording)
+    run_experiment(ExperimentConfig(experiment=experiment, scheme=scheme, n=16, t_final=0.1,
+                                    tfsf_amplitude=amplitude))
+    assert scales and set(scales) == {scale}
+
+
 def test_disabling_the_corrector_skips_the_guard():
     # plain cd is mildly unstable but short runs stay finite
     cfg = ExperimentConfig(experiment="periodic1d", n=64, dt_ratio=1.8,

@@ -20,7 +20,8 @@ from bfecc_maxwell.schemes import (
     SchemeSpec,
     StencilGeometry,
     Workspace,
-    _ls_assemble,
+    _correction_weights,
+    _kernel_2d,
     _ls_fit_all,
     step_2d,
 )
@@ -97,7 +98,8 @@ def test_memory_recursion_fixed_point():
     """With a frozen gradient g the recursion psi <- b psi + c g has fixed
     point c g / (1 - b) = -g since c = b - 1.  Plain steps taken again and
     again from one linear state, Hx = a y, Hy = a x, Ez = a (x + y), freeze
-    all four fitted gradients at a."""
+    all four gradients at a, which the memory holds as raw differences,
+    2 dx a and 2 dy a."""
     n = 40
     g = bounded_grid(n)
     dt = 0.5 * g.dx
@@ -111,9 +113,10 @@ def test_memory_recursion_fixed_point():
     x, y = g.coords[:, :, 0], g.coords[:, :, 1]
     st = FieldState2(grad * y, grad * x, grad * (x + y), np.ones(shape), np.ones(shape))
     # invariance: seed the fixed point, one update must not move it
-    for psi, c in ((pml.psi_hyx, cx), (pml.psi_hxy, cy),
-                   (pml.psi_ezx, cx), (pml.psi_ezy, cy)):
-        psi[inside] = np.where(c != 0.0, -grad, 0.0)[inside]
+    raw_x, raw_y = 2.0 * g.dx * grad, 2.0 * g.dy * grad
+    for psi, c, raw in ((pml.psi_hyx, cx, raw_x), (pml.psi_hxy, cy, raw_y),
+                        (pml.psi_ezx, cx, raw_x), (pml.psi_ezy, cy, raw_y)):
+        psi[inside] = np.where(c != 0.0, -raw, 0.0)[inside]
     before = pml.psi_hyx.copy()
     r.plain_step(st, 0.0)
     assert np.max(np.abs(pml.psi_hyx - before)) < 1e-14
@@ -128,7 +131,7 @@ def test_memory_recursion_fixed_point():
     bx = np.broadcast_to(pml.b_x[:, None], shape)[inside]
     deep = bx == bx[cx != 0.0].min()
     assert deep.any()
-    assert np.max(np.abs(psi[deep] + grad)) < 1e-12
+    assert np.max(np.abs(psi[deep] + raw_x)) < 1e-12 * 2.0 * g.dx
     # no memory accumulates where the damping vanishes
     assert np.max(np.abs(psi[cx == 0.0])) == 0.0
     # the boundary ring has no update rule and keeps no memory
@@ -443,34 +446,40 @@ def test_edge_corrections_equal_the_direct_formula(kind, t):
 
 def reference_steps(g, spec, pml, source, state, t0, steps):
     """The collar and injection worked over whole planes, as their
-    definition reads: (1 + c) and b psi on every point of every substep,
-    the recursion over every point, the corrections of each substep from
-    the direct formula.  Yields the state after each step."""
+    definition reads, on the kernel's raw differences (memory in the same
+    units): (1 + c) and b psi on every point of every substep, the
+    recursion over every point, the corrections of each substep from the
+    direct formula.  Yields the state after each step."""
     geom = StencilGeometry(g)
-    w = geom.cached_weights()
+    th = LS_CENTER[spec.kind]
+    w = _correction_weights(g, geom.cached_weights(), th)
     work = Workspace()
     shape = (g.nx, g.ny)
     bx, cx = (np.broadcast_to(a[:, None], shape) for a in (pml.b_x, pml.c_x))
     by, cy = (np.broadcast_to(a[None, :], shape) for a in (pml.b_y, pml.c_y))
-    collar = ((pml.psi_ezx, bx, cx), (pml.psi_hyx, bx, cx),
-              (pml.psi_ezy, by, cy), (pml.psi_hxy, by, cy))
+    # the kernel's raw difference planes k = 1-4: d/dx Hy, d/dy Hx, d/dy Ez, d/dx Ez
+    collar = ((pml.psi_ezx, bx, cx), (pml.psi_ezy, by, cy),
+              (pml.psi_hxy, by, cy), (pml.psi_hyx, bx, cx))
     inv = [None if m is None else 1.0 / m for m in (state.eps, state.mu)]
     grads = np.empty((4,) + shape)
     dt = spec.dt
 
     def substep(t, k, v, out):
         sdt, at = (-dt, t + dt) if k == 1 else (dt, t)
-        base, gx, gy = fits = _ls_fit_all(geom, w, v, LS_CENTER[spec.kind], work)
-        if k == 0:
-            grads[:2] = gx
-            grads[2:] = gy
-            for ring in geom.ring:
-                grads[ring] = 0.0
-        for gk, (psi, b, c) in zip((*gx, *gy), collar):
-            gk *= 1.0 + c
+        irregular = _ls_fit_all(geom, w, v, th, work)
+
+        def fix(p, plane):
+            irregular(p, plane)
+            if p == 0:
+                return
+            psi, b, c = collar[p - 1]
+            if k == 0:
+                grads[p - 1] = plane
+            plane *= 1.0 + c
             if k == 2:
-                gk += psi * b
-        out = _ls_assemble(v, fits, geom, sdt, *inv, out, work)
+                plane += psi * b
+
+        out = _kernel_2d(sdt, v, g, th, *inv, out, work, fix, geom.ring)
         if source is not None:
             field, ds = direct_corrections(source, geom, spec.kind, state.eps, state.mu, at, sdt)
             for f, d in zip(out, ds):
@@ -481,6 +490,8 @@ def reference_steps(g, spec, pml, source, state, t0, steps):
     for n in range(steps):
         t = t0 + n * dt
         u = bfecc_apply(lambda k, v, out: substep(t, k, v, out), u, work)
+        for ring in geom.ring:
+            grads[ring] = 0.0
         for gk, (psi, b, c) in zip(grads, collar):
             psi *= b
             psi += gk * c
@@ -500,7 +511,7 @@ def test_runner_steps_equal_the_whole_plane_collar(kind, thickness, sigma_max):
     ref_pml = build_pml(g, dt, thickness, sigma_max)
     r = PmlRunner(g, spec, pml, source=src)
     assert all(bool(blocks) == (thickness > 0 and sigma_max != 0.0)
-               for blocks in r._collar)
+               for blocks in r._collar[1:])
     rng = np.random.default_rng(12)
     st = FieldState2(*rng.standard_normal((3, g.nx, g.ny)), eps=eps, mu=mu)
     t0 = 0.2
