@@ -150,7 +150,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"t_final must be nonnegative, got {cfg.t_final}")
     if not cfg.blowup_threshold > 0:
         raise ValueError(f"blowup_threshold must be positive, got {cfg.blowup_threshold}")
-    if not math.isfinite(cfg.blowup_threshold * cfg.tfsf_amplitude):
+    scatter = cfg.experiment.startswith("scatter")
+    if scatter and not math.isfinite(cfg.blowup_threshold * cfg.tfsf_amplitude):
         raise ValueError(f"tfsf.amplitude = {cfg.tfsf_amplitude:g} overflows the monitor's "
                          f"limit at blowup_threshold = {cfg.blowup_threshold:g}")
     if cfg.check_every < 1:

@@ -198,18 +198,22 @@ class TfsfInjector:
     """
 
     def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, inv_eps, inv_mu):
-        inside = geom.interior
-        pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets
-        ax, ay = pos[:, :, 0], pos[:, :, 1]
-        chi = source.chi(ax, ay)
-        dchi = chi[:, 0:1] - chi
-        rows = np.nonzero(np.any(dchi != 0.0, axis=1))[0]
-        d = dchi[rows]
+        centers = geom.grid.coords[geom.interior].reshape(-1, 1, 2)
+        # chi differences a block of stencils at a time: whole, these
+        # temporaries set a scatter run's peak memory
+        found, block = [], 4096
+        for lo in range(0, len(centers), block):
+            pos = centers[lo:lo + block] + geom.offsets[lo:lo + block]
+            chi = source.chi(pos[:, :, 0], pos[:, :, 1])
+            dchi = chi[:, 0:1] - chi
+            hit = np.nonzero(np.any(dchi != 0.0, axis=1))[0]
+            found.append((lo + hit, dchi[hit], pos[hit, :, 0]))
+        rows, d, ax = (np.concatenate(parts) for parts in zip(*found))
         weights = geom.fit_weights(rows)
         self.source = source
         center = geom.index[rows, 0]
         self.index = center + np.arange(3)[:, None] * (geom.grid.nx * geom.grid.ny)
-        self.x, inverse = np.unique(ax[rows], return_inverse=True)
+        self.x, inverse = np.unique(ax, return_inverse=True)
         self.x_index = inverse.reshape(d.shape)
         self.dwx = d * weights[:, 1, :]
         self.dwy = d * weights[:, 2, :]

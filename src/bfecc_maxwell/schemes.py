@@ -234,9 +234,8 @@ def _center_blend(theta_eff, f, out, spare):
         ar[..., :-1] += fr[..., 1:]
         np.add(last, f[..., 0], out=out[..., -1])
     out *= 0.5 / (f.ndim - 1) * theta_eff
-    if theta_eff == 1.0:
-        return out
-    out += np.multiply(f, 1.0 - theta_eff, out=spare)
+    if theta_eff != 1.0:
+        out += np.multiply(f, 1.0 - theta_eff, out=spare)
     return out
 
 
@@ -307,14 +306,15 @@ def _kernel_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work, fix=lambda k, plane
     centered differences' 0.5.  `fix(k, plane)` may change in place the
     center blend (k = 0; not called at th = 0, where the blend is u) and
     each raw difference before it is scaled (k = 1-4: d/dx Hy, d/dy Hx,
-    d/dy Ez, d/dx Ez).  The points `ring` get their input values back."""
+    d/dy Ez, d/dx Ez).  The points `ring` get their input values back.
+    `out`, never u, is the blend's scratch until the first `_dc`."""
     if out is None:
         out = np.empty_like(u)
     lx = 0.5 * (sdt / grid.dx)
     ly = 0.5 * (sdt / grid.dy)
     blend = u
     if th != 0.0:
-        blend = _center_blend(th, u, work("blend", u.shape), work("blend_spare", u.shape))
+        blend = _center_blend(th, u, work("blend", u.shape), out)
         fix(0, blend)
     hx, hy, ez = out
     fix(1, _dc(u[1], 0, ez))
@@ -411,9 +411,10 @@ def _correction_weights(grid: Grid2, weights, center):
     return np.ascontiguousarray(dw.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
-# (row of a correction, field) of _kernel_2d's raw difference planes k = 1-4:
-# d/dx Hy, d/dy Hx, d/dy Ez, d/dx Ez; d/dx and d/dy are the last two rows
-_RAW_PLANES = (None, (-2, 1), (-1, 0), (-1, 2), (-2, 2))
+# the rows of a correction that _kernel_2d's planes take: the center row, all
+# three fields, for the blend k = 0, then (row, field) for the raw differences
+# k = 1-4, d/dx Hy, d/dy Hx, d/dy Ez, d/dx Ez; d/dx and d/dy are the last rows
+_PLANE_ROWS = (0, (-2, 1), (-1, 0), (-1, 2), (-2, 2))
 
 
 def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
@@ -428,10 +429,7 @@ def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
     refit = np.einsum("rks,fsr->kfr", w, vals, out=work("refit", (w.shape[1], 3, rows.shape[1])))
 
     def fix(k, plane):
-        if k == 0:
-            plane.reshape(-1)[at] += refit[0]
-        else:
-            plane.reshape(-1)[at[0]] += refit[_RAW_PLANES[k]]
+        plane.reshape(-1)[at if k == 0 else at[0]] += refit[_PLANE_ROWS[k]]
 
     return fix
 

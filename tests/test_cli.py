@@ -268,3 +268,12 @@ def test_a_large_stable_source_runs_to_the_end(capsys):
                "-p", "tfsf.amplitude=1e7", "-p", "t_final=0.5"])
     assert rc == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_periodic_run_ignores_the_source_amplitude(capsys):
+    # only scatter runs scale the monitor's limit by tfsf.amplitude, so a
+    # product that overflows does not stop a periodic run
+    rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=16", "-p", "t_final=0.1",
+               "-p", "blowup_threshold=1e300", "-p", "tfsf.amplitude=1e10"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""

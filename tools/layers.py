@@ -1,10 +1,10 @@
 """Time the solver's stepping layers on fixed inputs.
 
-    python3 tools/layers.py [--quick] [--rounds R] [--calls K] [--out FILE]
-                            [--against DIR]
+    python3 tools/layers.py [--quick] [--out FILE] [--against DIR]
 
-Layers, each timed as K back-to-back calls per round, interleaved over
-R rounds (every round times every layer once, in a fixed order):
+Layers, each timed as CALLS back-to-back calls per round, interleaved
+over ROUNDS rounds (every round times every layer once, in a fixed
+order):
 
   op.<kind>          the bound 2D operator (one substep) of each of the
                      five scheme kinds on a uniform periodic 149^2 grid
@@ -16,7 +16,7 @@ R rounds (every round times every layer once, in a fixed order):
 
 The report holds, per layer, the median over rounds and the best round
 of the time per call (ms), plus nproc, Python, numpy and BLAS threads as
-bench/worker.py reads them.
+bench/worker.py reads them; it goes to FILE, or to stdout without --out.
 With `--against DIR` the rounds alternate between subprocesses that
 import this tree's package and DIR's (`DIR/src`), which one goes first
 alternating too, and the report adds the other tree's layers and, per
@@ -37,6 +37,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 LAYERS = tuple(f"op.{k}" for k in KINDS) + (
     "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step")
@@ -105,12 +106,11 @@ def summary(times):
             for name, ts in times.items()}
 
 
-def run_tree(src, rounds, calls_per_round):
-    """The per-round times of the package under `src`, in a fresh
+def run_tree(src, quick):
+    """One round's times of the package under `src`, in a fresh
     interpreter."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--rounds", str(rounds),
-           "--calls", str(calls_per_round)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker"] + (["--quick"] if quick else [])
     res = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(res.stdout.splitlines()[-1])
 
@@ -118,17 +118,13 @@ def run_tree(src, rounds, calls_per_round):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--quick", action="store_true", help="3 rounds of 2 calls (a smoke run)")
-    ap.add_argument("--rounds", type=int, default=9)
-    ap.add_argument("--calls", type=int, default=50)
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_16.json"))
+    ap.add_argument("--out", metavar="FILE", help="write the report here, not to stdout")
     ap.add_argument("--against", metavar="DIR", help="a second source tree to alternate with")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    rounds, calls_per_round = (3, 2) if args.quick else (args.rounds, args.calls)
-    if rounds < 1 or calls_per_round < 1:
-        ap.error("--rounds and --calls must be at least 1")
+    rounds, calls_per_round = (3, 2) if args.quick else (ROUNDS, CALLS)
     if args.worker:
-        print(json.dumps(time_rounds(rounds, calls_per_round)))
+        print(json.dumps(time_rounds(1, calls_per_round)))
         return 0
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     from worker import environment
@@ -142,7 +138,7 @@ def main(argv=None):
         times = {side: {name: [] for name in LAYERS} for side in trees}
         for r in range(rounds):
             for side in (("change", "against") if r % 2 == 0 else ("against", "change")):
-                for name, ts in run_tree(trees[side], 1, calls_per_round).items():
+                for name, ts in run_tree(trees[side], args.quick).items():
                     times[side][name] += ts
         report["layers"] = summary(times["change"])
         report["against"] = {"tree": os.path.basename(os.path.normpath(args.against)),
@@ -155,12 +151,11 @@ def main(argv=None):
             for name in LAYERS}
     bad = [n for n, row in report["layers"].items()
            if not (math.isfinite(row["median_ms"]) and row["median_ms"] > 0)]
-    with open(args.out, "w") as f:
-        json.dump(report, f, indent=1)
-    print(json.dumps({n: round(r["median_ms"], 4) for n, r in report["layers"].items()}))
-    if "pairs" in report:
-        print(json.dumps({n: (round(p["ratio"], 3), p["wins"])
-                          for n, p in report["pairs"].items()}))
+    if args.out is None:
+        print(json.dumps(report, indent=1))
+    else:
+        with open(args.out, "w") as f:
+            json.dump(report, f, indent=1)
     return 1 if bad else 0
 
 
