@@ -13,14 +13,22 @@ is stable whenever the spectral radius of L's symbol stays at or below 2.
 `bfecc_apply` is the one composition: `bfecc_step` (1D and 2D) and the
 absorbing collar's pml.PmlRunner.step, which hooks its memory term and
 TF/SF corrections into the substeps they belong to, both run through it.
-It works on stacked states: a step allocates only the array it returns,
-the compensated state lives in a work buffer that a run allocates once,
-and the input is never mutated.
+It works on stacked states and writes the step into an `out` stack,
+which may be the input itself: a run keeps one state stack and steps it
+in place, with two work stacks X and Y (X is `out` itself when that is
+not the input) and the kernels' scratch, all allocated at its first
+step.  Without `out` a step returns a fresh array and leaves its input
+as it was.
 
-A stepper binds what is fixed for a run once, by one rule (`_bound`), and
-its `with_dt` copy shares the binding: a `BfeccStep` binds the underlying
-operator (schemes._operator), which takes the signed step at each call,
-and pml.PmlRunner, a `BfeccStep` too, its materials and edge corrections.
+A stepper binds in two layers.  What is fixed for a run's materials is
+bound once, by one rule (`_bound`): a `BfeccStep` binds the underlying
+operator (schemes._operator), and pml.PmlRunner, a `BfeccStep` too, its
+materials and edge corrections.  The three substeps are then bound to
+the stacks they read and write (`_substeps`), every view of them made
+once and kept while the same stacks come back, so a run stepping in
+place binds them once and a substep is only its ufunc calls.  The signed
+step enters only where a substep is bound, so a `with_dt` copy shares
+the first layer and binds its own substeps.
 """
 
 from __future__ import annotations
@@ -50,18 +58,21 @@ class BfeccStep:
     `spec` is the underlying scheme; its operator steps dt in the forward
     substeps and -dt in the backward one.  A run builds one and steps with
     it throughout; `with_dt` gives the wrapper for a shorter final step,
-    sharing the buffers and the binding.  A binding keeps 1/eps and 1/mu,
-    so material arrays must not be changed in place between steps.
+    sharing the buffers and the materials' binding, whose substeps bind
+    their views for the new step.  A binding keeps 1/eps and 1/mu, so
+    material arrays must not be changed in place between steps.
     """
 
     def __init__(self, spec: SchemeSpec):
         self.spec = spec
         self.work = Workspace()
         self._key = None
+        self._run = None
 
     def with_dt(self, dt: float) -> "BfeccStep":
         other = copy.copy(self)
         other.spec = replace(self.spec, dt=dt)
+        other._run = None
         return other
 
     def _bound(self, state, *args):
@@ -77,33 +88,83 @@ class BfeccStep:
         return self._value
 
     def _bind(self, state, where, geometry, weights):
-        """The underlying operator op(sdt, u, out) for these arguments."""
+        """The underlying operator's binder for these arguments."""
         return schemes._operator(self.spec, state, where, geometry, weights, self.work)
 
+    def _substep(self, bound, k, v, out):
+        """Substep k of the composition, from the stack v into `out`, bound
+        by `bound`, what _bound gave: a call runs it."""
+        return bound(-self.spec.dt if k == 1 else self.spec.dt, v, out)
 
-def bfecc_apply(substep, u, work):
-    """The three-substep composition on the stacked state u.
+    def _substeps(self, bound, u, out):
+        """(out, substep) for a step of the stack u into `out` (a fresh array
+        when None), where substep(k, v, o) runs substep k of bfecc_apply
+        from v into o.  For a given `out` the three are bound at once, to
+        the stacks that bfecc_apply passes them, and kept while `bound`, u
+        and out are the same objects, so a run stepping in place binds them
+        once; a fresh step binds each where it runs."""
+        run = self._run
+        if run is not None and run[0] is bound and run[1] is u and run[2] is out:
+            return out, run[3]
+        if out is None:
+            return np.empty(u.shape), lambda k, v, o: self._substep(bound, k, v, o)()
+        _check_out(out, u)
+        x, y = _stacks(u, out, self.work)
+        runs = (self._substep(bound, 0, u, x), self._substep(bound, 1, x, y),
+                self._substep(bound, 2, y, out))
+        self._run = (bound, u, out, lambda k, v, o: runs[k]())
+        return out, self._run[3]
 
-    substep(k, v, out) applies substep k = 0, 1, 2 (L, L*, L) to the stack
-    v, writes the result into `out` (a fresh array when None) and returns
-    it.  The first substep's fresh array carries the step: it takes
-    1.5 U once the second substep, which writes into an array from the
-    Workspace `work`, has read it, and then the last substep's result.
-    The compensated state 1.5 U - 0.5 L* L U is formed in place in the
-    work array, rounded as fl(1.5 U) + fl(-0.5 L* L U).
+
+def _check_out(out, u):
+    """One line of ValueError unless `out` is a contiguous array of u's
+    shape and dtype."""
+    if not isinstance(out, np.ndarray):
+        got = type(out).__name__
+    elif (out.shape, out.dtype) != (u.shape, u.dtype):
+        got = f"{out.dtype} {out.shape}"
+    elif not out.flags.c_contiguous:
+        got = "a non-contiguous array"
+    else:
+        return
+    raise ValueError(f"out must be a C-contiguous {u.dtype} array of shape {u.shape}, got {got}")
+
+
+def _stacks(u, out, work):
+    """The work stacks (X, Y) of a step of u into `out` (None for a fresh
+    array): X is `out`, or a Workspace stack when `out` is u itself, and Y
+    the "bfecc" stack."""
+    return (work("X", u.shape) if out is u else out), work("bfecc", u.shape)
+
+
+def bfecc_apply(substep, u, work, out=None):
+    """The three-substep composition on the stacked state u, written into
+    `out`, which may be u itself, and returned.
+
+    substep(k, v, o) applies substep k = 0, 1, 2 (L, L*, L) to the stack v,
+    writes the result into `o` (a fresh array when None) and returns it.
+    With the stacks X and Y of `_stacks` (from the Workspace `work`) the
+    substeps run u -> X, X -> Y and then Y -> out, where X takes 1.5 u once
+    the second substep has read it and Y becomes the compensated state
+    1.5 u - 0.5 L* L u in place, rounded as fl(1.5 u) + fl(-0.5 L* L u).
+    Without `out` (None) X is the fresh array of the first substep, which
+    carries the step, and u is left as it was.
     """
-    a = substep(0, u, None)
-    b = substep(1, a, work("bfecc", u.shape))
-    np.multiply(u, 1.5, out=a)
-    b *= -0.5
-    b += a
-    return substep(2, b, a)
+    x, y = _stacks(u, out, work)
+    x = substep(0, u, x)
+    y = substep(1, x, y)
+    np.multiply(u, 1.5, out=x)
+    y *= -0.5
+    y += x
+    return substep(2, y, x if out is None else out)
 
 
 def bfecc_step(step: BfeccStep, state: State, where,
                geometry: Optional[StencilGeometry] = None,
-               weights=None) -> State:
-    """One BFECC step of the wrapped scheme.
+               weights=None, out=None) -> State:
+    """One BFECC step of the wrapped scheme, written into `out` (a fresh
+    array when None), which may be state.u itself: a run that passes
+    out=state.u steps its one state stack in place.
 
     `where` is the grid spacing dx for 1D states or the Grid2 for 2D
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
@@ -112,9 +173,11 @@ def bfecc_step(step: BfeccStep, state: State, where,
     bound is reused as long as `where`, `geometry`, `weights` and the
     state's materials are the same objects, so pass the same ones every
     step.  It keeps 1/eps and 1/mu: do not change a material array in place
-    after the first step; give the state new arrays instead.
+    after the first step; give the state new arrays instead.  An `out` of
+    another shape or dtype than state.u, or not contiguous, is a
+    ValueError.  In place the state itself is returned.
     """
     op = step._bound(state, where, geometry, weights)
-    dt = step.spec.dt
-    u = bfecc_apply(lambda k, v, out: op(-dt if k == 1 else dt, v, out), state.u, step.work)
-    return type(state)._of(u, state.eps, state.mu)
+    out, substep = step._substeps(op, state.u, out)
+    u = bfecc_apply(substep, state.u, step.work, out)
+    return state if u is state.u else type(state)._of(u, state.eps, state.mu)

@@ -17,10 +17,10 @@ Grid variants for periodic2d
   d  grid points pulled onto the circle of radius `disk_radius`
 
 Every experiment advances its state with `_march`, the one time loop.
-It owns the step count, the sup-norm monitor that aborts blown-up runs
-early, and the remainder: floor(T / dt) full steps plus one shorter
-final step, taken with the stepper's `with_dt`, so runs land exactly on
-t_final.
+It steps the run's one state stack in place and owns the step count, the
+sup-norm monitor that aborts blown-up runs early, and the remainder:
+floor(T / dt) full steps plus one shorter final step, taken with the
+stepper's `with_dt`, so runs land exactly on t_final.
 """
 
 from __future__ import annotations
@@ -267,18 +267,23 @@ def _march(cfg, state, stepper, step, scale=1.0):
     full step, the last one and the remainder against `scale`, the
     amplitude of the run's wave: 1 for the exact waves the periodic
     experiments start from, the source's for a scatter run, which starts
-    at rest.  `step(s, state, t)` takes one step from time t with the
-    stepper s; returns (state, steps)."""
+    at rest.  `step(s, state, t, out)` takes one step from time t with the
+    stepper s, into `out`, which _march passes as state.u: the run owns
+    its initial state, so the steps overwrite it in place (a plain step,
+    without the wrapper, may return a fresh array instead); returns
+    (state, steps).  The periodic experiments build the stepper in the
+    call, so that its work stacks go with it when the march ends, before
+    the error norms allocate theirs."""
     dt = stepper.spec.dt
     n_full = int(math.floor(cfg.t_final / dt + 1e-9))
     for k in range(1, n_full + 1):
-        state = step(stepper, state, (k - 1) * dt)
+        state = step(stepper, state, (k - 1) * dt, state.u)
         if k % cfg.check_every == 0 or k == n_full:
             _monitor(cfg, state, k, k * dt, scale)
     partial = cfg.t_final - n_full * dt
     if partial <= 1e-9 * dt:
         return state, n_full
-    state = step(stepper.with_dt(partial), state, n_full * dt)
+    state = step(stepper.with_dt(partial), state, n_full * dt, state.u)
     _monitor(cfg, state, n_full + 1, cfg.t_final, scale)
     return state, n_full + 1
 
@@ -298,12 +303,12 @@ def run_periodic1d(cfg: ExperimentConfig) -> dict:
     dt = cfg.dt_ratio * h
     _check_cfl(cfg, cfg.scheme, 1, [h], dt)
     x = h * np.arange(n)
-    stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
-    def step(s, st, t):
-        return bfecc_step(s, st, h) if cfg.bfecc else step_1d(s.spec, st, h)
+    def step(s, st, t, out):
+        return bfecc_step(s, st, h, out=out) if cfg.bfecc else step_1d(s.spec, st, h)
 
-    state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)), stepper, step)
+    state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)),
+                          BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta)), step)
     return {
         "experiment": "periodic1d", "n": n, "h": h, "dt": dt,
         "steps": steps, "t": cfg.t_final,
@@ -321,16 +326,15 @@ def run_periodic2d(cfg: ExperimentConfig) -> dict:
     xs = grid.coords[:, :, 0]
     ys = grid.coords[:, :, 1]
     geom = StencilGeometry(grid) if cfg.scheme in LS_KINDS else None
-    stepper = BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta))
 
-    def step(s, st, t):
-        return (bfecc_step(s, st, grid, geometry=geom) if cfg.bfecc
+    def step(s, st, t, out):
+        return (bfecc_step(s, st, grid, geometry=geom, out=out) if cfg.bfecc
                 else step_2d(s.spec, st, grid, geometry=geom))
 
     # the exact stacks are free-space states of the grid's shape, so they
     # wrap as they are, without the constructor's copy
     state, steps = _march(cfg, FieldState2._of(exact_periodic2d(xs, ys, 0.0), None, None),
-                          stepper, step)
+                          BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta)), step)
     norms = _error_norms(state, FieldState2._of(exact_periodic2d(xs, ys, cfg.t_final),
                                                 None, None))
     return {
@@ -392,10 +396,12 @@ def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
     if not math.isfinite(2.0 * source.omega * reach):
         raise ValueError(f"tfsf.omega = {source.omega:g} makes the incident wave's phase "
                          f"overflow over t <= {cfg.t_final:g} on this grid")
+    # built before the state, so that its set-up temporaries and the state's
+    # stack are never alive together; nothing large follows the march
     runner = PmlRunner(grid, spec, pml, source)
 
-    def step(r, st, t):
-        return r.step(st, t) if cfg.bfecc else r.plain_step(st, t)
+    def step(r, st, t, out):
+        return r.step(st, t, out=out) if cfg.bfecc else r.plain_step(st, t)
 
     zeros = np.zeros((grid.nx, grid.ny))
     state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), runner, step,

@@ -14,10 +14,11 @@ none.  It acts on the 2D kernel's raw differences u[i+1] - u[i-1] =
 2 h d_xi u, so psi is held as 2 h psi, whose units do not depend on dt.
 
 Inside the three-substep wrapper (bfecc.bfecc_apply, with the sources
-below as per-substep hooks) the (1 + c) derivative scaling is part of the
-one-step operator and applies in every substep; the memory term b * psi is
-a source term, ignored in the first two substeps and added only in the
-final one, evaluated at the step's start time.  The recursion takes its
+below as per-substep hooks, each bound once per run) the (1 + c)
+derivative scaling is part of the one-step operator and applies in every
+substep; the memory term b * psi is a source term, ignored in the first
+two substeps and added only in the final one, evaluated at the step's
+start time.  The recursion takes its
 two terms from the substeps that form them: the first substep, acting on
 the step-start state, keeps c * g of its undamped fitted gradients g, and
 the last scales psi by b in place for its memory term, then adds c * g.
@@ -50,8 +51,8 @@ from .grid import Grid2
 # lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _check_state, _correction_weights, _kernel_2d, _ls_fit_all, _reciprocal,
-                      lincomb2)
+                      _check_state, _correction_weights, _kernel_2d, _ls_binding, _ls_fit_all,
+                      _reciprocal, lincomb2)
 
 
 def _depth_fraction(n, thickness):
@@ -222,21 +223,29 @@ class TfsfInjector:
         self.dw0 = d * weights[:, 0, :] if LS_CENTER[kind] else None
         self.inv_eps = 1.0 if inv_eps is None else inv_eps.take(center)
         self.inv_mu = 1.0 if inv_mu is None else inv_mu.take(center)
+        self._ez = np.empty(self.x_index.shape)
+        self._sums = np.empty((3, len(rows)))
 
-    def corrections(self, t, sdt):
+    def corrections(self, t, sdt, out=None):
         """(3, rows) corrections (dHx, dHy, dEz) to add at `index` to the
-        update assembled at time t with signed step sdt."""
-        ez = self.source.ez_inc(self.x, None, t)[self.x_index]
-        sx = np.einsum("as,as->a", self.dwx, ez)
-        sy = np.einsum("as,as->a", self.dwy, ez)
-        d = np.empty((3, len(sx)))
-        np.multiply(-sdt * self.inv_mu, sy, out=d[0])
-        np.multiply(sdt * self.inv_mu, sx, out=d[1])
+        update assembled at time t with signed step sdt, written into
+        `out` (a fresh array when None); the gathered incident field and
+        the contractions go into the injector's own scratch arrays."""
+        ez = np.take(self.source.ez_inc(self.x, None, t), self.x_index, out=self._ez, mode="clip")
+        sx = np.einsum("as,as->a", self.dwx, ez, out=self._sums[0])
+        sy = np.einsum("as,as->a", self.dwy, ez, out=self._sums[1])
+        d = np.empty((3, len(sx))) if out is None else out
+        # each material factor fl(sdt inv), formed in the row it scales
+        np.multiply(self.inv_mu, -sdt, out=d[0])
+        d[0] *= sy
+        np.multiply(self.inv_mu, sdt, out=d[1])
+        d[1] *= sx
         # the Hy terms: the contractions of Hy_inc = -Ez_inc, negated exactly
-        np.multiply(sdt * self.inv_eps, sx, out=d[2])
+        np.multiply(self.inv_eps, sdt, out=d[2])
+        d[2] *= sx
         np.negative(d[2], out=d[2])
         if self.dw0 is not None:
-            s0 = np.einsum("as,as->a", self.dw0, ez)
+            s0 = np.einsum("as,as->a", self.dw0, ez, out=self._sums[2])
             d[1] -= s0
             d[2] += s0
         return d
@@ -273,12 +282,17 @@ class PmlRunner(BfeccStep):
     the corrections of schemes._ls_fit_all to the raw difference planes
     and damps their collar blocks; the memory term joins only a step's
     final substep, the TF/SF corrections every substep, twice evaluated
-    per step (the forward substeps at t, the backward one at t + dt).  As
-    a bfecc.BfeccStep, a runner keeps one set of work buffers and binds by
-    the same rule: the materials' reciprocal planes and the edge
-    corrections, formed for each new set of materials and shared by its
-    `with_dt` copy.  The memory fields in `pml` are updated in place (they
-    stay zero outside the blocks); field states are never mutated.
+    per step (the forward substeps at t, the backward one at t + dt) into
+    two work arrays that the substeps add.  As a bfecc.BfeccStep, a runner
+    keeps one set of work buffers and binds by the same rules: the
+    materials' reciprocal planes and the edge corrections, formed for each
+    new set of materials and shared by its `with_dt` copy, and then its
+    three substeps, bound to the stacks they read and write with every
+    view made once (the planes' collar blocks and the flat view the edge
+    corrections go into included), kept while a run steps the same stack
+    in place.  The memory fields in `pml` are updated in place (they stay
+    zero outside the blocks); a field state is overwritten only when
+    `step` is given its own stack as `out`.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -316,19 +330,31 @@ class PmlRunner(BfeccStep):
         y = _collar_blocks(pml.sigma_y, pml.b_y, pml.c_y, 1, held)
         # the blocks of _kernel_2d's planes k = 0-4: none for the blend, then
         # d/dx Hy, d/dy Hx, d/dy Ez, d/dx Ez; each block adds its view of the
-        # memory field and a c * g work array of its own
+        # memory field, that view's stage and a c * g work array of its own
         self._collar = ((),) + tuple(
-            [(*block, psi[block[0]], self.work(f"collar_{name}{k}", block[1].shape))
+            [(*block, psi[block[0]], self._stage(psi[block[0]], "memory"),
+              self.work(f"collar_{name}{k}", block[1].shape))
              for k, block in enumerate(blocks)]
             for name, psi, blocks in (("ezx", pml.psi_ezx, x), ("ezy", pml.psi_ezy, y),
                                       ("hxy", pml.psi_hxy, y), ("hyx", pml.psi_hyx, x)))
 
+    def _stage(self, view, name):
+        """`view` itself when contiguous, else the work array through which
+        the collar works on it.  numpy runs a ufunc over a strided (nx, t)
+        column block through iteration buffers that it allocates at every
+        call, at about twice the time of a contiguous block, while copies
+        to and from a contiguous stage allocate nothing."""
+        if view.flags.c_contiguous:
+            return view
+        return self.work(f"collar_stage_{name}{view.shape}", view.shape)
+
     def with_dt(self, dt: float) -> "PmlRunner":
         """This runner stepping dt, for a run's shorter final step: the same
         geometry, binding, work buffers and collar memory, with recursion
-        coefficients for dt."""
+        coefficients for dt, so its substeps bind their collar views again."""
         other = super().with_dt(dt)
         other._set_collar(self.pml.with_dt(dt))
+        other._run = None
         return other
 
     def _bind(self, state: FieldState2):
@@ -341,61 +367,101 @@ class PmlRunner(BfeccStep):
             self.source, self.geom, self.spec.kind, inv_eps, inv_mu)
         return inv_eps, inv_mu, injector
 
-    def _apply(self, v, out, bound, sdt, corrections, first, last):
-        """One substep with signed step sdt on the stack v, into `out`
-        (fresh when None), with the runner's binding `bound` and the edge
-        `corrections` for its time and sign of step (None without a
-        source).  The `first` substep, acting on the step-start state, keeps
-        c * g of its undamped raw differences g; the `last` scales psi by b
-        in place, adds it as the memory term and then completes the
-        recursion psi <- b psi + c g, which nothing later reads."""
+    def _substep(self, bound, k, v, out):
+        dt = self.spec.dt
+        return self._bind_substep(bound, -dt if k == 1 else dt, v, out, k == 0, k == 2)
+
+    def _bind_substep(self, bound, sdt, v, out, first, last):
+        """run(): one substep with signed step sdt from the stack v into
+        `out`, with the runner's binding `bound` and the edge corrections
+        that _corrections wrote for its sign of step before it runs (none
+        without a source), every view of v and out made here, once.  The
+        `first` substep, acting on the step-start state, keeps c * g of its
+        undamped raw differences g; the `last` scales psi by b in place,
+        adds it as the memory term and then completes the recursion
+        psi <- b psi + c g, which nothing later reads."""
         th = LS_CENTER[self.spec.kind]
-        irregular = _ls_fit_all(self.geom, self.weights, v, th, self.work)
+        args, ls_fix = _ls_binding(self.geom, self.weights, th, self.work, v)
+        add, multiply, copyto = np.add, np.multiply, np.copyto
 
-        def fix(k, plane):
-            irregular(k, plane)
-            for index, b, c, one_c, memory, cg in self._collar[k]:
-                block = plane[index]
-                if first:
-                    np.multiply(block, c, out=cg)
-                block *= one_c
-                if last:
-                    memory *= b
-                    block += memory
-                    memory += cg
+        def bind_fix(planes):
+            irregular = ls_fix(planes)
+            blocks = tuple([(plane[index], self._stage(plane[index], "plane"), *rest)
+                            for index, *rest in collar]
+                           for plane, collar in zip(planes, self._collar))
 
-        out = _kernel_2d(sdt, v, self.geom.grid, th, *bound[:2], out, self.work, fix,
-                         self.geom.ring)
-        if corrections is not None:
-            # `out` is contiguous, so the flat view writes through
-            out.reshape(-1)[bound[2].index] += corrections
-        return out
+            def fix(k):
+                irregular(k)
+                for block, g, b, c, one_c, memory, m, cg in blocks[k]:
+                    if g is not block:
+                        copyto(g, block)
+                    if first:
+                        multiply(g, c, out=cg)
+                    multiply(g, one_c, out=g)
+                    if last:
+                        if m is not memory:
+                            copyto(m, memory)
+                        multiply(m, b, out=m)
+                        add(g, m, out=g)
+                        add(m, cg, out=m)
+                        if m is not memory:
+                            copyto(memory, m)
+                    if g is not block:
+                        copyto(block, g)
+
+            return fix
+
+        kernel = _kernel_2d(self.geom.grid, th, *bound[:2], self.work, sdt, v, out, bind_fix,
+                            self.geom.ring)
+        injector = bound[2]
+        # `out` is contiguous, so the flat view writes through
+        flat, index = out.reshape(-1), None if injector is None else injector.index
+        corrections = None if injector is None else self._edge(injector, sdt)
+
+        def run():
+            _ls_fit_all(*args)
+            kernel()
+            if corrections is not None:
+                flat[index] += corrections
+            return out
+
+        return run
+
+    def _edge(self, injector, sdt):
+        """The work array that holds the edge corrections of the substeps
+        stepping sdt, one for each sign."""
+        return self.work("tfsf_bwd" if sdt < 0 else "tfsf_fwd", injector.index.shape)
 
     def _corrections(self, bound, t, sdt):
-        return None if bound[2] is None else bound[2].corrections(t, sdt)
+        """Write the edge corrections at (t, sdt), if there is a source."""
+        injector = bound[2]
+        if injector is not None:
+            injector.corrections(t, sdt, self._edge(injector, sdt))
 
-    def step(self, state: FieldState2, t: float) -> FieldState2:
-        """Advance one dt from time t with the three-substep wrapper.
+    def step(self, state: FieldState2, t: float, out=None) -> FieldState2:
+        """Advance one dt from time t with the three-substep wrapper, into
+        `out` (a fresh array when None), which may be state.u itself; in
+        place the state itself is returned.
 
         The backward substep acts on a state at t + dt, so its edge
         correction uses the incident field there; the compensated state
         fed to the last substep sits back at t, so the two forward
-        substeps share one set of corrections.
+        substeps share one set of corrections, in the work array that
+        their bindings read.
         """
         dt = self.spec.dt
         bound = self._bound(state)
-        # (signed step, edge corrections) of the forward and backward substeps
-        fwd = (dt, self._corrections(bound, t, dt))
-        bwd = (-dt, self._corrections(bound, t + dt, -dt))
-        u = bfecc_apply(lambda k, v, out: self._apply(v, out, bound, *(bwd if k == 1 else fwd),
-                                                      k == 0, k == 2),
-                        state.u, self.work)
-        return FieldState2._of(u, state.eps, state.mu)
+        self._corrections(bound, t, dt)
+        self._corrections(bound, t + dt, -dt)
+        out, substep = self._substeps(bound, state.u, out)
+        u = bfecc_apply(substep, state.u, self.work, out)
+        return state if u is state.u else FieldState2._of(u, state.eps, state.mu)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""
         bound = self._bound(state)
         dt = self.spec.dt
-        u = self._apply(state.u, None, bound, dt, self._corrections(bound, t, dt), True, True)
-        return FieldState2._of(u, state.eps, state.mu)
-
+        out = np.empty(state.u.shape)
+        self._corrections(bound, t, dt)
+        self._bind_substep(bound, dt, state.u, out, True, True)()
+        return FieldState2._of(out, state.eps, state.mu)

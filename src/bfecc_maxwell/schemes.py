@@ -20,13 +20,14 @@ Scheme kinds
 A state keeps its components as one stacked array `u`, (E, H) in 1D and
 (Hx, Hy, Ez) in 2D; the named components are views of it.  The kernels act
 on the whole stack per numpy call and write into given arrays.
-`_operator` checks a (spec, state, grid) combination once and binds the
-one-step operator op(sdt, u, out), which writes the step of signed size
-sdt into `out` (a fresh array when None) with scratch arrays from a
-`Workspace`.  step_1d/step_2d bind one and apply it once with dt; a
-bfecc.BfeccStep binds one per run and keeps it, running it three times
-per step, with dt, -dt and dt, into the array it returns and one buffer
-that the run keeps for all its steps.
+`_operator` checks a (spec, state, grid) combination once and returns the
+one-step operator as a binder: bind(sdt, u, out) makes every view of the
+contiguous stacks u and out and of the scratch arrays (from a `Workspace`)
+once and returns run(), whose call is only the step's ufunc calls, writing
+the step of signed size sdt of u into out.  step_1d/step_2d bind one to a
+fresh array and run it once with dt; a bfecc.BfeccStep binds one per run,
+and binds its three substeps, with dt, -dt and dt, to the stacks they read
+and write, once per run when it steps in place.
 
 One 2D kernel, `_kernel_2d`, serves all five kinds.  A least-squares fit
 on an unmoved five-point cross is exactly the center blend and the
@@ -38,7 +39,7 @@ differences before these are scaled, where the collar (pml) acts too.
 
 All schemes are one-step and linear; the backward step is the forward one
 with -dt (the averaging terms are part of the spatial operator and keep
-their sign).  Steps never mutate their input state.
+their sign).  An operator never writes into its input stack.
 
 A scale factor is folded into another only where the product is exact:
 the centered differences' 0.5 and the average's 0.5 or 0.25 ride in the
@@ -133,7 +134,8 @@ class Workspace:
     """Scratch arrays by name, allocated on first request and reused after.
 
     A run keeps one for all its steps, so once the first step has run the
-    substeps and kernels allocate nothing but each step's output.
+    substeps and kernels allocate nothing but a fresh step's output.  The
+    bindings hold views of these arrays, so a name keeps its shape.
     """
 
     def __init__(self):
@@ -182,10 +184,11 @@ def _rows(a):
 
 
 def _dc(f, axis, out):
-    """The raw difference f[i+1] - f[i-1] along `axis`, periodic, written
-    into `out`.  The centered difference's 0.5 is left to the callers,
-    which fold it into the factor they multiply or divide by anyway; that
-    is exact, since halving a factor only changes its exponent.
+    """The three (a, b, o) view triples whose np.subtract(a, b, out=o)
+    write the raw difference f[i+1] - f[i-1] along `axis`, periodic, into
+    `out`.  The centered difference's 0.5 is left to the callers, which
+    fold it into the factor they multiply or divide by anyway; that is
+    exact, since halving a factor only changes its exponent.
 
     Along the last axis the differences run over whole rows merged end to
     end, one contiguous pass, in which only the first and last column
@@ -196,19 +199,17 @@ def _dc(f, axis, out):
     merged = (_rows(f), _rows(out)) if axis == f.ndim - 1 else (None, None)
     if merged[0] is not None and merged[1] is not None:
         g, o = merged
-        np.subtract(g[..., 2:], g[..., :-2], out=o[..., 1:-1])
-        np.subtract(f[..., 1], f[..., -1], out=out[..., 0])
-        np.subtract(f[..., 0], f[..., -2], out=out[..., -1])
-    else:
-        g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
-        np.subtract(g[2:], g[:-2], out=o[1:-1])
-        np.subtract(g[1:2], g[-1:], out=o[:1])
-        np.subtract(g[:1], g[-2:-1], out=o[-1:])
-    return out
+        return ((g[..., 2:], g[..., :-2], o[..., 1:-1]),
+                (f[..., 1], f[..., -1], out[..., 0]),
+                (f[..., 0], f[..., -2], out[..., -1]))
+    g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
+    return (g[2:], g[:-2], o[1:-1]), (g[1:2], g[-1:], o[:1]), (g[:1], g[-2:-1], o[-1:])
 
 
 def _center_blend(theta_eff, f, out, spare):
-    """(1 - theta)*f + theta*(neighbor average over the spatial axes), periodic.
+    """blend(), which writes (1 - theta)*f + theta*(neighbor average over
+    the spatial axes), periodic, into `out` and returns it; its views of
+    these arrays are made here, once.
 
     f is a contiguous stack of fields, spatial axes 1 onward; the blend
     goes into `out` (contiguous too), with `spare` (f's shape) as scratch,
@@ -221,35 +222,37 @@ def _center_blend(theta_eff, f, out, spare):
     is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
     """
     g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
-    np.add(g[:-2], g[2:], out=a[1:-1])
-    np.add(g[-1:], g[1:2], out=a[:1])
-    np.add(g[-2:-1], g[:1], out=a[-1:])
+    sums = ((g[:-2], g[2:], a[1:-1]), (g[-1:], g[1:2], a[:1]), (g[-2:-1], g[:1], a[-1:]))
+    wraps = ()
     if f.ndim == 3:
         fr, ar = _rows(f), _rows(out)
         first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
-        np.copyto(first, out[..., 0])
-        ar[..., 1:] += fr[..., :-1]
-        np.add(first, f[..., -1], out=out[..., 0])
-        np.copyto(last, out[..., -1])
-        ar[..., :-1] += fr[..., 1:]
-        np.add(last, f[..., 0], out=out[..., -1])
-    out *= 0.5 / (f.ndim - 1) * theta_eff
-    if theta_eff != 1.0:
-        out += np.multiply(f, 1.0 - theta_eff, out=spare)
-    return out
+        # (saved sum, wrapped column, merged rows, their j neighbors, the
+        # column's true neighbor) for the j-1 and then the j+1 neighbors
+        wraps = ((first, out[..., 0], ar[..., 1:], fr[..., :-1], f[..., -1]),
+                 (last, out[..., -1], ar[..., :-1], fr[..., 1:], f[..., 0]))
+    scale = 0.5 / (f.ndim - 1) * theta_eff
+    own = 1.0 - theta_eff
+    add, multiply, copyto = np.add, np.multiply, np.copyto
+
+    def blend():
+        for p, q, o in sums:
+            add(p, q, out=o)
+        for saved, column, rows, neighbors, wrapped in wraps:
+            copyto(saved, column)
+            add(rows, neighbors, out=rows)
+            add(saved, wrapped, out=column)
+        multiply(out, scale, out=out)
+        if own != 0.0:
+            add(out, multiply(f, own, out=spare), out=out)
+        return out
+
+    return blend
 
 
 def _reciprocal(material):
     """The plane fl(1 / material), or None for free space."""
     return None if material is None else np.divide(1.0, material)
-
-
-def _coef(scale, inv, work):
-    """`scale`, or the plane scale * inv in the work array, where `inv` is a
-    material's reciprocal plane (None for free space)."""
-    if inv is None:
-        return scale
-    return np.multiply(inv, scale, out=work("coef", inv.shape))
 
 
 def _theta_eff(kind, theta):
@@ -263,77 +266,116 @@ def _theta_eff(kind, theta):
 
 
 def _bind_1d(dx, th, inv, n, work):
-    """op(sdt, u, out) of E' = blend(E) + lam/eps dH, H' = blend(H) + lam/mu dE
-    on u = (E, H) of length n, lam = sdt / dx, with neighbor-average weight
-    th in the blend and inv = (1/eps, 1/mu) (None for free space).
+    """The binder bind(sdt, u, out) of E' = blend(E) + lam/eps dH,
+    H' = blend(H) + lam/mu dE on stacks u = (E, H) of length n, lam =
+    sdt / dx, with neighbor-average weight th in the blend and inv =
+    (1/eps, 1/mu) (None for free space); bind returns run(), which writes
+    the step of u into out and returns out.
 
-    The scratch arrays and their views are taken from `work` here, once.
-    The raw differences run over both rows merged end to end, as in `_dc`,
-    into rows 0-1 of a (3, n) array; its two wrapped columns are then
-    rewritten and its row 2 takes a copy of dE, so that rows 1-2 are the
-    swapped stack (dH, dE), contiguous.  One multiply of it by 0.5 lam, or
-    with materials by the plane fl(inv 0.5 lam), gives both components.
-    (Through a reversed-row view numpy would buffer that multiply, which
-    allocates up to a state's worth per call and is no faster.)
+    The scratch arrays and their views are taken from `work` here, once,
+    and the views of u and out where bind is called.  The raw differences
+    run over both rows merged end to end, as in `_dc`, into rows 0-1 of a
+    (3, n) array; its two wrapped columns are then rewritten and its row 2
+    takes a copy of dE, so that rows 1-2 are the swapped stack (dH, dE),
+    contiguous.  One multiply of it by 0.5 lam, or with materials by the
+    plane fl(inv 0.5 lam), gives both components.  (Through a
+    reversed-row view numpy would buffer that multiply, which allocates up
+    to a state's worth per call and is no faster.)
     """
     d = work("d", (3, n))
     d_rows, d_first, d_last = d.reshape(-1)[1:2 * n - 1], d[:2, 0], d[:2, -1]
     swapped, de, de_copy = d[1:], d[0], d[2]
     coef = None if inv is None else work("coef", inv.shape)
-    blend = None if th == 0.0 else (work("blend", (2, n)), work("blend_spare", (2, n)))
+    scratch = None if th == 0.0 else (work("blend", (2, n)), work("blend_spare", (2, n)))
+    add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
 
-    def op(sdt, u, out):
-        if out is None:
-            out = np.empty_like(u)
+    def bind(sdt, u, out):
         g = u.reshape(-1)
-        np.subtract(g[2:], g[:-2], out=d_rows)
-        np.subtract(u[:, 1], u[:, -1], out=d_first)
-        np.subtract(u[:, 0], u[:, -2], out=d_last)
-        np.copyto(de_copy, de)
+        diffs = ((g[2:], g[:-2], d_rows), (u[:, 1], u[:, -1], d_first),
+                 (u[:, 0], u[:, -2], d_last))
+        blend = None if scratch is None else _center_blend(th, u, *scratch)
         lam = 0.5 * (sdt / dx)
-        np.multiply(swapped, lam if coef is None else np.multiply(inv, lam, out=coef), out=out)
-        out += u if blend is None else _center_blend(th, u, *blend)
-        return out
 
-    return op
+        def run():
+            for a, b, o in diffs:
+                subtract(a, b, out=o)
+            copyto(de_copy, de)
+            multiply(swapped, lam if coef is None else multiply(inv, lam, out=coef), out=out)
+            add(out, u if blend is None else blend(), out=out)
+            return out
+
+        return run
+
+    return bind
 
 
-def _kernel_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work, fix=lambda k, plane: None,
-               ring=()):
-    """The TMz update of u = (Hx, Hy, Ez), finishing one component at a
-    time so that each stays in cache on large grids; dHx/dy passes through
-    the Hx plane before that plane's own update.  lx and ly carry the
-    centered differences' 0.5.  `fix(k, plane)` may change in place the
-    center blend (k = 0; not called at th = 0, where the blend is u) and
-    each raw difference before it is scaled (k = 1-4: d/dx Hy, d/dy Hx,
-    d/dy Ez, d/dx Ez).  The points `ring` get their input values back.
-    `out`, never u, is the blend's scratch until the first `_dc`."""
-    if out is None:
-        out = np.empty_like(u)
+def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, bind_fix=None, ring=()):
+    """run(), which writes the TMz update of the stack u = (Hx, Hy, Ez)
+    with signed step sdt into `out` and returns it.  Every view of u, out
+    and the scratch arrays is made here, once, so that a call is only its
+    ufunc calls.
+
+    The update finishes one component at a time so that each stays in
+    cache on large grids; dHx/dy passes through the Hx plane before that
+    plane's own update.  lx and ly carry the centered differences' 0.5.
+    `bind_fix`, given the planes k = 0-4 that the update passes through,
+    the center blend (k = 0) and the raw differences d/dx Hy, d/dy Hx,
+    d/dy Ez and d/dx Ez (k = 1-4), gives fix(k), which may change plane k
+    in place before it is scaled; fix(0) is not called at th = 0, where
+    the blend is u.  The points `ring` get their input values back.
+    `out`, never u, is the blend's scratch until the first difference.
+    """
+    hx, hy, ez = out
+    blend, mix = u, None
+    if th != 0.0:
+        blend = work("blend", u.shape)
+        mix = _center_blend(th, u, blend, out)
+    b_hx, b_hy, b_ez = blend
+    dhy_dx, dhx_dy = _dc(u[1], 0, ez), _dc(u[0], 1, hx)
+    dez_dy, dez_dx = _dc(u[2], 1, hx), _dc(u[2], 0, hy)
+    coef = None if inv_mu is None else work("coef", inv_mu.shape)
+    fix = None if bind_fix is None else bind_fix((blend, ez, hx, hx, hy))
+    held = tuple((out[points], u[points]) for points in ring)
     lx = 0.5 * (sdt / grid.dx)
     ly = 0.5 * (sdt / grid.dy)
-    blend = u
-    if th != 0.0:
-        blend = _center_blend(th, u, work("blend", u.shape), out)
-        fix(0, blend)
-    hx, hy, ez = out
-    fix(1, _dc(u[1], 0, ez))
-    ez *= lx
-    fix(2, _dc(u[0], 1, hx))
-    hx *= ly
-    ez -= hx
-    if inv_eps is not None:
-        ez *= inv_eps
-    ez += blend[2]
-    fix(3, _dc(u[2], 1, hx))
-    hx *= _coef(ly, inv_mu, work)
-    np.subtract(blend[0], hx, out=hx)
-    fix(4, _dc(u[2], 0, hy))
-    hy *= _coef(lx, inv_mu, work)
-    hy += blend[1]
-    for points in ring:
-        out[points] = u[points]
-    return out
+    add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
+
+    def run():
+        if mix is not None:
+            mix()
+            if fix is not None:
+                fix(0)
+        for a, b, o in dhy_dx:
+            subtract(a, b, out=o)
+        if fix is not None:
+            fix(1)
+        multiply(ez, lx, out=ez)
+        for a, b, o in dhx_dy:
+            subtract(a, b, out=o)
+        if fix is not None:
+            fix(2)
+        multiply(hx, ly, out=hx)
+        subtract(ez, hx, out=ez)
+        if inv_eps is not None:
+            multiply(ez, inv_eps, out=ez)
+        add(ez, b_ez, out=ez)
+        for a, b, o in dez_dy:
+            subtract(a, b, out=o)
+        if fix is not None:
+            fix(3)
+        multiply(hx, ly if coef is None else multiply(inv_mu, ly, out=coef), out=hx)
+        subtract(b_hx, hx, out=hx)
+        for a, b, o in dez_dx:
+            subtract(a, b, out=o)
+        if fix is not None:
+            fix(4)
+        multiply(hy, lx if coef is None else multiply(inv_mu, lx, out=coef), out=hy)
+        add(hy, b_hy, out=hy)
+        for o, i in held:
+            copyto(o, i)
+        return out
+
+    return run
 
 
 class StencilGeometry:
@@ -417,21 +459,42 @@ def _correction_weights(grid: Grid2, weights, center):
 _PLANE_ROWS = (0, (-2, 1), (-1, 0), (-1, 2), (-2, 2))
 
 
-def _ls_fit_all(geom: StencilGeometry, weights, u, center, work):
-    """The _kernel_2d hook that adds the irregular stencils' corrections at
-    their centers: `weights`, the block from _correction_weights, applied to
-    the stencils' gathered values of all three fields in one contraction,
-    its rows (center, d/dx, d/dy), the center row only for a nonzero blend
-    weight `center` (a zero weight leaves the point values as base)."""
+def _ls_fit_all(rows, weights, flat, gather, refit):
+    """The irregular stencils' corrections from the stack whose (3, nx*ny)
+    view is `flat`: its values at the stencils' points `rows` (5, r),
+    gathered into `gather`, and `weights`, the block from
+    _correction_weights (its center row dropped for a zero blend weight),
+    applied to them in one contraction into `refit`, (rows of weights, 3,
+    r).  `_ls_binding` gives the arguments."""
+    flat.take(rows, axis=1, mode="clip", out=gather)
+    return np.einsum("rks,fsr->kfr", weights, gather, out=refit)
+
+
+def _ls_binding(geom: StencilGeometry, weights, center, work, u):
+    """(args, bind_fix) of the irregular stencils' corrections on the
+    stack u, bound once: _ls_fit_all(*args) computes them, and bind_fix,
+    _kernel_2d's hook binder, gives the fix(k) that adds them at their
+    centers, with the flat views of the planes made where it is bound.
+    Its rows are (center, d/dx, d/dy), the center row only for a nonzero
+    blend weight `center` (a zero weight leaves the point values as
+    base)."""
     rows, at = geom.irregular_index, geom.irregular_center
-    vals = u.reshape(3, -1).take(rows, axis=1, mode="clip", out=work("gather", (3,) + rows.shape))
     w = weights if center else weights[:, 1:]
-    refit = np.einsum("rks,fsr->kfr", w, vals, out=work("refit", (w.shape[1], 3, rows.shape[1])))
+    gather = work("gather", (3,) + rows.shape)
+    refit = work("refit", (w.shape[1], 3, rows.shape[1]))
 
-    def fix(k, plane):
-        plane.reshape(-1)[at if k == 0 else at[0]] += refit[_PLANE_ROWS[k]]
+    def bind_fix(planes):
+        targets = tuple(None if k == 0 and not center else
+                        (plane.reshape(-1), at if k == 0 else at[0], refit[_PLANE_ROWS[k]])
+                        for k, plane in enumerate(planes))
 
-    return fix
+        def fix(k):
+            flat, index, values = targets[k]
+            flat[index] += values
+
+        return fix
+
+    return (rows, w, u.reshape(3, -1), gather, refit), bind_fix
 
 
 def _check_state(state, where):
@@ -445,17 +508,19 @@ def _check_state(state, where):
 
 def _operator(spec, state, where, geometry=None, weights=None, work=None):
     """The one-step operator of `spec` for states like `state`, checked and
-    bound once.
+    bound once, as a binder.
 
     `where` is the spacing dx of a FieldState1 or the Grid2 of a
-    FieldState2.  Returns op(sdt, u, out), which writes one step of signed
-    size sdt of the stacked fields u into `out` (a fresh array when None)
-    and returns it.  What stays fixed from step to step is bound here, once
-    per operator: the center weight, the materials' reciprocal planes, the
-    Workspace `work` the scratch arrays come from (a fresh one when None),
-    in 1D those arrays and their views too, and for least-squares kinds
-    the geometry: a missing `geometry` is built and missing `weights` come
-    from the geometry's cache.
+    FieldState2.  Returns bind(sdt, u, out), which binds the operator's
+    step of signed size sdt to the contiguous stacks u and out, making
+    every view of them once, and returns run(): the step of u, written
+    into out, which it returns.  What stays fixed from binding to binding
+    is bound here, once per operator: the center weight, the materials'
+    reciprocal planes, the Workspace `work` the scratch arrays come from
+    (a fresh one when None), in 1D those arrays and their views too, and
+    for least-squares kinds the geometry and correction weights: a missing
+    `geometry` is built and missing `weights` come from the geometry's
+    cache.
     """
     kind = spec.kind
     _check_state(state, where)
@@ -480,18 +545,29 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
             inv = None if inv_eps is None and inv_mu is None else np.stack(
                 [np.ones(n) if r is None else r for r in (inv_eps, inv_mu)])
             return _bind_1d(where, th, inv, n, work)
-        return lambda sdt, u, out: _kernel_2d(sdt, u, where, th, inv_eps, inv_mu, out, work)
+        return lambda sdt, u, out: _kernel_2d(where, th, inv_eps, inv_mu, work, sdt, u, out)
     geom = geometry if geometry is not None else StencilGeometry(grid)
     th = LS_CENTER[kind]
     dw = _correction_weights(grid, weights if weights is not None else geom.cached_weights(), th)
-    return lambda sdt, u, out: _kernel_2d(sdt, u, grid, th, inv_eps, inv_mu, out, work,
-                                          _ls_fit_all(geom, dw, u, th, work), geom.ring)
+
+    def bind(sdt, u, out):
+        args, bind_fix = _ls_binding(geom, dw, th, work, u)
+        kernel = _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, bind_fix, geom.ring)
+
+        def run():
+            _ls_fit_all(*args)
+            return kernel()
+
+        return run
+
+    return bind
 
 
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
     """One step of a uniform-grid scheme on a periodic 1D state."""
-    op = _operator(spec, state, dx)
-    return FieldState1._of(op(spec.dt, state.u, None), state.eps, state.mu)
+    out = np.empty(state.u.shape)
+    _operator(spec, state, dx)(spec.dt, state.u, out)()
+    return FieldState1._of(out, state.eps, state.mu)
 
 
 def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
@@ -506,5 +582,6 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
     `weights` the geometry's cached weights are used, so the factorization
     runs once per geometry.
     """
-    op = _operator(spec, state, grid, geometry, weights)
-    return FieldState2._of(op(spec.dt, state.u, None), state.eps, state.mu)
+    out = np.empty(state.u.shape)
+    _operator(spec, state, grid, geometry, weights)(spec.dt, state.u, out)()
+    return FieldState2._of(out, state.eps, state.mu)

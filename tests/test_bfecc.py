@@ -60,6 +60,34 @@ def test_composition_order_forward_backward_forward():
     assert out.shape == (3, 4, 4)
 
 
+def test_in_place_composition_order():
+    """In place the substeps run u -> X, X -> Y, Y -> u, with X and Y the
+    Workspace's two stacks, and give the same bits as a fresh step; into
+    another `out`, X is that `out`."""
+    calls = []
+    work = Workspace()
+
+    def substep(k, v, out):
+        calls.append((k, v, out))
+        np.multiply(v, 0.5 + k, out=out)
+        return out
+
+    def order(ins, outs):
+        return [k for k, v, out in calls] == [0, 1, 2] and all(
+            v is w and out is o for (_, v, out), w, o in zip(calls, ins, outs))
+
+    u = np.random.default_rng(2).standard_normal((3, 4, 4))
+    expect = bfecc_apply(lambda k, v, out: (0.5 + k) * v, u, Workspace())
+    x, y = work("X", u.shape), work("bfecc", u.shape)
+    assert bfecc_apply(substep, u, work, out=u) is u
+    assert order((u, x, y), (x, y, u))
+    assert np.array_equal(u, expect)
+    calls.clear()
+    other = np.empty_like(u)
+    assert bfecc_apply(substep, u, work, out=other) is other
+    assert order((u, other, y), (other, y, other))
+
+
 def test_three_substep_expansion_1d():
     n = 32
     dx = 1.0 / n
@@ -68,10 +96,14 @@ def test_three_substep_expansion_1d():
     st = FieldState1(rng.standard_normal(n), rng.standard_normal(n))
     out = bfecc_step(BfeccStep(spec), st, dx)
     op = _operator(spec, st, dx)
-    u1 = op(spec.dt, st.u, None)
-    u2 = op(-spec.dt, u1, None)
+
+    def apply(sdt, u):
+        return op(sdt, u, np.empty_like(u))()
+
+    u1 = apply(spec.dt, st.u)
+    u2 = apply(-spec.dt, u1)
     u3 = 1.5 * st.u + -0.5 * u2
-    expect = op(spec.dt, u3, None)
+    expect = apply(spec.dt, u3)
     assert np.array_equal(out.u, expect)
 
 
@@ -302,41 +334,49 @@ def peak_states_per_step(step, st, warm=3, steps=5):
     return (peak - base) / st.u.nbytes
 
 
-def stepper(case, n):
+def stepper(case, n, in_place=False):
     """(step, state) of a case: 1D cd on n points in free space or with
     materials, 2D cd on a uniform periodic grid, ls_theta on the conforming
     grid d, ls_theta with an absorbing collar on a bounded grid, and the
     scattering set-up (collar, cylinder and TF/SF plane wave) on the
-    scatter grid of resolution n."""
+    scatter grid of resolution n.  step(s) writes into a fresh array, or
+    `in_place` into s.u."""
     rng = np.random.default_rng(5)
+
+    def out(s):
+        return s.u if in_place else None
+
     if case.startswith("1d"):
         dx = 1.0 / n
         materials = rng.uniform(0.5, 2.0, (2, n)) if case == "1d_materials" else (None, None)
         step = BfeccStep(SchemeSpec("cd", 1.7 * dx))
-        return (lambda s: bfecc_step(step, s, dx),
+        return (lambda s: bfecc_step(step, s, dx, out=out(s)),
                 FieldState1(*rng.standard_normal((2, n)), *materials))
     st = FieldState2(*rng.standard_normal((3, n, n)))
     if case == "cd":
         g = build_uniform(n, n)
         step = BfeccStep(SchemeSpec("cd", 0.5 * g.dx))
-        return lambda s: bfecc_step(step, s, g), st
+        return lambda s: bfecc_step(step, s, g, out=out(s)), st
     if case == "ls_theta":
         g = build_variant_grid("d", n)
         geom = StencilGeometry(g)
         step = BfeccStep(SchemeSpec("ls_theta", 0.25 * g.dx))
-        return lambda s: bfecc_step(step, s, g, geometry=geom), st
+        return lambda s: bfecc_step(step, s, g, geometry=geom, out=out(s)), st
     if case == "tfsf":
         cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta")
         g, eps = build_scatter_grid(cfg, n)
         dt = 0.5 / n
         runner = PmlRunner(g, SchemeSpec("ls_theta", dt), build_pml(g, dt, cfg.pml_cells),
                            TfsfSource(cfg.tfsf_rect))
-        return (lambda s: runner.step(s, 1.0),
+        return (lambda s: runner.step(s, 1.0, out=out(s)),
                 FieldState2(*rng.standard_normal((3, g.nx, g.ny)), eps=eps))
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
     dt = 0.5 * g.dx
     runner = PmlRunner(g, SchemeSpec("ls_theta", dt), build_pml(g, dt, thickness=10))
-    return lambda s: runner.step(s, 0.0), FieldState2(*st.u, eps=np.ones((n, n)))
+    return lambda s: runner.step(s, 0.0, out=out(s)), FieldState2(*st.u, eps=np.ones((n, n)))
+
+
+ALLOCATION_SIZES = {"1d": 256, "1d_materials": 256, "tfsf": 32}
 
 
 @pytest.mark.parametrize("case", ["1d", "1d_materials", "cd", "ls_theta", "collar", "tfsf"])
@@ -344,5 +384,109 @@ def test_a_step_allocates_little_more_than_its_output(case):
     """Substeps write into buffers kept across steps, so a step's only
     large allocation is the state it returns; the 1D cases run on 256
     points, the TF/SF case on the 53 x 53 scatter grid of n = 32."""
-    step, st = stepper(case, {"1d": 256, "1d_materials": 256, "tfsf": 32}.get(case, 64))
+    step, st = stepper(case, ALLOCATION_SIZES.get(case, 64))
     assert peak_states_per_step(step, st) <= 1.5
+
+
+@pytest.mark.parametrize("case", ["1d", "1d_materials", "cd", "ls_theta", "collar", "tfsf"])
+def test_an_in_place_step_allocates_almost_nothing(case):
+    """Stepped in place, a run's stacks, scratch arrays and substep
+    bindings all outlive its first step, so a later step allocates at
+    most a tenth of a state, sizes as above."""
+    step, st = stepper(case, ALLOCATION_SIZES.get(case, 64), in_place=True)
+    assert peak_states_per_step(step, st) <= 0.1
+
+
+IN_PLACE_CASES = ([f"1d_{kind}_{m}" for kind in ("cd", "theta") for m in ("free", "materials")]
+                  + [f"2d_{kind}" for kind in ("cd", "lf", "theta", "ls_cd", "ls_theta")]
+                  + ["2d_ls_cd_bounded", "2d_ls_theta_bounded", "pml_ls_cd", "pml_ls_theta"])
+
+
+def in_place_case(case):
+    """(make, state, step) of an in-place case: make() builds a fresh
+    stepper and step(s, st, t, out) takes one step with it.  1D cases step
+    cd or theta, free or with materials; 2D ones each kind on a periodic
+    grid (uniform, or grid d for ls), or ls on the bounded scatter grid
+    with the cylinder's eps; pml ones a PmlRunner with collar and TF/SF
+    on the scatter grid, with eps and a random mu."""
+    rng = np.random.default_rng(21)
+    if case.startswith("1d"):
+        _, kind, materials = case.split("_")
+        n = 24
+        eps, mu = rng.uniform(0.5, 2.0, (2, n)) if materials == "materials" else (None, None)
+        spec = SchemeSpec(kind, 0.9 / n, 0.3)
+        return (lambda: BfeccStep(spec), FieldState1(*rng.standard_normal((2, n)), eps, mu),
+                lambda s, st, t, out: bfecc_step(s, st, 1.0 / n, out=out))
+    if case.startswith("pml"):
+        kind = case[4:]
+        cfg = ExperimentConfig(experiment="scatter_cylinder", scheme=kind)
+        g, eps = build_scatter_grid(cfg, 16)
+        dt = 0.5 / 16
+        st = FieldState2(*rng.standard_normal((3, g.nx, g.ny)), eps=eps,
+                         mu=rng.uniform(0.5, 2.0, (g.nx, g.ny)))
+        return (lambda: PmlRunner(g, SchemeSpec(kind, dt), build_pml(g, dt, cfg.pml_cells),
+                                  TfsfSource(cfg.tfsf_rect)),
+                st, lambda r, st, t, out: r.step(st, t, out=out))
+    kind = case[3:].replace("_bounded", "")
+    eps = None
+    if case.endswith("bounded"):
+        g, eps = build_scatter_grid(ExperimentConfig(experiment="scatter_cylinder"), 8)
+    else:
+        g = build_variant_grid("a" if kind in ("cd", "lf", "theta") else "d", 12)
+    spec = SchemeSpec(kind, 0.3 * g.dx, 0.6)
+    st = FieldState2(*rng.standard_normal((3, g.nx, g.ny)), eps=eps)
+    return lambda: BfeccStep(spec), st, lambda s, st, t, out: bfecc_step(s, st, g, out=out)
+
+
+@pytest.mark.parametrize("case", IN_PLACE_CASES)
+def test_stepping_in_place_equals_fresh_steps(case):
+    """Five steps and a with_dt remainder step, each written into the
+    state's own stack, give the bits of the same steps into fresh arrays,
+    the collar memory included; the run keeps its one stack, and the
+    stepper kept for it still steps dt in place after its remainder
+    copy."""
+    make, st, step = in_place_case(case)
+    kept, fresh = make(), make()
+    u = st.u.copy()
+    a, b = type(st)._of(u, st.eps, st.mu), st
+    dt = kept.spec.dt
+    for k in range(5):
+        a = step(kept, a, k * dt, a.u)
+        b = step(fresh, b, k * dt, None)
+        assert np.array_equal(a.u, b.u)
+    a = step(kept.with_dt(0.4 * dt), a, 5 * dt, a.u)
+    b = step(fresh.with_dt(0.4 * dt), b, 5 * dt, None)
+    assert np.array_equal(a.u, b.u) and a.u is u
+    a = step(kept, a, 5.4 * dt, a.u)
+    b = step(fresh, b, 5.4 * dt, None)
+    assert np.array_equal(a.u, b.u) and a.u is u
+    if case.startswith("pml"):
+        for name in ("psi_hxy", "psi_hyx", "psi_ezx", "psi_ezy"):
+            assert np.array_equal(getattr(kept.pml, name), getattr(fresh.pml, name))
+
+
+@pytest.mark.parametrize("case", ["1d_theta_materials", "2d_ls_theta", "pml_ls_theta"])
+def test_a_fresh_step_leaves_its_input_untouched(case):
+    make, st, step = in_place_case(case)
+    s = make()
+    before = st.u.copy()
+    for t in (0.0, 0.1):
+        new = step(s, st, t, None)
+        assert new.u is not st.u
+        assert np.array_equal(st.u, before)
+
+
+@pytest.mark.parametrize("case", ["1d_cd_free", "2d_ls_theta", "pml_ls_theta"])
+def test_a_bad_out_fails_at_the_call_with_one_line(case):
+    """An `out` of another shape or dtype, a non-contiguous one or no array
+    at all is a one-line ValueError before anything is written."""
+    make, st, step = in_place_case(case)
+    shape = st.u.shape
+    before = st.u.copy()
+    wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+    for out in (np.zeros(shape[:-1] + (shape[-1] + 1,)), np.zeros(shape, dtype=np.float32),
+                wide[..., ::2], np.zeros(shape, order="F"), st.u.tolist()):
+        with pytest.raises(ValueError) as exc:
+            step(make(), st, 0.0, out)
+        assert "\n" not in str(exc.value)
+        assert not wide.any() and np.array_equal(st.u, before)

@@ -22,6 +22,7 @@ from bfecc_maxwell.schemes import (
     Workspace,
     _correction_weights,
     _kernel_2d,
+    _ls_binding,
     _ls_fit_all,
     step_2d,
 )
@@ -466,20 +467,28 @@ def reference_steps(g, spec, pml, source, state, t0, steps):
 
     def substep(t, k, v, out):
         sdt, at = (-dt, t + dt) if k == 1 else (dt, t)
-        irregular = _ls_fit_all(geom, w, v, th, work)
+        args, ls_fix = _ls_binding(geom, w, th, work, v)
 
-        def fix(p, plane):
-            irregular(p, plane)
-            if p == 0:
-                return
-            psi, b, c = collar[p - 1]
-            if k == 0:
-                grads[p - 1] = plane
-            plane *= 1.0 + c
-            if k == 2:
-                plane += psi * b
+        def bind_fix(planes):
+            irregular = ls_fix(planes)
 
-        out = _kernel_2d(sdt, v, g, th, *inv, out, work, fix, geom.ring)
+            def fix(p):
+                irregular(p)
+                if p == 0:
+                    return
+                plane = planes[p]
+                psi, b, c = collar[p - 1]
+                if k == 0:
+                    grads[p - 1] = plane
+                plane *= 1.0 + c
+                if k == 2:
+                    plane += psi * b
+
+            return fix
+
+        _ls_fit_all(*args)
+        out = np.empty_like(v) if out is None else out
+        out = _kernel_2d(g, th, *inv, work, sdt, v, out, bind_fix, geom.ring)()
         if source is not None:
             field, ds = direct_corrections(source, geom, spec.kind, state.eps, state.mu, at, sdt)
             for f, d in zip(out, ds):

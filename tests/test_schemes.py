@@ -127,7 +127,7 @@ def test_backward_direction_negates_the_update():
     st = random_state1(n, seed=6)
     dx = 1.0 / n
     spec = SchemeSpec("cd", 0.4 * dx)
-    out = _operator(spec, st, dx)(-spec.dt, st.u, None)
+    out = apply_operator(spec, -1.0, st, dx)
     lam = spec.dt / dx
     dh = 0.5 * (np.roll(st.H, -1) - np.roll(st.H, 1))
     assert np.allclose(out[0], st.E - lam * dh, atol=1e-15)
@@ -357,7 +357,7 @@ def test_plane_fit_matches_per_point_fit_across_the_periodic_seam(data, n, bound
     ring = 0 if g.boundary_kind == "periodic" else 1
     sdt = data.draw(signs) * 0.4 * min(g.dx, g.dy)
     for kind in ("ls_cd", "ls_theta"):
-        out = _operator(SchemeSpec(kind, abs(sdt)), st, g, geom)(sdt, st.u, None)
+        out = apply_operator(SchemeSpec(kind, abs(sdt)), np.sign(sdt), st, g, geom)
         irregular = []
         for row, (p, q) in enumerate(np.ndindex(geom.shape)):
             i, j = p + ring, q + ring
@@ -460,9 +460,10 @@ uniform_specs = hst.builds(SchemeSpec, kind=hst.sampled_from(("cd", "lf", "theta
 signs = hst.sampled_from((1.0, -1.0))
 
 
-def apply_operator(spec, sign, st, where):
-    """One step of signed size sign * dt with the spec's operator."""
-    return _operator(spec, st, where)(sign * spec.dt, st.u, None)
+def apply_operator(spec, sign, st, where, geometry=None):
+    """One step of signed size sign * dt with the spec's operator, bound to
+    the state's stack and a fresh output."""
+    return _operator(spec, st, where, geometry)(sign * spec.dt, st.u, np.empty_like(st.u))()
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,9 +2,9 @@
 
     python3 tools/layers.py [--quick] [--out FILE] [--against DIR]
 
-Layers, each timed as CALLS back-to-back calls per round, interleaved
-over ROUNDS rounds (every round times every layer once, in a fixed
-order):
+Layers, each timed as a fixed number of back-to-back calls per round,
+interleaved over ROUNDS rounds (every round times every layer once, in a
+fixed order):
 
   op.<kind>          the bound 2D operator (one substep) of each of the
                      five scheme kinds on a uniform periodic 149^2 grid
@@ -12,16 +12,27 @@ order):
                      grid (n = 128, 10-cell collar, cylinder eps)
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
   PmlRunner.step     one BFECC step of the collar runner on the scatter
-                     grid: three substeps, collar and TF/SF included
+                     grid: three substeps, collar and TF/SF included,
+                     stepped in place where the tree's runner takes `out`
+  run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
+                     dt_ratio 1.7, 200 steps
+  run.grid_d.<n>     harness.run_experiment of periodic2d on grid d,
+                     ls_theta, dt_ratio 0.25, n = 20, 40, 80, t_final 0.5
+                     (40, 80 and 160 steps), set-up included
+  run.periodic2d_cd  harness.run_experiment of periodic2d, cd, n = 256,
+                     dt_ratio 1, 10 steps
 
-The report holds, per layer, the median over rounds and the best round
-of the time per call (ms), plus nproc, Python, numpy and BLAS threads as
-bench/worker.py reads them; it goes to FILE, or to stdout without --out.
-With `--against DIR` the rounds alternate between subprocesses that
-import this tree's package and DIR's (`DIR/src`), which one goes first
-alternating too, and the report adds the other tree's layers and, per
-layer, the change/other ratio of the medians and the rounds this tree
-won.  Inputs are seeded, so every run times the same numbers.
+The run.* layers go through the public API only, so `--against` times
+the same path in both trees.  The report holds, per layer, the median
+over rounds and the best round of the time per call (ms), plus nproc,
+Python, numpy and BLAS threads as bench/worker.py reads them; it goes to
+FILE, or to stdout without --out.  With `--against DIR` one long-lived
+worker imports this tree's package and a second one DIR's (`DIR/src`);
+the rounds alternate between them, which one goes first alternating
+too, so that a drift of the machine's load reaches both sides alike.
+The report then adds the other tree's layers and, per layer, the
+change/other ratio of the medians and the rounds this tree won.  Inputs
+are seeded, so every run times the same numbers.
 """
 
 from __future__ import annotations
@@ -39,15 +50,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
+GRID_D = (20, 40, 80)
 LAYERS = tuple(f"op.{k}" for k in KINDS) + (
-    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step")
+    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step", "run.periodic1d") + tuple(
+    f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
 
 def build_layers():
     """name -> zero-argument callable doing one call of the layer."""
+    import inspect
+
     import numpy as np
 
-    from bfecc_maxwell import schemes
+    from bfecc_maxwell import harness, schemes
     from bfecc_maxwell.grid import build_uniform
     from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
     from bfecc_maxwell.pml import PmlRunner, TfsfSource, build_pml
@@ -60,7 +75,10 @@ def build_layers():
         dt = 0.4 * min(grid.dx, grid.dy)
         op = schemes._operator(schemes.SchemeSpec(kind, dt, theta), st, grid)
         out = np.empty_like(st.u)
-        return lambda: op(dt, st.u, out)
+        bound = op(dt, st.u, out)
+        # a binder returns the bound substep; an older per-call operator
+        # has just run the step and returned `out`
+        return bound if callable(bound) else lambda: op(dt, st.u, out)
 
     uniform = build_uniform(149, 149, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     for kind in KINDS:
@@ -74,29 +92,56 @@ def build_layers():
     runner = PmlRunner(grid, schemes.SchemeSpec("ls_theta", dt), build_pml(grid, dt, 10),
                        TfsfSource(tuple(cfg.tfsf_rect)))
     state = [schemes.FieldState2(*(0.1 * rng.standard_normal((3, grid.nx, grid.ny))), eps=eps)]
+    in_place = "out" in inspect.signature(runner.step).parameters
 
     def pml_step():
-        state[0] = runner.step(state[0], 1.0)
+        st = state[0]
+        state[0] = runner.step(st, 1.0, out=st.u) if in_place else runner.step(st, 1.0)
 
     calls["PmlRunner.step"] = pml_step
+
+    def run(**settings):
+        return lambda: harness.run_experiment(ExperimentConfig(**settings))
+
+    calls["run.periodic1d"] = run(experiment="periodic1d", scheme="cd", n=256, dt_ratio=1.7,
+                                  t_final=200 * 1.7 / 256)
+    for n in GRID_D:
+        calls[f"run.grid_d.{n}"] = run(experiment="periodic2d", grid_variant="d",
+                                       scheme="ls_theta", n=n, dt_ratio=0.25, t_final=0.5)
+    calls["run.periodic2d_cd"] = run(experiment="periodic2d", grid_variant="a", scheme="cd",
+                                     n=256, dt_ratio=1.0, t_final=10.0 / 256)
     return calls
+
+
+def calls_of(name, calls_per_round):
+    """Calls per round of a layer: the run.* layers take whole runs, so
+    they make a tenth as many calls as the others, at least one."""
+    return max(1, calls_per_round // 10) if name.startswith("run.") else calls_per_round
+
+
+def time_round(layers, calls_per_round):
+    """name -> per-call seconds of one round over all layers."""
+    clock = time.perf_counter
+    times = {}
+    for name in LAYERS:
+        fn, calls = layers[name], calls_of(name, calls_per_round)
+        t0 = clock()
+        for _ in range(calls):
+            fn()
+        times[name] = (clock() - t0) / calls
+    return times
 
 
 def time_rounds(rounds, calls_per_round):
     """name -> per-call seconds of each round, all layers timed in every
     round."""
     layers = build_layers()
-    clock = time.perf_counter
-    times = {name: [] for name in LAYERS}
     for fn in layers.values():
         fn()
+    times = {name: [] for name in LAYERS}
     for _ in range(rounds):
-        for name in LAYERS:
-            fn = layers[name]
-            t0 = clock()
-            for _ in range(calls_per_round):
-                fn()
-            times[name].append((clock() - t0) / calls_per_round)
+        for name, t in time_round(layers, calls_per_round).items():
+            times[name].append(t)
     return times
 
 
@@ -106,13 +151,41 @@ def summary(times):
             for name, ts in times.items()}
 
 
-def run_tree(src, quick):
-    """One round's times of the package under `src`, in a fresh
-    interpreter."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker"] + (["--quick"] if quick else [])
-    res = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    return json.loads(res.stdout.splitlines()[-1])
+def serve(calls_per_round):
+    """The worker: builds the layers once, then times one round for every
+    line read from stdin and writes its times as one JSON line."""
+    layers = build_layers()
+    for fn in layers.values():
+        fn()
+    print("ready", flush=True)
+    for _ in sys.stdin:
+        print(json.dumps(time_round(layers, calls_per_round)), flush=True)
+
+
+class Worker:
+    """A long-lived worker process timing the package under `src`."""
+
+    def __init__(self, src, quick):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, os.path.abspath(__file__), "--worker"] + (
+            ["--quick"] if quick else [])
+        self.proc = subprocess.Popen(cmd, env=env, stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
+        if self.proc.stdout.readline().strip() != "ready":
+            self.close()
+            raise RuntimeError(f"the layer worker for {src} did not start")
+
+    def round(self):
+        self.proc.stdin.write("round\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError("a layer worker exited")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def main(argv=None):
@@ -124,7 +197,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     rounds, calls_per_round = (3, 2) if args.quick else (ROUNDS, CALLS)
     if args.worker:
-        print(json.dumps(time_rounds(1, calls_per_round)))
+        serve(calls_per_round)
         return 0
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     from worker import environment
@@ -133,13 +206,21 @@ def main(argv=None):
     if args.against is None:
         report["layers"] = summary(time_rounds(rounds, calls_per_round))
     else:
+        sides = ("change", "against")
         trees = {"change": os.path.join(ROOT, "src"),
                  "against": os.path.join(os.path.abspath(args.against), "src")}
-        times = {side: {name: [] for name in LAYERS} for side in trees}
-        for r in range(rounds):
-            for side in (("change", "against") if r % 2 == 0 else ("against", "change")):
-                for name, ts in run_tree(trees[side], args.quick).items():
-                    times[side][name] += ts
+        workers = {}
+        try:
+            for side in sides:
+                workers[side] = Worker(trees[side], args.quick)
+            times = {side: {name: [] for name in LAYERS} for side in sides}
+            for r in range(rounds):
+                for side in (sides if r % 2 == 0 else sides[::-1]):
+                    for name, t in workers[side].round().items():
+                        times[side][name].append(t)
+        finally:
+            for w in workers.values():
+                w.close()
         report["layers"] = summary(times["change"])
         report["against"] = {"tree": os.path.basename(os.path.normpath(args.against)),
                              "layers": summary(times["against"])}
