@@ -9,7 +9,7 @@ symbol-analysis, absorbing-layer and experiment tooling around them.
 from .analysis import (ScanResult, accuracy_order, bfecc_symbol, bfecc_symbol_for,
                        cfl_bound, exact_propagator, measured_phase_speed, phase_speed,
                        stability_scan, symbol, theta_cfl_constant)
-from .bfecc import BfeccStep, bfecc_apply, bfecc_step
+from .bfecc import BfeccStep, bfecc_program, bfecc_step
 from .diagnostics import (component_rms, convergence_orders, h_divergence, l2_error,
                           restrict_to_coarse, rms, write_error_table, write_snapshot)
 from .grid import (Circle, Grid2, GridError, ImplicitCurve, Intersection, StarCurve,
@@ -32,7 +32,7 @@ __all__ = [
     "InstabilityError", "Intersection", "PmlRunner", "PmlState",
     "RankDeficientStencilError", "SCHEME_KINDS", "ScanResult", "SchemeSpec",
     "StarCurve", "StencilGeometry", "TfsfInjector", "TfsfSource", "accuracy_order",
-    "batched_fit_weights", "bfecc_apply", "bfecc_step", "bfecc_symbol",
+    "batched_fit_weights", "bfecc_program", "bfecc_step", "bfecc_symbol",
     "bfecc_symbol_for", "build_pml", "build_scatter_grid", "build_uniform",
     "build_variant_grid", "cfl_bound", "component_rms", "convergence_orders",
     "curve_grid_intersections", "dump_grid", "exact_propagator", "h_divergence",

@@ -10,31 +10,35 @@ the same operator stepping -dt, one BFECC step advances
 The compensation raises the order of a first-order L to second order and
 is stable whenever the spectral radius of L's symbol stays at or below 2.
 
-`bfecc_apply` is the one composition: `bfecc_step` (1D and 2D) and the
+`bfecc_program` is the one composition: `bfecc_step` (1D and 2D) and the
 absorbing collar's pml.PmlRunner.step, which hooks its memory term and
 TF/SF corrections into the substeps they belong to, both run through it.
-It works on stacked states and writes the step into an `out` stack,
-which may be the input itself: a run keeps one state stack and steps it
-in place, with two work stacks X and Y (X is `out` itself when that is
-not the input) and the kernels' scratch, all allocated at its first
-step.  Without `out` a step returns a fresh array and leaves its input
-as it was.
+It composes the programs of the three substeps (schemes.run_program:
+a tuple of (function, args) entries, outputs passed positionally) and the
+combination between them into the program of one step of a stacked state
+into an `out` stack, which may be the input itself: a run keeps one state
+stack and steps it in place, with two work stacks X and Y (X is `out`
+itself when that is not the input) and the kernels' scratch, all
+allocated at its first step.  Without `out` a step returns a fresh array
+and leaves its input as it was.
 
 A stepper binds in two layers.  What is fixed for a run's materials is
 bound once, by one rule (`_bound`): a `BfeccStep` binds the underlying
 operator (schemes._operator), and pml.PmlRunner, a `BfeccStep` too, its
-materials and edge corrections.  The three substeps are then bound to
-the stacks they read and write (`_substeps`), every view of them made
-once and kept while the same stacks come back, so a run stepping in
-place binds them once and a substep is only its ufunc calls.  The signed
-step enters only where a substep is bound, so a `with_dt` copy shares
-the first layer and binds its own substeps.
+materials and edge corrections.  The step's program is then bound to the
+stacks it reads and writes (`_program`), every view made once and kept
+while the same stacks come back, so a run stepping in place builds it
+once and every later step replays it: only its numpy calls run.  The
+signed step enters only where a substep is bound, so a `with_dt` copy
+shares the first layer and builds its own program.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import replace
+from functools import partial
+from numbers import Real
 from operator import is_
 from typing import Optional, Union
 
@@ -46,7 +50,8 @@ from . import schemes
 # step_1d, step_2d, lincomb1, lincomb2 and StencilGeometry are looked up in
 # this module by bench/tracing.py, which wraps them in place
 from .schemes import (FieldState1, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      Workspace, lincomb1, lincomb2, step_1d, step_2d)
+                      Workspace, _scalar, lincomb1, lincomb2, run_program, step_1d,
+                      step_2d)
 
 State = Union[FieldState1, FieldState2]
 
@@ -58,31 +63,35 @@ class BfeccStep:
     `spec` is the underlying scheme; its operator steps dt in the forward
     substeps and -dt in the backward one.  A run builds one and steps with
     it throughout; `with_dt` gives the wrapper for a shorter final step,
-    sharing the buffers and the materials' binding, whose substeps bind
-    their views for the new step.  A binding keeps 1/eps and 1/mu, so
-    material arrays must not be changed in place between steps.
+    sharing the buffers and the materials' binding, which builds its own
+    program for the new step.  A binding keeps 1/eps and 1/mu, so
+    material arrays must not be changed in place between steps.  The
+    stepper holds the one program it replays; nothing refers back to it,
+    so a run's work stacks go with the stepper.
     """
 
     def __init__(self, spec: SchemeSpec):
         self.spec = spec
         self.work = Workspace()
         self._key = None
-        self._run = None
+        self._kept = None
 
     def with_dt(self, dt: float) -> "BfeccStep":
         other = copy.copy(self)
         other.spec = replace(self.spec, dt=dt)
-        other._run = None
+        other._kept = None
         return other
 
     def _bound(self, state, *args):
         """What self._bind(state, *args) gave, bound at the first call and
-        again only when an argument or the state's materials are other
-        objects than at the last binding, or the state's shape differs
-        (which also tells 1D from 2D states).  (An object without
+        again only when an argument or the state's materials differ from
+        the last binding's, or the state's shape does (which also tells 1D
+        from 2D states).  A number, the 1D spacing, differs when its value
+        does; anything else when it is another object.  (An object without
         materials, which is no state, reaches _bind and its TypeError.)"""
         key = (*args, getattr(state, "eps", None), getattr(state, "mu", None))
-        if self._key is None or not all(map(is_, key, self._key)) or state.u.shape != self._shape:
+        if (self._key is None or state.u.shape != self._shape
+                or not (all(map(is_, key, self._key)) or all(map(_same, key, self._key)))):
             self._value = self._bind(state, *args)
             self._key, self._shape = key, state.u.shape
         return self._value
@@ -92,28 +101,32 @@ class BfeccStep:
         return schemes._operator(self.spec, state, where, geometry, weights, self.work)
 
     def _substep(self, bound, k, v, out):
-        """Substep k of the composition, from the stack v into `out`, bound
-        by `bound`, what _bound gave: a call runs it."""
+        """The program of substep k of the composition, from the stack v
+        into `out`, bound by `bound`, what _bound gave."""
         return bound(-self.spec.dt if k == 1 else self.spec.dt, v, out)
 
-    def _substeps(self, bound, u, out):
-        """(out, substep) for a step of the stack u into `out` (a fresh array
-        when None), where substep(k, v, o) runs substep k of bfecc_apply
-        from v into o.  For a given `out` the three are bound at once, to
-        the stacks that bfecc_apply passes them, and kept while `bound`, u
-        and out are the same objects, so a run stepping in place binds them
-        once; a fresh step binds each where it runs."""
-        run = self._run
-        if run is not None and run[0] is bound and run[1] is u and run[2] is out:
-            return out, run[3]
+    def _program(self, bound, u, out):
+        """(out, program) of a step of the stack u into `out` (a fresh array
+        when None).  For a given `out` the program is built once and kept
+        while `bound`, u and out are the same objects, so a run stepping in
+        place builds it at its first step and replays it after; a fresh
+        step builds one for its fresh array as it runs."""
+        kept = self._kept
+        if kept is not None and kept[0] is bound and kept[1] is u and kept[2] is out:
+            return out, kept[3]
         if out is None:
-            return np.empty(u.shape), lambda k, v, o: self._substep(bound, k, v, o)()
+            out = np.empty(u.shape)
+            return out, bfecc_program(partial(self._substep, bound), u, out, self.work)
         _check_out(out, u)
-        x, y = _stacks(u, out, self.work)
-        runs = (self._substep(bound, 0, u, x), self._substep(bound, 1, x, y),
-                self._substep(bound, 2, y, out))
-        self._run = (bound, u, out, lambda k, v, o: runs[k]())
-        return out, self._run[3]
+        self._kept = (bound, u, out, tuple(bfecc_program(partial(self._substep, bound), u, out,
+                                                         self.work)))
+        return out, self._kept[3]
+
+
+def _same(a, b):
+    """Whether a binding for b serves a: the same object, or numbers of
+    one value."""
+    return a is b or (isinstance(a, Real) and isinstance(b, Real) and a == b)
 
 
 def _check_out(out, u):
@@ -137,26 +150,26 @@ def _stacks(u, out, work):
     return (work("X", u.shape) if out is u else out), work("bfecc", u.shape)
 
 
-def bfecc_apply(substep, u, work, out=None):
-    """The three-substep composition on the stacked state u, written into
-    `out`, which may be u itself, and returned.
+def bfecc_program(substep, u, out, work):
+    """The program of the three-substep composition on the stacked state u,
+    written into `out`, which may be u itself, as an iterator of its
+    entries: a substep's program is built when the iteration reaches it,
+    so a fresh step, run straight from the iterator, holds the views of
+    one substep at a time, and a kept program is its tuple.
 
-    substep(k, v, o) applies substep k = 0, 1, 2 (L, L*, L) to the stack v,
-    writes the result into `o` (a fresh array when None) and returns it.
-    With the stacks X and Y of `_stacks` (from the Workspace `work`) the
-    substeps run u -> X, X -> Y and then Y -> out, where X takes 1.5 u once
-    the second substep has read it and Y becomes the compensated state
-    1.5 u - 0.5 L* L u in place, rounded as fl(1.5 u) + fl(-0.5 L* L u).
-    Without `out` (None) X is the fresh array of the first substep, which
-    carries the step, and u is left as it was.
+    substep(k, v, o) gives the program of substep k = 0, 1, 2 (L, L*, L)
+    from the stack v into o.  With the stacks X and Y of `_stacks` (from
+    the Workspace `work`) the substeps run u -> X, X -> Y and then
+    Y -> out, where X takes 1.5 u once the second substep has read it and
+    Y becomes the compensated state 1.5 u - 0.5 L* L u in place, rounded
+    as fl(1.5 u) + fl(-0.5 L* L u).
     """
     x, y = _stacks(u, out, work)
-    x = substep(0, u, x)
-    y = substep(1, x, y)
-    np.multiply(u, 1.5, out=x)
-    y *= -0.5
-    y += x
-    return substep(2, y, x if out is None else out)
+    yield from substep(0, u, x)
+    yield from substep(1, x, y)
+    yield from ((np.multiply, (u, _scalar(1.5), x)), (np.multiply, (y, _scalar(-0.5), y)),
+                (np.add, (y, x, y)))
+    yield from substep(2, y, out)
 
 
 def bfecc_step(step: BfeccStep, state: State, where,
@@ -170,14 +183,15 @@ def bfecc_step(step: BfeccStep, state: State, where,
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
     data across substeps and steps (all three substeps share one grid).
     The operator that `step` (or the stepper it is a `with_dt` copy of)
-    bound is reused as long as `where`, `geometry`, `weights` and the
-    state's materials are the same objects, so pass the same ones every
-    step.  It keeps 1/eps and 1/mu: do not change a material array in place
-    after the first step; give the state new arrays instead.  An `out` of
-    another shape or dtype than state.u, or not contiguous, is a
-    ValueError.  In place the state itself is returned.
+    bound is reused as long as `where` (a spacing: its value), `geometry`,
+    `weights` and the state's materials are the same objects, so pass the
+    same ones every step.  It keeps 1/eps and 1/mu: do not change a
+    material array in place after the first step; give the state new
+    arrays instead.  An `out` of another shape or dtype than state.u, or
+    not contiguous, is a ValueError.  In place the state itself is
+    returned.
     """
     op = step._bound(state, where, geometry, weights)
-    out, substep = step._substeps(op, state.u, out)
-    u = bfecc_apply(substep, state.u, step.work, out)
-    return state if u is state.u else type(state)._of(u, state.eps, state.mu)
+    out, program = step._program(op, state.u, out)
+    run_program(program)
+    return state if out is state.u else type(state)._of(out, state.eps, state.mu)

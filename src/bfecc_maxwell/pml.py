@@ -13,8 +13,8 @@ row and column blocks where the profile is nonzero; an inert collar does
 none.  It acts on the 2D kernel's raw differences u[i+1] - u[i-1] =
 2 h d_xi u, so psi is held as 2 h psi, whose units do not depend on dt.
 
-Inside the three-substep wrapper (bfecc.bfecc_apply, with the sources
-below as per-substep hooks, each bound once per run) the (1 + c)
+Inside the three-substep wrapper (bfecc.bfecc_program, with the sources
+below as entries of each substep's program, bound once per run) the (1 + c)
 derivative scaling is part of the one-step operator and applies in every
 substep; the memory term b * psi is a source term, ignored in the first
 two substeps and added only in the final one, evaluated at the step's
@@ -42,17 +42,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .bfecc import BfeccStep, bfecc_apply
+from .bfecc import BfeccStep
 from .grid import Grid2
 # lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
                       _check_state, _correction_weights, _kernel_2d, _ls_binding, _ls_fit_all,
-                      _reciprocal, lincomb2)
+                      _reciprocal, lincomb2, run_program)
 
 
 def _depth_fraction(n, thickness):
@@ -272,27 +273,58 @@ def _collar_blocks(sigma, b, c, axis, held):
     return blocks
 
 
+def _staged(stage, view, program):
+    """`program`, which works on `stage`, with `view` copied in before it
+    and back out after it, unless the stage is the view itself."""
+    if stage is view:
+        return program
+    return [(np.copyto, (stage, view)), *program, (np.copyto, (view, stage))]
+
+
+def _collar_program(plane, collar, stage, first, last):
+    """The entries that damp the blocks `collar` of one raw difference
+    plane, each (index, b, c, 1 + c, memory, its stage, c * g array):
+    `index` slices the block out of the plane, and stage(view) gives the
+    array the block's work runs on.  The `first` substep keeps c * g of
+    the undamped g; every substep scales g by 1 + c; the `last` scales the
+    memory by b, adds it to g and then completes the recursion
+    psi <- b psi + c g, which nothing later reads."""
+    add, multiply = np.add, np.multiply
+    program = []
+    for index, b, c, one_c, memory, m, cg in collar:
+        block = plane[index]
+        g = stage(block)
+        work = [(multiply, (g, c, cg))] if first else []
+        work.append((multiply, (g, one_c, g)))
+        if last:
+            work += _staged(m, memory, [(multiply, (m, b, m)), (add, (g, m, g)),
+                                        (add, (m, cg, m))])
+        program += _staged(g, block, work)
+    return tuple(program)
+
+
 class PmlRunner(BfeccStep):
     """Time stepper for a least-squares scheme with collar and injection.
 
     Builds the stencil geometry, the irregular stencils' correction
     weights and recursion coefficients once, then advances states with
-    `step` (the BFECC composition of bfecc.bfecc_apply) or `plain_step`.
-    Every substep is step_2d's kernel with a signed step, whose hook adds
-    the corrections of schemes._ls_fit_all to the raw difference planes
-    and damps their collar blocks; the memory term joins only a step's
-    final substep, the TF/SF corrections every substep, twice evaluated
-    per step (the forward substeps at t, the backward one at t + dt) into
-    two work arrays that the substeps add.  As a bfecc.BfeccStep, a runner
-    keeps one set of work buffers and binds by the same rules: the
-    materials' reciprocal planes and the edge corrections, formed for each
-    new set of materials and shared by its `with_dt` copy, and then its
-    three substeps, bound to the stacks they read and write with every
-    view made once (the planes' collar blocks and the flat view the edge
-    corrections go into included), kept while a run steps the same stack
-    in place.  The memory fields in `pml` are updated in place (they stay
-    zero outside the blocks); a field state is overwritten only when
-    `step` is given its own stack as `out`.
+    `step` (the BFECC composition of bfecc.bfecc_program) or `plain_step`.
+    Every substep's program is step_2d's kernel with a signed step, whose
+    plane hook adds the corrections of schemes._ls_fit_all to the raw
+    difference planes and damps their collar blocks; the memory term
+    joins only a step's final substep, the TF/SF corrections every
+    substep, twice evaluated per step, outside the program (the forward
+    substeps at t, the backward one at t + dt), into two work arrays that
+    the substeps' programs add.  As a bfecc.BfeccStep, a runner keeps one
+    set of work buffers and binds by the same rules: the materials'
+    reciprocal planes and the edge corrections, formed for each new set
+    of materials and shared by its `with_dt` copy, and then the step's
+    program, bound to the stacks it reads and writes with every view made
+    once (the planes' collar blocks and the flat view the edge
+    corrections go into included), kept and replayed while a run steps
+    the same stack in place.  The memory fields in `pml` are updated in
+    place (they stay zero outside the blocks); a field state is
+    overwritten only when `step` is given its own stack as `out`.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -351,10 +383,9 @@ class PmlRunner(BfeccStep):
     def with_dt(self, dt: float) -> "PmlRunner":
         """This runner stepping dt, for a run's shorter final step: the same
         geometry, binding, work buffers and collar memory, with recursion
-        coefficients for dt, so its substeps bind their collar views again."""
+        coefficients for dt, so it builds its own program."""
         other = super().with_dt(dt)
         other._set_collar(self.pml.with_dt(dt))
-        other._run = None
         return other
 
     def _bind(self, state: FieldState2):
@@ -372,60 +403,31 @@ class PmlRunner(BfeccStep):
         return self._bind_substep(bound, -dt if k == 1 else dt, v, out, k == 0, k == 2)
 
     def _bind_substep(self, bound, sdt, v, out, first, last):
-        """run(): one substep with signed step sdt from the stack v into
-        `out`, with the runner's binding `bound` and the edge corrections
-        that _corrections wrote for its sign of step before it runs (none
-        without a source), every view of v and out made here, once.  The
-        `first` substep, acting on the step-start state, keeps c * g of its
-        undamped raw differences g; the `last` scales psi by b in place,
-        adds it as the memory term and then completes the recursion
-        psi <- b psi + c g, which nothing later reads."""
+        """The program of one substep with signed step sdt from the stack v
+        into `out`, with the runner's binding `bound` and the edge
+        corrections that _corrections wrote for its sign of step before it
+        runs (none without a source), every view of v and out made here,
+        once.  The `first` substep, acting on the step-start state, keeps
+        c * g of its undamped raw differences g, and the `last` adds the
+        memory term and completes the recursion (`_collar_program`).  The
+        fit is the entry _ls_fit_all, as this module names it here."""
         th = LS_CENTER[self.spec.kind]
-        args, ls_fix = _ls_binding(self.geom, self.weights, th, self.work, v)
-        add, multiply, copyto = np.add, np.multiply, np.copyto
+        args, ls_hook = _ls_binding(self.geom, self.weights, th, self.work, v)
 
-        def bind_fix(planes):
-            irregular = ls_fix(planes)
-            blocks = tuple([(plane[index], self._stage(plane[index], "plane"), *rest)
-                            for index, *rest in collar]
-                           for plane, collar in zip(planes, self._collar))
+        def hook(planes):
+            stage = partial(self._stage, name="plane")
+            return tuple(irregular + _collar_program(plane, collar, stage, first, last)
+                         for irregular, plane, collar in zip(ls_hook(planes), planes, self._collar))
 
-            def fix(k):
-                irregular(k)
-                for block, g, b, c, one_c, memory, m, cg in blocks[k]:
-                    if g is not block:
-                        copyto(g, block)
-                    if first:
-                        multiply(g, c, out=cg)
-                    multiply(g, one_c, out=g)
-                    if last:
-                        if m is not memory:
-                            copyto(m, memory)
-                        multiply(m, b, out=m)
-                        add(g, m, out=g)
-                        add(m, cg, out=m)
-                        if m is not memory:
-                            copyto(memory, m)
-                    if g is not block:
-                        copyto(block, g)
-
-            return fix
-
-        kernel = _kernel_2d(self.geom.grid, th, *bound[:2], self.work, sdt, v, out, bind_fix,
-                            self.geom.ring)
+        program = ((_ls_fit_all, args),) + _kernel_2d(self.geom.grid, th, *bound[:2], self.work,
+                                                      sdt, v, out, hook, self.geom.ring)
         injector = bound[2]
-        # `out` is contiguous, so the flat view writes through
-        flat, index = out.reshape(-1), None if injector is None else injector.index
-        corrections = None if injector is None else self._edge(injector, sdt)
-
-        def run():
-            _ls_fit_all(*args)
-            kernel()
-            if corrections is not None:
-                flat[index] += corrections
-            return out
-
-        return run
+        if injector is None:
+            return program
+        # `out` is contiguous, so its flat view writes through; np.add.at
+        # takes flat indices and values, as in schemes._ls_binding
+        return program + ((np.add.at, (out.reshape(-1), injector.index.reshape(-1),
+                                       self._edge(injector, sdt).reshape(-1))),)
 
     def _edge(self, injector, sdt):
         """The work array that holds the edge corrections of the substeps
@@ -453,9 +455,9 @@ class PmlRunner(BfeccStep):
         bound = self._bound(state)
         self._corrections(bound, t, dt)
         self._corrections(bound, t + dt, -dt)
-        out, substep = self._substeps(bound, state.u, out)
-        u = bfecc_apply(substep, state.u, self.work, out)
-        return state if u is state.u else FieldState2._of(u, state.eps, state.mu)
+        out, program = self._program(bound, state.u, out)
+        run_program(program)
+        return state if out is state.u else FieldState2._of(out, state.eps, state.mu)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""
@@ -463,5 +465,5 @@ class PmlRunner(BfeccStep):
         dt = self.spec.dt
         out = np.empty(state.u.shape)
         self._corrections(bound, t, dt)
-        self._bind_substep(bound, dt, state.u, out, True, True)()
+        run_program(self._bind_substep(bound, dt, state.u, out, True, True))
         return FieldState2._of(out, state.eps, state.mu)

@@ -20,14 +20,19 @@ Scheme kinds
 A state keeps its components as one stacked array `u`, (E, H) in 1D and
 (Hx, Hy, Ez) in 2D; the named components are views of it.  The kernels act
 on the whole stack per numpy call and write into given arrays.
+
+A step is bound as a program: a tuple of (function, args) entries, every
+output passed positionally, which `run_program` runs as f(*args) in order.
 `_operator` checks a (spec, state, grid) combination once and returns the
 one-step operator as a binder: bind(sdt, u, out) makes every view of the
 contiguous stacks u and out and of the scratch arrays (from a `Workspace`)
-once and returns run(), whose call is only the step's ufunc calls, writing
-the step of signed size sdt of u into out.  step_1d/step_2d bind one to a
-fresh array and run it once with dt; a bfecc.BfeccStep binds one per run,
-and binds its three substeps, with dt, -dt and dt, to the stacks they read
-and write, once per run when it steps in place.
+once and returns the program that writes the step of signed size sdt of u
+into out.  What the program would test at every step (free space or
+materials, a zero blend weight, the collar's staging) is decided there, so
+the program is only the step's numpy calls.  step_1d/step_2d bind one to a
+fresh array and run it once with dt; a bfecc.BfeccStep composes the
+programs of its three substeps, with dt, -dt and dt, into one program per
+run when it steps in place.
 
 One 2D kernel, `_kernel_2d`, serves all five kinds.  A least-squares fit
 on an unmoved five-point cross is exactly the center blend and the
@@ -183,12 +188,24 @@ def _rows(a):
     return a.reshape(a.shape[:-2] + (-1,))
 
 
+def run_program(program):
+    """Run a program: each entry's function on its arguments, in order."""
+    for f, args in program:
+        f(*args)
+
+
+def _scalar(x):
+    """x as a 0-d float array: a ufunc takes one at less cost per call than
+    a Python float (about 0.2 us), with the same value, so the same bits."""
+    return np.array(x, dtype=float)
+
+
 def _dc(f, axis, out):
-    """The three (a, b, o) view triples whose np.subtract(a, b, out=o)
-    write the raw difference f[i+1] - f[i-1] along `axis`, periodic, into
-    `out`.  The centered difference's 0.5 is left to the callers, which
-    fold it into the factor they multiply or divide by anyway; that is
-    exact, since halving a factor only changes its exponent.
+    """The program entries (np.subtract, (a, b, o)) that write the raw
+    difference f[i+1] - f[i-1] along `axis`, periodic, into `out`.  The
+    centered difference's 0.5 is left to the callers, which fold it into
+    the factor they multiply or divide by anyway; that is exact, since
+    halving a factor only changes its exponent.
 
     Along the last axis the differences run over whole rows merged end to
     end, one contiguous pass, in which only the first and last column
@@ -199,17 +216,18 @@ def _dc(f, axis, out):
     merged = (_rows(f), _rows(out)) if axis == f.ndim - 1 else (None, None)
     if merged[0] is not None and merged[1] is not None:
         g, o = merged
-        return ((g[..., 2:], g[..., :-2], o[..., 1:-1]),
-                (f[..., 1], f[..., -1], out[..., 0]),
-                (f[..., 0], f[..., -2], out[..., -1]))
-    g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
-    return (g[2:], g[:-2], o[1:-1]), (g[1:2], g[-1:], o[:1]), (g[:1], g[-2:-1], o[-1:])
+        views = ((g[..., 2:], g[..., :-2], o[..., 1:-1]),
+                 (f[..., 1], f[..., -1], out[..., 0]),
+                 (f[..., 0], f[..., -2], out[..., -1]))
+    else:
+        g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
+        views = (g[2:], g[:-2], o[1:-1]), (g[1:2], g[-1:], o[:1]), (g[:1], g[-2:-1], o[-1:])
+    return tuple((np.subtract, v) for v in views)
 
 
 def _center_blend(theta_eff, f, out, spare):
-    """blend(), which writes (1 - theta)*f + theta*(neighbor average over
-    the spatial axes), periodic, into `out` and returns it; its views of
-    these arrays are made here, once.
+    """The program that writes (1 - theta)*f + theta*(neighbor average over
+    the spatial axes), periodic, into `out`.
 
     f is a contiguous stack of fields, spatial axes 1 onward; the blend
     goes into `out` (contiguous too), with `spare` (f's shape) as scratch,
@@ -221,33 +239,36 @@ def _center_blend(theta_eff, f, out, spare):
     term.  The average's 0.5 or 0.25 and theta are one factor: the quarter
     is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
     """
+    add, multiply, copyto = np.add, np.multiply, np.copyto
     g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
-    sums = ((g[:-2], g[2:], a[1:-1]), (g[-1:], g[1:2], a[:1]), (g[-2:-1], g[:1], a[-1:]))
-    wraps = ()
+    program = [(add, (g[:-2], g[2:], a[1:-1])), (add, (g[-1:], g[1:2], a[:1])),
+               (add, (g[-2:-1], g[:1], a[-1:]))]
     if f.ndim == 3:
         fr, ar = _rows(f), _rows(out)
         first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
-        # (saved sum, wrapped column, merged rows, their j neighbors, the
-        # column's true neighbor) for the j-1 and then the j+1 neighbors
-        wraps = ((first, out[..., 0], ar[..., 1:], fr[..., :-1], f[..., -1]),
-                 (last, out[..., -1], ar[..., :-1], fr[..., 1:], f[..., 0]))
-    scale = 0.5 / (f.ndim - 1) * theta_eff
+        # save the wrapped column's sum, add the neighbors over merged rows,
+        # then redo the column from its sum and its true neighbor; the j-1
+        # and then the j+1 neighbors
+        for saved, column, rows, neighbors, wrapped in (
+                (first, out[..., 0], ar[..., 1:], fr[..., :-1], f[..., -1]),
+                (last, out[..., -1], ar[..., :-1], fr[..., 1:], f[..., 0])):
+            program += [(copyto, (saved, column)), (add, (rows, neighbors, rows)),
+                        (add, (saved, wrapped, column))]
+    program.append((multiply, (out, _scalar(0.5 / (f.ndim - 1) * theta_eff), out)))
     own = 1.0 - theta_eff
-    add, multiply, copyto = np.add, np.multiply, np.copyto
+    if own != 0.0:
+        program += [(multiply, (f, _scalar(own), spare)), (add, (out, spare, out))]
+    return tuple(program)
 
-    def blend():
-        for p, q, o in sums:
-            add(p, q, out=o)
-        for saved, column, rows, neighbors, wrapped in wraps:
-            copyto(saved, column)
-            add(rows, neighbors, out=rows)
-            add(saved, wrapped, out=column)
-        multiply(out, scale, out=out)
-        if own != 0.0:
-            add(out, multiply(f, own, out=spare), out=out)
-        return out
 
-    return blend
+def _scaled(a, factor, inv, coef, out):
+    """The entries that write `a` times `factor` into `out`, or, with a
+    reciprocal material plane `inv`, `a` times the plane fl(inv factor),
+    formed in `coef`."""
+    factor = _scalar(factor)
+    if inv is None:
+        return ((np.multiply, (a, factor, out)),)
+    return (np.multiply, (inv, factor, coef)), (np.multiply, (a, coef, out))
 
 
 def _reciprocal(material):
@@ -269,8 +290,8 @@ def _bind_1d(dx, th, inv, n, work):
     """The binder bind(sdt, u, out) of E' = blend(E) + lam/eps dH,
     H' = blend(H) + lam/mu dE on stacks u = (E, H) of length n, lam =
     sdt / dx, with neighbor-average weight th in the blend and inv =
-    (1/eps, 1/mu) (None for free space); bind returns run(), which writes
-    the step of u into out and returns out.
+    (1/eps, 1/mu) (None for free space); bind returns the program that
+    writes the step of u into out.
 
     The scratch arrays and their views are taken from `work` here, once,
     and the views of u and out where bind is called.  The raw differences
@@ -287,95 +308,55 @@ def _bind_1d(dx, th, inv, n, work):
     swapped, de, de_copy = d[1:], d[0], d[2]
     coef = None if inv is None else work("coef", inv.shape)
     scratch = None if th == 0.0 else (work("blend", (2, n)), work("blend_spare", (2, n)))
-    add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
+    subtract = np.subtract
 
     def bind(sdt, u, out):
         g = u.reshape(-1)
-        diffs = ((g[2:], g[:-2], d_rows), (u[:, 1], u[:, -1], d_first),
-                 (u[:, 0], u[:, -2], d_last))
-        blend = None if scratch is None else _center_blend(th, u, *scratch)
-        lam = 0.5 * (sdt / dx)
-
-        def run():
-            for a, b, o in diffs:
-                subtract(a, b, out=o)
-            copyto(de_copy, de)
-            multiply(swapped, lam if coef is None else multiply(inv, lam, out=coef), out=out)
-            add(out, u if blend is None else blend(), out=out)
-            return out
-
-        return run
+        blend = () if scratch is None else _center_blend(th, u, *scratch)
+        return ((subtract, (g[2:], g[:-2], d_rows)), (subtract, (u[:, 1], u[:, -1], d_first)),
+                (subtract, (u[:, 0], u[:, -2], d_last)), (np.copyto, (de_copy, de)),
+                *_scaled(swapped, 0.5 * (sdt / dx), inv, coef, out), *blend,
+                (np.add, (out, u if scratch is None else scratch[0], out)))
 
     return bind
 
 
-def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, bind_fix=None, ring=()):
-    """run(), which writes the TMz update of the stack u = (Hx, Hy, Ez)
-    with signed step sdt into `out` and returns it.  Every view of u, out
-    and the scratch arrays is made here, once, so that a call is only its
-    ufunc calls.
+def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook=None, ring=()):
+    """The program that writes the TMz update of the stack u = (Hx, Hy, Ez)
+    with signed step sdt into `out`.  Every view of u, out and the scratch
+    arrays is made here, once.
 
     The update finishes one component at a time so that each stays in
     cache on large grids; dHx/dy passes through the Hx plane before that
     plane's own update.  lx and ly carry the centered differences' 0.5.
-    `bind_fix`, given the planes k = 0-4 that the update passes through,
-    the center blend (k = 0) and the raw differences d/dx Hy, d/dy Hx,
-    d/dy Ez and d/dx Ez (k = 1-4), gives fix(k), which may change plane k
-    in place before it is scaled; fix(0) is not called at th = 0, where
-    the blend is u.  The points `ring` get their input values back.
-    `out`, never u, is the blend's scratch until the first difference.
+    `hook`, given the planes k = 0-4 that the update passes through, the
+    center blend (k = 0) and the raw differences d/dx Hy, d/dy Hx, d/dy Ez
+    and d/dx Ez (k = 1-4), gives five tuples of program entries, the ones
+    for plane k run after that plane is formed and before it is scaled;
+    plane 0's are left out at th = 0, where the blend is u.  The points
+    `ring` get their input values back.  `out`, never u, is the blend's
+    scratch until the first difference.
     """
     hx, hy, ez = out
-    blend, mix = u, None
+    blend, mix = u, ()
     if th != 0.0:
         blend = work("blend", u.shape)
         mix = _center_blend(th, u, blend, out)
     b_hx, b_hy, b_ez = blend
-    dhy_dx, dhx_dy = _dc(u[1], 0, ez), _dc(u[0], 1, hx)
-    dez_dy, dez_dx = _dc(u[2], 1, hx), _dc(u[2], 0, hy)
     coef = None if inv_mu is None else work("coef", inv_mu.shape)
-    fix = None if bind_fix is None else bind_fix((blend, ez, hx, hx, hy))
-    held = tuple((out[points], u[points]) for points in ring)
-    lx = 0.5 * (sdt / grid.dx)
-    ly = 0.5 * (sdt / grid.dy)
-    add, subtract, multiply, copyto = np.add, np.subtract, np.multiply, np.copyto
-
-    def run():
-        if mix is not None:
-            mix()
-            if fix is not None:
-                fix(0)
-        for a, b, o in dhy_dx:
-            subtract(a, b, out=o)
-        if fix is not None:
-            fix(1)
-        multiply(ez, lx, out=ez)
-        for a, b, o in dhx_dy:
-            subtract(a, b, out=o)
-        if fix is not None:
-            fix(2)
-        multiply(hx, ly, out=hx)
-        subtract(ez, hx, out=ez)
-        if inv_eps is not None:
-            multiply(ez, inv_eps, out=ez)
-        add(ez, b_ez, out=ez)
-        for a, b, o in dez_dy:
-            subtract(a, b, out=o)
-        if fix is not None:
-            fix(3)
-        multiply(hx, ly if coef is None else multiply(inv_mu, ly, out=coef), out=hx)
-        subtract(b_hx, hx, out=hx)
-        for a, b, o in dez_dx:
-            subtract(a, b, out=o)
-        if fix is not None:
-            fix(4)
-        multiply(hy, lx if coef is None else multiply(inv_mu, lx, out=coef), out=hy)
-        add(hy, b_hy, out=hy)
-        for o, i in held:
-            copyto(o, i)
-        return out
-
-    return run
+    fixes = ((),) * 5 if hook is None else hook((blend, ez, hx, hx, hy))
+    lx = _scalar(0.5 * (sdt / grid.dx))
+    ly = _scalar(0.5 * (sdt / grid.dy))
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    return (*mix, *(fixes[0] if mix else ()),
+            *_dc(u[1], 0, ez), *fixes[1], (multiply, (ez, lx, ez)),
+            *_dc(u[0], 1, hx), *fixes[2], (multiply, (hx, ly, hx)), (subtract, (ez, hx, ez)),
+            *(() if inv_eps is None else ((multiply, (ez, inv_eps, ez)),)), (add, (ez, b_ez, ez)),
+            *_dc(u[2], 1, hx), *fixes[3], *_scaled(hx, ly, inv_mu, coef, hx),
+            (subtract, (b_hx, hx, hx)),
+            *_dc(u[2], 0, hy), *fixes[4], *_scaled(hy, lx, inv_mu, coef, hy),
+            (add, (hy, b_hy, hy)),
+            *((np.copyto, (out[points], u[points])) for points in ring))
 
 
 class StencilGeometry:
@@ -471,30 +452,27 @@ def _ls_fit_all(rows, weights, flat, gather, refit):
 
 
 def _ls_binding(geom: StencilGeometry, weights, center, work, u):
-    """(args, bind_fix) of the irregular stencils' corrections on the
-    stack u, bound once: _ls_fit_all(*args) computes them, and bind_fix,
-    _kernel_2d's hook binder, gives the fix(k) that adds them at their
-    centers, with the flat views of the planes made where it is bound.
-    Its rows are (center, d/dx, d/dy), the center row only for a nonzero
-    blend weight `center` (a zero weight leaves the point values as
-    base)."""
+    """(args, hook) of the irregular stencils' corrections on the stack u,
+    bound once: _ls_fit_all(*args) computes them, and hook, _kernel_2d's
+    plane hook, gives the entries that add them at their centers, with the
+    flat views of the planes made where it is called.  Its rows are
+    (center, d/dx, d/dy), the center row only for a nonzero blend weight
+    `center` (a zero weight leaves the point values as base).  The
+    centers are distinct, so np.add.at gives the bits of an indexed +=;
+    it takes flat indices and values, at which it is the faster of the
+    two (with a (3, r) index it is slower)."""
     rows, at = geom.irregular_index, geom.irregular_center
     w = weights if center else weights[:, 1:]
     gather = work("gather", (3,) + rows.shape)
     refit = work("refit", (w.shape[1], 3, rows.shape[1]))
 
-    def bind_fix(planes):
-        targets = tuple(None if k == 0 and not center else
-                        (plane.reshape(-1), at if k == 0 else at[0], refit[_PLANE_ROWS[k]])
-                        for k, plane in enumerate(planes))
+    def hook(planes):
+        return tuple(() if k == 0 and not center else
+                     ((np.add.at, (plane.reshape(-1), (at if k == 0 else at[0]).reshape(-1),
+                                   refit[_PLANE_ROWS[k]].reshape(-1))),)
+                     for k, plane in enumerate(planes))
 
-        def fix(k):
-            flat, index, values = targets[k]
-            flat[index] += values
-
-        return fix
-
-    return (rows, w, u.reshape(3, -1), gather, refit), bind_fix
+    return (rows, w, u.reshape(3, -1), gather, refit), hook
 
 
 def _check_state(state, where):
@@ -513,12 +491,12 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
     `where` is the spacing dx of a FieldState1 or the Grid2 of a
     FieldState2.  Returns bind(sdt, u, out), which binds the operator's
     step of signed size sdt to the contiguous stacks u and out, making
-    every view of them once, and returns run(): the step of u, written
-    into out, which it returns.  What stays fixed from binding to binding
-    is bound here, once per operator: the center weight, the materials'
-    reciprocal planes, the Workspace `work` the scratch arrays come from
-    (a fresh one when None), in 1D those arrays and their views too, and
-    for least-squares kinds the geometry and correction weights: a missing
+    every view of them once, and returns its program: the step of u,
+    written into out.  What stays fixed from binding to binding is bound
+    here, once per operator: the center weight, the materials' reciprocal
+    planes, the Workspace `work` the scratch arrays come from (a fresh one
+    when None), in 1D those arrays and their views too, and for
+    least-squares kinds the geometry and correction weights: a missing
     `geometry` is built and missing `weights` come from the geometry's
     cache.
     """
@@ -551,14 +529,9 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
     dw = _correction_weights(grid, weights if weights is not None else geom.cached_weights(), th)
 
     def bind(sdt, u, out):
-        args, bind_fix = _ls_binding(geom, dw, th, work, u)
-        kernel = _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, bind_fix, geom.ring)
-
-        def run():
-            _ls_fit_all(*args)
-            return kernel()
-
-        return run
+        args, hook = _ls_binding(geom, dw, th, work, u)
+        return ((_ls_fit_all, args),) + _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out,
+                                                   hook, geom.ring)
 
     return bind
 
@@ -566,7 +539,7 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
 def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
     """One step of a uniform-grid scheme on a periodic 1D state."""
     out = np.empty(state.u.shape)
-    _operator(spec, state, dx)(spec.dt, state.u, out)()
+    run_program(_operator(spec, state, dx)(spec.dt, state.u, out))
     return FieldState1._of(out, state.eps, state.mu)
 
 
@@ -583,5 +556,5 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
     runs once per geometry.
     """
     out = np.empty(state.u.shape)
-    _operator(spec, state, grid, geometry, weights)(spec.dt, state.u, out)()
+    run_program(_operator(spec, state, grid, geometry, weights)(spec.dt, state.u, out))
     return FieldState2._of(out, state.eps, state.mu)

@@ -20,7 +20,9 @@ from bfecc_maxwell.analysis import (
 )
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
 from bfecc_maxwell.grid import build_uniform
-from bfecc_maxwell.schemes import LS_CENTER, FieldState1, FieldState2, SchemeSpec
+from bfecc_maxwell.harness import build_variant_grid
+from bfecc_maxwell.schemes import (LS_CENTER, FieldState1, FieldState2, SchemeSpec,
+                                   StencilGeometry)
 
 
 def test_symbol_1d_structure():
@@ -239,6 +241,39 @@ def test_cfl_bound_least_squares_kinds_map_to_uniform_limits():
         for kind in ("ls_cd", "ls_theta"):
             assert cfl_bound(kind, dims, sp) == cfl_bound("theta", dims, sp, LS_CENTER[kind])
         assert cfl_bound("ls_cd", dims, sp) == cfl_bound("cd", dims, sp)
+
+
+def step_matrix(step, grid, geometry):
+    """The matrix of one BFECC step on `grid`, column by column: each unit
+    vector of the stacked state stepped in place with the stepper's one
+    program."""
+    st = FieldState2._of(np.zeros((3, grid.nx, grid.ny)), None, None)
+    columns = np.empty((st.u.size, st.u.size))
+    for j in range(st.u.size):
+        st.u[...] = 0.0
+        st.u.flat[j] = 1.0
+        bfecc_step(step, st, grid, geometry=geometry, out=st.u)
+        columns[:, j] = st.u.reshape(-1)
+    return columns
+
+
+UNSTABLE_AT_THE_BOUND = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: the uniform bound that _check_cfl accepts for ls_theta "
+                        "is no bound on grids with irregular stencils")
+
+
+@pytest.mark.parametrize("variant", ["a"] + [pytest.param(v, marks=UNSTABLE_AT_THE_BOUND)
+                                             for v in "bcd"])
+def test_ls_theta_is_stable_at_the_accepted_bound(variant):
+    """The dense BFECC step matrix of ls_theta at dt = cfl_bound on the
+    12 x 12 periodic grid `variant` has spectral radius at most 1 + 1e-10
+    (stable cases read about 1e-14 above 1).  It holds on the uniform grid
+    a; on b, c and d the radius reads 3.86, 1.92 and 1 + 1.3e-3 (about
+    0.15 s a grid with one BLAS thread)."""
+    g = build_variant_grid(variant, 12)
+    step = BfeccStep(SchemeSpec("ls_theta", cfl_bound("ls_theta", 2, (g.dx, g.dy))))
+    radius = np.abs(np.linalg.eigvals(step_matrix(step, g, StencilGeometry(g)))).max()
+    assert radius <= 1.0 + 1e-10
 
 
 def test_cfl_bound_validation():

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 from bfecc_maxwell import schemes
 from bfecc_maxwell.analysis import cfl_bound
-from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
+from bfecc_maxwell.bfecc import BfeccStep, bfecc_program, bfecc_step
 from bfecc_maxwell.grid import Grid2, build_uniform
 from bfecc_maxwell.harness import (ExperimentConfig, build_scatter_grid, build_variant_grid,
                                    run_experiment)
@@ -20,6 +20,7 @@ from bfecc_maxwell.schemes import (
     Workspace,
     _operator,
     lincomb1,
+    run_program,
 )
 
 
@@ -29,9 +30,14 @@ def sine_state(n):
 
 
 def identity(k, v, out):
-    if out is None:
-        return v.copy()
-    out[...] = v
+    return ((np.copyto, (out, v)),)
+
+
+def composed(substep, u, work, out=None):
+    """The composition of the substep programs substep(k, v, o), run into
+    `out` (a fresh array when None) and returned."""
+    out = np.empty_like(u) if out is None else out
+    run_program(bfecc_program(substep, u, out, work))
     return out
 
 
@@ -40,7 +46,7 @@ def test_identity_substeps_leave_state_unchanged():
     rng = np.random.default_rng(0)
     u = rng.standard_normal((2, 12))
     before = u.copy()
-    out = bfecc_apply(identity, u, Workspace())
+    out = composed(identity, u, Workspace())
     # 1.5 u - 0.5 u can round in the last bit, nothing more
     assert np.allclose(out, u, rtol=0.0, atol=1e-15)
     assert np.array_equal(u, before) and out is not u
@@ -50,14 +56,17 @@ def test_composition_order_forward_backward_forward():
     calls = []
 
     def substep(k, v, out):
-        calls.append((k, out is None))
+        calls.append(k)
         return identity(k, v, out)
 
-    out = bfecc_apply(substep, np.zeros((3, 4, 4)), Workspace())
-    # the first substep allocates the array that the last one fills and
-    # the step returns; the second writes into a work buffer
-    assert calls == [(0, True), (1, False), (2, False)]
-    assert out.shape == (3, 4, 4)
+    u, out = np.zeros((3, 4, 4)), np.empty((3, 4, 4))
+    program = tuple(bfecc_program(substep, u, out, Workspace()))
+    # the substeps' programs come in order, the combination between the
+    # second and the third; a fresh `out` is the first substep's output,
+    # which the last one fills
+    assert calls == [0, 1, 2]
+    assert [f for f, _ in program] == [np.copyto] * 2 + [np.multiply] * 2 + [np.add, np.copyto]
+    assert program[0][1][0] is out and program[-1][1][0] is out
 
 
 def test_in_place_composition_order():
@@ -69,22 +78,22 @@ def test_in_place_composition_order():
 
     def substep(k, v, out):
         calls.append((k, v, out))
-        np.multiply(v, 0.5 + k, out=out)
-        return out
+        return ((np.multiply, (v, 0.5 + k, out)),)
 
     def order(ins, outs):
         return [k for k, v, out in calls] == [0, 1, 2] and all(
             v is w and out is o for (_, v, out), w, o in zip(calls, ins, outs))
 
     u = np.random.default_rng(2).standard_normal((3, 4, 4))
-    expect = bfecc_apply(lambda k, v, out: (0.5 + k) * v, u, Workspace())
+    expect = composed(substep, u, Workspace())
+    calls.clear()
     x, y = work("X", u.shape), work("bfecc", u.shape)
-    assert bfecc_apply(substep, u, work, out=u) is u
+    assert composed(substep, u, work, out=u) is u
     assert order((u, x, y), (x, y, u))
     assert np.array_equal(u, expect)
     calls.clear()
     other = np.empty_like(u)
-    assert bfecc_apply(substep, u, work, out=other) is other
+    assert composed(substep, u, work, out=other) is other
     assert order((u, other, y), (other, y, other))
 
 
@@ -98,7 +107,9 @@ def test_three_substep_expansion_1d():
     op = _operator(spec, st, dx)
 
     def apply(sdt, u):
-        return op(sdt, u, np.empty_like(u))()
+        out = np.empty_like(u)
+        run_program(op(sdt, u, out))
+        return out
 
     u1 = apply(spec.dt, st.u)
     u2 = apply(-spec.dt, u1)
@@ -209,6 +220,21 @@ def test_a_run_binds_its_operator_once_remainder_included(monkeypatch):
     dt = result["dt"]
     assert result["steps"] == 7 and 0.33 - 6 * dt < dt
     assert [spec.dt for spec in calls] == [dt]
+
+
+def test_a_spacing_computed_in_the_call_binds_once(monkeypatch):
+    """A 1D spacing is compared by value: five in-place steps, each passing
+    1.0 / n computed in the call, bind the operator once and replay the
+    program built at the first step."""
+    calls = count_bindings(monkeypatch)
+    n = 32
+    st = FieldState1(*np.random.default_rng(9).standard_normal((2, n)))
+    step = BfeccStep(SchemeSpec("cd", 1.7 / n))
+    st = bfecc_step(step, st, 1.0 / n, out=st.u)
+    kept = step._kept
+    for _ in range(4):
+        st = bfecc_step(step, st, 1.0 / n, out=st.u)
+    assert len(calls) == 1 and step._kept is kept
 
 
 def test_a_state_with_other_materials_rebinds(monkeypatch):
@@ -454,12 +480,18 @@ def test_stepping_in_place_equals_fresh_steps(case):
         a = step(kept, a, k * dt, a.u)
         b = step(fresh, b, k * dt, None)
         assert np.array_equal(a.u, b.u)
-    a = step(kept.with_dt(0.4 * dt), a, 5 * dt, a.u)
+        program = kept._kept if k == 0 else program
+    # the remainder comes after the kept stepper built its program at the
+    # first step and replayed it at the next four; its copy builds its own
+    assert kept._kept is program and program[3]
+    remainder = kept.with_dt(0.4 * dt)
+    a = step(remainder, a, 5 * dt, a.u)
     b = step(fresh.with_dt(0.4 * dt), b, 5 * dt, None)
     assert np.array_equal(a.u, b.u) and a.u is u
+    assert remainder._kept[3] is not program[3]
     a = step(kept, a, 5.4 * dt, a.u)
     b = step(fresh, b, 5.4 * dt, None)
-    assert np.array_equal(a.u, b.u) and a.u is u
+    assert np.array_equal(a.u, b.u) and a.u is u and kept._kept is program
     if case.startswith("pml"):
         for name in ("psi_hxy", "psi_hyx", "psi_ezx", "psi_ezy"):
             assert np.array_equal(getattr(kept.pml, name), getattr(fresh.pml, name))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from bfecc_maxwell.harness import (
     run_experiment,
     validate_config,
 )
+from bfecc_maxwell.schemes import Workspace
 
 
 def test_defaults_are_valid():
@@ -343,3 +347,33 @@ def test_unknown_experiment_rejected():
     cfg = ExperimentConfig(experiment="helix")
     with pytest.raises(ValueError):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(experiment="periodic1d", scheme="cd", n=32, dt_ratio=1.7, t_final=0.3),
+    dict(experiment="periodic2d", grid_variant="a", scheme="cd", n=16, t_final=0.2),
+    dict(experiment="periodic2d", grid_variant="d", scheme="ls_theta", n=12, dt_ratio=0.25,
+         t_final=0.2),
+    dict(experiment="scatter_cylinder", scheme="ls_theta", n=16, t_final=0.2)])
+def test_a_run_frees_its_work_stacks_by_reference_counting(monkeypatch, settings):
+    """With the cycle collector off, no Workspace array outlives the run
+    that asked for it: the stepper and what it binds hold no reference
+    cycle, so the work stacks are gone before a run's error norms
+    allocate theirs."""
+    alive = []
+    original = Workspace.__call__
+
+    def tracked(self, name, shape):
+        arr = original(self, name, shape)
+        alive.append((name, weakref.ref(arr)))
+        return arr
+
+    monkeypatch.setattr(Workspace, "__call__", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(ExperimentConfig(**settings))
+        left = sorted({name for name, ref in alive if ref() is not None})
+    finally:
+        gc.enable()
+    assert alive and left == []

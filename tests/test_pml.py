@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfecc_maxwell import pml as pml_module
-from bfecc_maxwell.bfecc import BfeccStep, bfecc_apply, bfecc_step
+from bfecc_maxwell.bfecc import BfeccStep, bfecc_program, bfecc_step
 from bfecc_maxwell.grid import build_uniform
 from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid
 from bfecc_maxwell.pml import (
@@ -24,6 +24,7 @@ from bfecc_maxwell.schemes import (
     _kernel_2d,
     _ls_binding,
     _ls_fit_all,
+    run_program,
     step_2d,
 )
 
@@ -466,39 +467,39 @@ def reference_steps(g, spec, pml, source, state, t0, steps):
     dt = spec.dt
 
     def substep(t, k, v, out):
+        """Substep k's program: the fit, the kernel with the whole-plane
+        collar on its planes, then the direct corrections."""
         sdt, at = (-dt, t + dt) if k == 1 else (dt, t)
-        args, ls_fix = _ls_binding(geom, w, th, work, v)
+        args, ls_hook = _ls_binding(geom, w, th, work, v)
 
-        def bind_fix(planes):
-            irregular = ls_fix(planes)
+        def collar_plane(p, plane):
+            if p == 0:
+                return ()
+            psi, b, c = collar[p - 1]
+            keep = ((np.copyto, (grads[p - 1], plane)),) if k == 0 else ()
+            memory = ((lambda: np.add(plane, psi * b, out=plane), ()),) if k == 2 else ()
+            return (*keep, (np.multiply, (plane, 1.0 + c, plane)), *memory)
 
-            def fix(p):
-                irregular(p)
-                if p == 0:
-                    return
-                plane = planes[p]
-                psi, b, c = collar[p - 1]
-                if k == 0:
-                    grads[p - 1] = plane
-                plane *= 1.0 + c
-                if k == 2:
-                    plane += psi * b
+        def hook(planes):
+            return tuple(irregular + collar_plane(p, plane)
+                         for p, (irregular, plane) in enumerate(zip(ls_hook(planes), planes)))
 
-            return fix
+        def inject():
+            if source is not None:
+                field, ds = direct_corrections(source, geom, spec.kind, state.eps, state.mu, at,
+                                               sdt)
+                for f, d in zip(out, ds):
+                    f[field] += d
 
-        _ls_fit_all(*args)
-        out = np.empty_like(v) if out is None else out
-        out = _kernel_2d(g, th, *inv, work, sdt, v, out, bind_fix, geom.ring)()
-        if source is not None:
-            field, ds = direct_corrections(source, geom, spec.kind, state.eps, state.mu, at, sdt)
-            for f, d in zip(out, ds):
-                f[field] += d
-        return out
+        return ((_ls_fit_all, args), *_kernel_2d(g, th, *inv, work, sdt, v, out, hook, geom.ring),
+                (inject, ()))
 
     u = state.u
     for n in range(steps):
         t = t0 + n * dt
-        u = bfecc_apply(lambda k, v, out: substep(t, k, v, out), u, work)
+        out = np.empty_like(u)
+        run_program(bfecc_program(lambda k, v, o: substep(t, k, v, o), u, out, work))
+        u = out
         for ring in geom.ring:
             grads[ring] = 0.0
         for gk, (psi, b, c) in zip(grads, collar):

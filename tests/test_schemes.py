@@ -18,6 +18,7 @@ from bfecc_maxwell.schemes import (
     _operator,
     lincomb1,
     lincomb2,
+    run_program,
     step_1d,
     step_2d,
 )
@@ -463,7 +464,9 @@ signs = hst.sampled_from((1.0, -1.0))
 def apply_operator(spec, sign, st, where, geometry=None):
     """One step of signed size sign * dt with the spec's operator, bound to
     the state's stack and a fresh output."""
-    return _operator(spec, st, where, geometry)(sign * spec.dt, st.u, np.empty_like(st.u))()
+    out = np.empty_like(st.u)
+    run_program(_operator(spec, st, where, geometry)(sign * spec.dt, st.u, out))
+    return out
 
 
 @settings(max_examples=60, deadline=None)

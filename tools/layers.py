@@ -6,6 +6,7 @@ Layers, each timed as a fixed number of back-to-back calls per round,
 interleaved over ROUNDS rounds (every round times every layer once, in a
 fixed order):
 
+  op.1d.cd           the bound 1D cd operator (one substep) on 256 points
   op.<kind>          the bound 2D operator (one substep) of each of the
                      five scheme kinds on a uniform periodic 149^2 grid
   op.ls_theta.scatter  the ls_theta operator on the 149^2 scatter_cylinder
@@ -14,6 +15,9 @@ fixed order):
   PmlRunner.step     one BFECC step of the collar runner on the scatter
                      grid: three substeps, collar and TF/SF included,
                      stepped in place where the tree's runner takes `out`
+  step.periodic1d    one bfecc_step of periodic1d's stepper, cd, n = 256,
+                     dt_ratio 1.7, in place where the tree's bfecc_step
+                     takes `out`
   run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
                      dt_ratio 1.7, 200 steps
   run.grid_d.<n>     harness.run_experiment of periodic2d on grid d,
@@ -51,9 +55,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
-LAYERS = tuple(f"op.{k}" for k in KINDS) + (
-    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step", "run.periodic1d") + tuple(
-    f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
+LAYERS = ("op.1d.cd",) + tuple(f"op.{k}" for k in KINDS) + (
+    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step", "step.periodic1d",
+    "run.periodic1d") + tuple(f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
 
 def build_layers():
@@ -63,6 +67,7 @@ def build_layers():
     import numpy as np
 
     from bfecc_maxwell import harness, schemes
+    from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
     from bfecc_maxwell.grid import build_uniform
     from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
     from bfecc_maxwell.pml import PmlRunner, TfsfSource, build_pml
@@ -70,15 +75,36 @@ def build_layers():
     rng = np.random.default_rng(16)
     calls = {}
 
+    def bound(op, dt, u):
+        """One call of the operator op bound to u and an output: a binder
+        returns the substep's program (a tuple of (function, args)) or an
+        older run() closure; an older per-call operator has just run the
+        step and returned its output."""
+        out = np.empty_like(u)
+        substep = op(dt, u, out)
+        if isinstance(substep, tuple):
+            def run():
+                for f, args in substep:
+                    f(*args)
+            return run
+        return substep if callable(substep) else lambda: op(dt, u, out)
+
     def operator(kind, grid, eps=None, theta=0.0):
         st = schemes.FieldState2(*rng.standard_normal((3, grid.nx, grid.ny)), eps=eps)
         dt = 0.4 * min(grid.dx, grid.dy)
-        op = schemes._operator(schemes.SchemeSpec(kind, dt, theta), st, grid)
-        out = np.empty_like(st.u)
-        bound = op(dt, st.u, out)
-        # a binder returns the bound substep; an older per-call operator
-        # has just run the step and returned `out`
-        return bound if callable(bound) else lambda: op(dt, st.u, out)
+        return bound(schemes._operator(schemes.SchemeSpec(kind, dt, theta), st, grid), dt, st.u)
+
+    dx = 1.0 / 256
+    state1 = [schemes.FieldState1(*rng.standard_normal((2, 256)))]
+    spec1 = schemes.SchemeSpec("cd", 1.7 * dx)
+    calls["op.1d.cd"] = bound(schemes._operator(spec1, state1[0], dx), spec1.dt, state1[0].u)
+    stepper = BfeccStep(spec1)
+    in_place_1d = "out" in inspect.signature(bfecc_step).parameters
+
+    def step_1d():
+        st = state1[0]
+        state1[0] = (bfecc_step(stepper, st, dx, out=st.u) if in_place_1d
+                     else bfecc_step(stepper, st, dx))
 
     uniform = build_uniform(149, 149, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     for kind in KINDS:
@@ -99,6 +125,7 @@ def build_layers():
         state[0] = runner.step(st, 1.0, out=st.u) if in_place else runner.step(st, 1.0)
 
     calls["PmlRunner.step"] = pml_step
+    calls["step.periodic1d"] = step_1d
 
     def run(**settings):
         return lambda: harness.run_experiment(ExperimentConfig(**settings))
