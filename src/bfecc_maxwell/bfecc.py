@@ -10,9 +10,10 @@ the same operator stepping -dt, one BFECC step advances
 The compensation raises the order of a first-order L to second order and
 is stable whenever the spectral radius of L's symbol stays at or below 2.
 
-`bfecc_program` is the one composition: `bfecc_step` (1D and 2D) and the
-absorbing collar's pml.PmlRunner.step, which hooks its memory term and
-TF/SF corrections into the substeps they belong to, both run through it.
+`bfecc_program` is the one composition and `BfeccStep._run` the one step
+body: `bfecc_step` (1D and 2D) and the absorbing collar's
+pml.PmlRunner.step, which hooks its memory term and TF/SF corrections into
+the substeps they belong to, both run through them.
 It composes the programs of the three substeps (schemes.run_program:
 a tuple of (function, args) entries, outputs passed positionally) and the
 combination between them into the program of one step of a stacked state
@@ -24,13 +25,13 @@ and leaves its input as it was.
 
 A stepper binds in two layers.  What is fixed for a run's materials is
 bound once, by one rule (`_bound`): a `BfeccStep` binds the underlying
-operator (schemes._operator), and pml.PmlRunner, a `BfeccStep` too, its
-materials and edge corrections.  The step's program is then bound to the
-stacks it reads and writes (`_program`), every view made once and kept
-while the same stacks come back, so a run stepping in place builds it
-once and every later step replays it: only its numpy calls run.  The
-signed step enters only where a substep is bound, so a `with_dt` copy
-shares the first layer and builds its own program.
+operator (schemes._operator), and pml.PmlRunner, a `BfeccStep` too, the
+same operator and its edge corrections.  The step's program is then
+bound to the stacks it reads and writes (`_program`), every view made
+once and kept while the same stacks come back, so a run stepping in place
+builds it once and every later step replays it: only its numpy calls
+run.  The signed step enters only where a substep is bound, so a
+`with_dt` copy shares the first layer and builds its own program.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ class BfeccStep:
         """The program of substep k of the composition, from the stack v
         into `out`, bound by `bound`, what _bound gave."""
         return bound(-self.spec.dt if k == 1 else self.spec.dt, v, out)
+
+    def _run(self, bound, state, out):
+        """Run the step of `state` into `out` with the binding `bound`;
+        in place the state itself is returned."""
+        out, program = self._program(bound, state.u, out)
+        run_program(program)
+        return state if out is state.u else type(state)._of(out, state.eps, state.mu)
 
     def _program(self, bound, u, out):
         """(out, program) of a step of the stack u into `out` (a fresh array
@@ -191,7 +199,4 @@ def bfecc_step(step: BfeccStep, state: State, where,
     not contiguous, is a ValueError.  In place the state itself is
     returned.
     """
-    op = step._bound(state, where, geometry, weights)
-    out, program = step._program(op, state.u, out)
-    run_program(program)
-    return state if out is state.u else type(state)._of(out, state.eps, state.mu)
+    return step._run(step._bound(state, where, geometry, weights), state, out)

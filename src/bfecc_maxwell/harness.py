@@ -275,6 +275,8 @@ def _march(cfg, state, stepper, step, scale=1.0):
     call, so that its work stacks go with it when the march ends, before
     the error norms allocate theirs."""
     dt = stepper.spec.dt
+    if not math.isfinite(cfg.t_final / dt):
+        raise ValueError(f"t_final / dt = {cfg.t_final} / {dt} overflows the step count")
     n_full = int(math.floor(cfg.t_final / dt + 1e-9))
     for k in range(1, n_full + 1):
         state = step(stepper, state, (k - 1) * dt, state.u)

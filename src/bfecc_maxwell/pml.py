@@ -13,12 +13,13 @@ row and column blocks where the profile is nonzero; an inert collar does
 none.  It acts on the 2D kernel's raw differences u[i+1] - u[i-1] =
 2 h d_xi u, so psi is held as 2 h psi, whose units do not depend on dt.
 
-Inside the three-substep wrapper (bfecc.bfecc_program, with the sources
-below as entries of each substep's program, bound once per run) the (1 + c)
-derivative scaling is part of the one-step operator and applies in every
-substep; the memory term b * psi is a source term, ignored in the first
-two substeps and added only in the final one, evaluated at the step's
-start time.  The recursion takes its
+Inside the three-substep wrapper (bfecc.bfecc_program) each substep is the
+least-squares operator of schemes._operator, whose binder takes the
+collar's entries for its difference planes, then the injection's entry,
+all bound once per run.  The (1 + c) derivative scaling is part of the
+one-step operator and applies in every substep; the memory term b * psi
+is a source term, ignored in the first two substeps and added only in the
+final one, evaluated at the step's start time.  The recursion takes its
 two terms from the substeps that form them: the first substep, acting on
 the step-start state, keeps c * g of its undamped fitted gradients g, and
 the last scales psi by b in place for its memory term, then adds c * g.
@@ -47,13 +48,15 @@ from typing import Optional
 
 import numpy as np
 
+# _operator is looked up in its module at each binding, so that a wrapper
+# installed there sees every binding
+from . import schemes
 from .bfecc import BfeccStep
 from .grid import Grid2
-# lincomb2 and StencilGeometry are looked up in this module by
+# _ls_fit_all, lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _check_state, _correction_weights, _kernel_2d, _ls_binding, _ls_fit_all,
-                      _reciprocal, lincomb2, run_program)
+                      _ls_fit_all, lincomb2, run_program)
 
 
 def _depth_fraction(n, thickness):
@@ -192,14 +195,14 @@ class TfsfInjector:
     Only update points whose stencil straddles the rectangle edge get a
     correction; `index` (3, rows) holds their flat indices into a
     contiguous (Hx, Hy, Ez) stack.  Their fit weights come from one
-    factorization of just those stencils, their material factors from the
-    reciprocal planes `inv_eps`/`inv_mu` (None for free space).  The
-    incident wave depends on x alone, so it is evaluated once per distinct
-    stencil x position and gathered, and its Hy = -Ez leaves three
-    contractions per call.
+    factorization of just those stencils, their material factors 1/eps
+    and 1/mu from the material planes `eps`/`mu` (None for free space) at
+    those rows only.  The incident wave depends on x alone, so it is
+    evaluated once per distinct stencil x position and gathered, and its
+    Hy = -Ez leaves three contractions per call.
     """
 
-    def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, inv_eps, inv_mu):
+    def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
         centers = geom.grid.coords[geom.interior].reshape(-1, 1, 2)
         # chi differences a block of stencils at a time: whole, these
         # temporaries set a scatter run's peak memory
@@ -222,8 +225,8 @@ class TfsfInjector:
         # the fitted-center base only exists for a kind whose base blends in
         # the neighbors; a point's own value has chi difference zero
         self.dw0 = d * weights[:, 0, :] if LS_CENTER[kind] else None
-        self.inv_eps = 1.0 if inv_eps is None else inv_eps.take(center)
-        self.inv_mu = 1.0 if inv_mu is None else inv_mu.take(center)
+        self.inv_eps = 1.0 if eps is None else np.divide(1.0, eps.take(center))
+        self.inv_mu = 1.0 if mu is None else np.divide(1.0, mu.take(center))
         self._ez = np.empty(self.x_index.shape)
         self._sums = np.empty((3, len(rows)))
 
@@ -306,25 +309,21 @@ def _collar_program(plane, collar, stage, first, last):
 class PmlRunner(BfeccStep):
     """Time stepper for a least-squares scheme with collar and injection.
 
-    Builds the stencil geometry, the irregular stencils' correction
-    weights and recursion coefficients once, then advances states with
-    `step` (the BFECC composition of bfecc.bfecc_program) or `plain_step`.
-    Every substep's program is step_2d's kernel with a signed step, whose
-    plane hook adds the corrections of schemes._ls_fit_all to the raw
-    difference planes and damps their collar blocks; the memory term
-    joins only a step's final substep, the TF/SF corrections every
-    substep, twice evaluated per step, outside the program (the forward
-    substeps at t, the backward one at t + dt), into two work arrays that
-    the substeps' programs add.  As a bfecc.BfeccStep, a runner keeps one
-    set of work buffers and binds by the same rules: the materials'
-    reciprocal planes and the edge corrections, formed for each new set
-    of materials and shared by its `with_dt` copy, and then the step's
-    program, bound to the stacks it reads and writes with every view made
-    once (the planes' collar blocks and the flat view the edge
-    corrections go into included), kept and replayed while a run steps
-    the same stack in place.  The memory fields in `pml` are updated in
-    place (they stay zero outside the blocks); a field state is
-    overwritten only when `step` is given its own stack as `out`.
+    Builds the stencil geometry, its irregular stencils' fit weights and
+    the recursion coefficients once, then advances states with `step`
+    (the BFECC composition of bfecc.bfecc_program) or `plain_step`.  As a
+    bfecc.BfeccStep it binds by the same rules: per set of materials,
+    schemes._operator's least-squares operator and the edge corrections,
+    shared by its `with_dt` copy; then the step's program, kept and
+    replayed while a run steps one stack in place.  A substep's program is
+    the operator's, given the collar's entries for its raw difference
+    planes, then the entry that adds the TF/SF corrections: the memory
+    term joins only a step's final substep, the corrections every
+    substep, evaluated twice per step outside the program (the forward
+    substeps at t, the backward one at t + dt) into two work arrays.  The
+    memory fields in `pml` are updated in place (they stay zero outside
+    the blocks); a field state is overwritten only when `step` is given
+    its own stack as `out`.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -339,8 +338,7 @@ class PmlRunner(BfeccStep):
         super().__init__(spec)
         self.source = source
         self.geom = geometry if geometry is not None else StencilGeometry(grid)
-        w = weights if weights is not None else self.geom.cached_weights()
-        self.weights = _correction_weights(grid, w, LS_CENTER[spec.kind])
+        self.weights = weights if weights is not None else self.geom.cached_weights()
         self._set_collar(pml)
         if source is not None:
             margin = max(pml.thickness, 1)
@@ -389,14 +387,15 @@ class PmlRunner(BfeccStep):
         return other
 
     def _bind(self, state: FieldState2):
-        """(1/eps, 1/mu, the TfsfInjector or None) for the materials of
-        `state`; at a run's first step this comes before the step's work
-        buffers exist, so that the set-up arrays never add to them."""
-        _check_state(state, self.geom.grid)
-        inv_eps, inv_mu = _reciprocal(state.eps), _reciprocal(state.mu)
+        """(the operator's binder, the TfsfInjector or None) for the
+        materials of `state`, made before a run's work buffers exist, so
+        that the set-up arrays never add to them.  The fit entry is
+        _ls_fit_all as this module names it, which bench/tracing.py wraps."""
+        op = schemes._operator(self.spec, state, self.geom.grid, self.geom, self.weights,
+                               self.work, _ls_fit_all)
         injector = None if self.source is None else TfsfInjector(
-            self.source, self.geom, self.spec.kind, inv_eps, inv_mu)
-        return inv_eps, inv_mu, injector
+            self.source, self.geom, self.spec.kind, state.eps, state.mu)
+        return op, injector
 
     def _substep(self, bound, k, v, out):
         dt = self.spec.dt
@@ -404,24 +403,18 @@ class PmlRunner(BfeccStep):
 
     def _bind_substep(self, bound, sdt, v, out, first, last):
         """The program of one substep with signed step sdt from the stack v
-        into `out`, with the runner's binding `bound` and the edge
-        corrections that _corrections wrote for its sign of step before it
-        runs (none without a source), every view of v and out made here,
-        once.  The `first` substep, acting on the step-start state, keeps
-        c * g of its undamped raw differences g, and the `last` adds the
-        memory term and completes the recursion (`_collar_program`).  The
-        fit is the entry _ls_fit_all, as this module names it here."""
-        th = LS_CENTER[self.spec.kind]
-        args, ls_hook = _ls_binding(self.geom, self.weights, th, self.work, v)
-
-        def hook(planes):
-            stage = partial(self._stage, name="plane")
-            return tuple(irregular + _collar_program(plane, collar, stage, first, last)
-                         for irregular, plane, collar in zip(ls_hook(planes), planes, self._collar))
-
-        program = ((_ls_fit_all, args),) + _kernel_2d(self.geom.grid, th, *bound[:2], self.work,
-                                                      sdt, v, out, hook, self.geom.ring)
-        injector = bound[2]
+        into `out`, every view made here, once: the operator's program of
+        `bound`, with the collar's entries for its planes, then the entry
+        that adds the edge corrections _corrections wrote for its sign of
+        step (none without a source).  The `first` substep, acting on the
+        step-start state, keeps c * g of its undamped raw differences g, and
+        the `last` adds the memory term and completes the recursion
+        (`_collar_program`)."""
+        op, injector = bound
+        stage = partial(self._stage, name="plane")
+        program = op(sdt, v, out, lambda planes: tuple(
+            _collar_program(plane, collar, stage, first, last)
+            for plane, collar in zip(planes, self._collar)))
         if injector is None:
             return program
         # `out` is contiguous, so its flat view writes through; np.add.at
@@ -436,7 +429,7 @@ class PmlRunner(BfeccStep):
 
     def _corrections(self, bound, t, sdt):
         """Write the edge corrections at (t, sdt), if there is a source."""
-        injector = bound[2]
+        injector = bound[1]
         if injector is not None:
             injector.corrections(t, sdt, self._edge(injector, sdt))
 
@@ -455,9 +448,7 @@ class PmlRunner(BfeccStep):
         bound = self._bound(state)
         self._corrections(bound, t, dt)
         self._corrections(bound, t + dt, -dt)
-        out, program = self._program(bound, state.u, out)
-        run_program(program)
-        return state if out is state.u else FieldState2._of(out, state.eps, state.mu)
+        return self._run(bound, state, out)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
         """Advance one dt without the error-compensation substeps."""

@@ -29,10 +29,10 @@ contiguous stacks u and out and of the scratch arrays (from a `Workspace`)
 once and returns the program that writes the step of signed size sdt of u
 into out.  What the program would test at every step (free space or
 materials, a zero blend weight, the collar's staging) is decided there, so
-the program is only the step's numpy calls.  step_1d/step_2d bind one to a
-fresh array and run it once with dt; a bfecc.BfeccStep composes the
-programs of its three substeps, with dt, -dt and dt, into one program per
-run when it steps in place.
+the program is only the step's numpy calls.  step_2d (or step_1d) binds
+one to a fresh array and runs it once with dt; a bfecc.BfeccStep composes
+the programs of its three substeps, with dt, -dt and dt, into one program
+per run when it steps in place.
 
 One 2D kernel, `_kernel_2d`, serves all five kinds.  A least-squares fit
 on an unmoved five-point cross is exactly the center blend and the
@@ -451,7 +451,7 @@ def _ls_fit_all(rows, weights, flat, gather, refit):
     return np.einsum("rks,fsr->kfr", weights, gather, out=refit)
 
 
-def _ls_binding(geom: StencilGeometry, weights, center, work, u):
+def _ls_binding(geom: StencilGeometry, weights, center, work, u, extra=None):
     """(args, hook) of the irregular stencils' corrections on the stack u,
     bound once: _ls_fit_all(*args) computes them, and hook, _kernel_2d's
     plane hook, gives the entries that add them at their centers, with the
@@ -460,17 +460,19 @@ def _ls_binding(geom: StencilGeometry, weights, center, work, u):
     `center` (a zero weight leaves the point values as base).  The
     centers are distinct, so np.add.at gives the bits of an indexed +=;
     it takes flat indices and values, at which it is the faster of the
-    two (with a (3, r) index it is slower)."""
+    two (with a (3, r) index it is slower).  `extra`, a plane hook too,
+    gives entries that run after each plane's corrections."""
     rows, at = geom.irregular_index, geom.irregular_center
     w = weights if center else weights[:, 1:]
     gather = work("gather", (3,) + rows.shape)
     refit = work("refit", (w.shape[1], 3, rows.shape[1]))
 
     def hook(planes):
-        return tuple(() if k == 0 and not center else
-                     ((np.add.at, (plane.reshape(-1), (at if k == 0 else at[0]).reshape(-1),
-                                   refit[_PLANE_ROWS[k]].reshape(-1))),)
-                     for k, plane in enumerate(planes))
+        fixes = tuple(() if k == 0 and not center else
+                      ((np.add.at, (plane.reshape(-1), (at if k == 0 else at[0]).reshape(-1),
+                                    refit[_PLANE_ROWS[k]].reshape(-1))),)
+                      for k, plane in enumerate(planes))
+        return fixes if extra is None else tuple(f + e for f, e in zip(fixes, extra(planes)))
 
     return (rows, w, u.reshape(3, -1), gather, refit), hook
 
@@ -484,7 +486,7 @@ def _check_state(state, where):
         raise ValueError(f"state shape {state.shape} does not match grid {(where.nx, where.ny)}")
 
 
-def _operator(spec, state, where, geometry=None, weights=None, work=None):
+def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=None):
     """The one-step operator of `spec` for states like `state`, checked and
     bound once, as a binder.
 
@@ -498,7 +500,10 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
     when None), in 1D those arrays and their views too, and for
     least-squares kinds the geometry and correction weights: a missing
     `geometry` is built and missing `weights` come from the geometry's
-    cache.
+    cache.  A least-squares binder also takes `extra`, a plane hook as
+    _kernel_2d's (pml's collar), whose entries run after each plane's
+    irregular-row corrections; its program's first entry, `fit` (_ls_fit_all
+    when None; pml passes its own name of it), computes those corrections.
     """
     kind = spec.kind
     _check_state(state, where)
@@ -527,28 +532,21 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None):
     geom = geometry if geometry is not None else StencilGeometry(grid)
     th = LS_CENTER[kind]
     dw = _correction_weights(grid, weights if weights is not None else geom.cached_weights(), th)
+    fit = _ls_fit_all if fit is None else fit
 
-    def bind(sdt, u, out):
-        args, hook = _ls_binding(geom, dw, th, work, u)
-        return ((_ls_fit_all, args),) + _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out,
-                                                   hook, geom.ring)
+    def bind(sdt, u, out, extra=None):
+        args, hook = _ls_binding(geom, dw, th, work, u, extra)
+        return ((fit, args),) + _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook,
+                                           geom.ring)
 
     return bind
 
 
-def step_1d(spec: SchemeSpec, state: FieldState1, dx: float) -> FieldState1:
-    """One step of a uniform-grid scheme on a periodic 1D state."""
-    out = np.empty(state.u.shape)
-    run_program(_operator(spec, state, dx)(spec.dt, state.u, out))
-    return FieldState1._of(out, state.eps, state.mu)
-
-
-def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
-            geometry: Optional[StencilGeometry] = None,
-            weights=None) -> FieldState2:
-    """One step of the selected scheme on a 2D state.
-
-    Kinds cd/lf/theta require a uniform periodic grid;
+def step_2d(spec: SchemeSpec, state, where, geometry: Optional[StencilGeometry] = None,
+            weights=None):
+    """One step of the selected scheme, into a fresh array, of a
+    FieldState1 on the spacing `where` or a FieldState2 on the Grid2
+    `where`.  Kinds cd/lf/theta require a uniform periodic grid in 2D;
     ls_cd/ls_theta work on any Grid2 through local least-squares fits.
     Passing `geometry` (and optionally `weights`, the (r, 3, 5) block of
     its irregular stencils) reuses precomputed stencil data; without
@@ -556,5 +554,8 @@ def step_2d(spec: SchemeSpec, state: FieldState2, grid: Grid2,
     runs once per geometry.
     """
     out = np.empty(state.u.shape)
-    run_program(_operator(spec, state, grid, geometry, weights)(spec.dt, state.u, out))
-    return FieldState2._of(out, state.eps, state.mu)
+    run_program(_operator(spec, state, where, geometry, weights)(spec.dt, state.u, out))
+    return type(state)._of(out, state.eps, state.mu)
+
+
+step_1d = step_2d

@@ -22,7 +22,7 @@ from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
 from bfecc_maxwell.grid import build_uniform
 from bfecc_maxwell.harness import build_variant_grid
 from bfecc_maxwell.schemes import (LS_CENTER, FieldState1, FieldState2, SchemeSpec,
-                                   StencilGeometry)
+                                   StencilGeometry, _operator, run_program)
 
 
 def test_symbol_1d_structure():
@@ -274,6 +274,33 @@ def test_ls_theta_is_stable_at_the_accepted_bound(variant):
     step = BfeccStep(SchemeSpec("ls_theta", cfl_bound("ls_theta", 2, (g.dx, g.dy))))
     radius = np.abs(np.linalg.eigvals(step_matrix(step, g, StencilGeometry(g)))).max()
     assert radius <= 1.0 + 1e-10
+
+
+GROWS_AT_EVERY_DT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: ls_cd's spatial operator has eigenvalues of positive "
+                        "real part on grids with irregular stencils")
+
+
+@pytest.mark.parametrize("variant", ["a"] + [pytest.param(v, marks=GROWS_AT_EVERY_DT)
+                                             for v in "bcd"])
+def test_ls_cd_spatial_operator_has_no_growing_mode(variant):
+    """ls_cd steps u + sdt A u; the dense A = L(1) - I on the 12 x 12
+    periodic grid `variant`, built column by column from the bound
+    operator, has max Re(eig) at most 1e-10.  It holds on the uniform grid
+    a (about 1e-14); on b, c and d it reads 0.41, 0.47 and 0.23, so no dt
+    is stable there."""
+    g = build_variant_grid(variant, 12)
+    u = np.zeros((3, g.nx, g.ny))
+    out = np.empty_like(u)
+    program = _operator(SchemeSpec("ls_cd", 1.0), FieldState2._of(u, None, None), g,
+                        StencilGeometry(g))(1.0, u, out)
+    columns = np.empty((u.size, u.size))
+    for j in range(u.size):
+        u[...] = 0.0
+        u.flat[j] = 1.0
+        run_program(program)
+        columns[:, j] = out.reshape(-1) - u.reshape(-1)
+    assert np.linalg.eigvals(columns).real.max() <= 1e-10
 
 
 def test_cfl_bound_validation():

@@ -222,6 +222,16 @@ def test_a_run_binds_its_operator_once_remainder_included(monkeypatch):
     assert [spec.dt for spec in calls] == [dt]
 
 
+def test_a_collar_run_binds_its_operator_once_remainder_included(monkeypatch):
+    # the runner's binding is schemes._operator's, kept like a BfeccStep's
+    calls = count_bindings(monkeypatch)
+    result = run_experiment(ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta",
+                                             n=16, dt_ratio=1.0, t_final=0.43))
+    dt = result["dt"]
+    assert result["steps"] == 7 and 0.43 - 6 * dt < dt
+    assert [spec.dt for spec in calls] == [dt]
+
+
 def test_a_spacing_computed_in_the_call_binds_once(monkeypatch):
     """A 1D spacing is compared by value: five in-place steps, each passing
     1.0 / n computed in the call, bind the operator once and replay the

@@ -90,6 +90,7 @@ def test_refused_allocation_exits_2_with_one_line(message, monkeypatch, capsys):
 
 @pytest.mark.parametrize("setting", ["check_every=0", "check_every=-3", "dt_ratio=nan",
                                      "dt_ratio=inf", "t_final=inf", "t_final=nan",
+                                     "t_final=1e308",
                                      "blowup_threshold=nan", "blowup_threshold=inf",
                                      "blowup_threshold=0", "blowup_threshold=-1"])
 def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):

@@ -430,7 +430,7 @@ def test_edge_corrections_equal_the_direct_formula(kind, t):
     bit for bit (up to the sign of zero) at the same field points."""
     g, eps, mu, src, dt = scatter_setup()
     geom = StencilGeometry(g)
-    inj = TfsfInjector(src, geom, kind, 1.0 / eps, 1.0 / mu)
+    inj = TfsfInjector(src, geom, kind, eps, mu)
     assert inj.x.size < inj.x_index.size
     for sdt in (dt, -dt):
         field, expect = direct_corrections(src, geom, kind, eps, mu, t, sdt)

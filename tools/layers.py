@@ -14,10 +14,9 @@ fixed order):
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
   PmlRunner.step     one BFECC step of the collar runner on the scatter
                      grid: three substeps, collar and TF/SF included,
-                     stepped in place where the tree's runner takes `out`
+                     stepped in place
   step.periodic1d    one bfecc_step of periodic1d's stepper, cd, n = 256,
-                     dt_ratio 1.7, in place where the tree's bfecc_step
-                     takes `out`
+                     dt_ratio 1.7, in place
   run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
                      dt_ratio 1.7, 200 steps
   run.grid_d.<n>     harness.run_experiment of periodic2d on grid d,
@@ -62,7 +61,7 @@ LAYERS = ("op.1d.cd",) + tuple(f"op.{k}" for k in KINDS) + (
 
 def build_layers():
     """name -> zero-argument callable doing one call of the layer."""
-    import inspect
+    from functools import partial
 
     import numpy as np
 
@@ -76,18 +75,9 @@ def build_layers():
     calls = {}
 
     def bound(op, dt, u):
-        """One call of the operator op bound to u and an output: a binder
-        returns the substep's program (a tuple of (function, args)) or an
-        older run() closure; an older per-call operator has just run the
-        step and returned its output."""
-        out = np.empty_like(u)
-        substep = op(dt, u, out)
-        if isinstance(substep, tuple):
-            def run():
-                for f, args in substep:
-                    f(*args)
-            return run
-        return substep if callable(substep) else lambda: op(dt, u, out)
+        """One call of the binder op's substep program, bound to u and an
+        output."""
+        return partial(schemes.run_program, op(dt, u, np.empty_like(u)))
 
     def operator(kind, grid, eps=None, theta=0.0):
         st = schemes.FieldState2(*rng.standard_normal((3, grid.nx, grid.ny)), eps=eps)
@@ -99,12 +89,10 @@ def build_layers():
     spec1 = schemes.SchemeSpec("cd", 1.7 * dx)
     calls["op.1d.cd"] = bound(schemes._operator(spec1, state1[0], dx), spec1.dt, state1[0].u)
     stepper = BfeccStep(spec1)
-    in_place_1d = "out" in inspect.signature(bfecc_step).parameters
 
     def step_1d():
         st = state1[0]
-        state1[0] = (bfecc_step(stepper, st, dx, out=st.u) if in_place_1d
-                     else bfecc_step(stepper, st, dx))
+        state1[0] = bfecc_step(stepper, st, dx, out=st.u)
 
     uniform = build_uniform(149, 149, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     for kind in KINDS:
@@ -118,11 +106,10 @@ def build_layers():
     runner = PmlRunner(grid, schemes.SchemeSpec("ls_theta", dt), build_pml(grid, dt, 10),
                        TfsfSource(tuple(cfg.tfsf_rect)))
     state = [schemes.FieldState2(*(0.1 * rng.standard_normal((3, grid.nx, grid.ny))), eps=eps)]
-    in_place = "out" in inspect.signature(runner.step).parameters
 
     def pml_step():
         st = state[0]
-        state[0] = runner.step(st, 1.0, out=st.u) if in_place else runner.step(st, 1.0)
+        state[0] = runner.step(st, 1.0, out=st.u)
 
     calls["PmlRunner.step"] = pml_step
     calls["step.periodic1d"] = step_1d
