@@ -33,10 +33,11 @@ Unlike the memory term, this correction belongs to every substep (with
 that substep's direction and the incident field at the time the substep
 acts on); leaving it out of the error-estimation substeps plants a
 non-convergent residual along the rectangle edge.  The two forward
-substeps act at the step's start time, so a step evaluates the correction
-twice: at (t, dt) and at (t + dt, -dt).  The plane wave depends on x
-alone, so each evaluation takes the incident field at the distinct x
-positions of the edge stencils only.
+substeps act at the step's start time, so a step asks for the correction
+twice: at (t, dt) and at (t + dt, -dt).  The second time is the next
+step's first, so the incident field and its contractions are evaluated
+once per time level, at the distinct x positions of the edge stencils
+only, since the plane wave depends on x alone.
 """
 
 from __future__ import annotations
@@ -171,8 +172,13 @@ class TfsfSource:
             raise ValueError("omega and ramp_time must be positive")
 
     def ez_inc(self, x, y, t):
-        u = t - (np.asarray(x, dtype=float) - self.rect[0])
-        return self.amplitude * np.sin(self.omega * u) * _ramp(u, self.ramp_time)
+        return self._ez_at(t - (np.asarray(x, dtype=float) - self.rect[0]))
+
+    def _ez_at(self, u, ramped=True):
+        """Ez at the phases u; past the ramp, where it is 1.0, `ramped` may
+        be False, which leaves out the factor and keeps the bits."""
+        wave = self.amplitude * np.sin(self.omega * u)
+        return wave * _ramp(u, self.ramp_time) if ramped else wave
 
     def chi(self, x, y):
         """Total-field indicator, counting the rectangle edge as inside.
@@ -189,6 +195,12 @@ class TfsfSource:
         return inside.astype(float)
 
 
+def _same_bits(a, b):
+    """Whether the floats a and b have one value and one sign, so the same
+    bits (NaN is never the same)."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 class TfsfInjector:
     """Precomputed edge corrections for one (geometry, source) pair.
 
@@ -198,8 +210,10 @@ class TfsfInjector:
     factorization of just those stencils, their material factors 1/eps
     and 1/mu from the material planes `eps`/`mu` (None for free space) at
     those rows only.  The incident wave depends on x alone, so it is
-    evaluated once per distinct stencil x position and gathered, and its
-    Hy = -Ez leaves three contractions per call.
+    evaluated once per distinct stencil x position `x` and gathered by
+    `x_index` (5, rows), and its Hy = -Ez leaves one contraction with the
+    d/dy, d/dx and (for ls_theta) center weights, which is kept for the
+    last time: a step's backward substep acts at the next step's time.
     """
 
     def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
@@ -219,37 +233,52 @@ class TfsfInjector:
         center = geom.index[rows, 0]
         self.index = center + np.arange(3)[:, None] * (geom.grid.nx * geom.grid.ny)
         self.x, inverse = np.unique(ax, return_inverse=True)
-        self.x_index = inverse.reshape(d.shape)
-        self.dwx = d * weights[:, 1, :]
-        self.dwy = d * weights[:, 2, :]
-        # the fitted-center base only exists for a kind whose base blends in
-        # the neighbors; a point's own value has chi difference zero
-        self.dw0 = d * weights[:, 0, :] if LS_CENTER[kind] else None
-        self.inv_eps = 1.0 if eps is None else np.divide(1.0, eps.take(center))
-        self.inv_mu = 1.0 if mu is None else np.divide(1.0, mu.take(center))
+        # laid out (5, rows), so that the contraction runs along the rows, at
+        # a fraction of the cost along the 5 points, in the same order
+        self.x_index = np.ascontiguousarray(inverse.reshape(d.shape).T)
+        self._phase = self.x - source.rect[0]
+        self._last = self._phase.max(initial=-math.inf)
+        # the chi differences times the d/dy, d/dx and center weight rows, the
+        # center only for a kind whose base blends in the neighbors (a
+        # point's own value has chi difference zero)
+        self._dw = np.ascontiguousarray(
+            d.T * weights.transpose(1, 2, 0)[[2, 1, 0] if LS_CENTER[kind] else [2, 1]])
+        inv_eps = 1.0 if eps is None else np.divide(1.0, eps.take(center))
+        inv_mu = 1.0 if mu is None else np.divide(1.0, mu.take(center))
+        # the signed factors of (dHx, dHy, dEz): fl(sdt (-1/mu)) = fl(-sdt 1/mu)
+        # and the Hy contraction of Hy_inc = -Ez_inc negated exactly
+        self._signed = np.stack([np.broadcast_to(f, len(rows))
+                                 for f in (-inv_mu, inv_mu, -inv_eps)])
+        self._factors = [(math.nan, None)] * 2
         self._ez = np.empty(self.x_index.shape)
-        self._sums = np.empty((3, len(rows)))
+        self._sums = np.empty((len(self._dw), len(rows)))
+        self._t = math.nan
 
     def corrections(self, t, sdt, out=None):
         """(3, rows) corrections (dHx, dHy, dEz) to add at `index` to the
         update assembled at time t with signed step sdt, written into
-        `out` (a fresh array when None); the gathered incident field and
-        the contractions go into the injector's own scratch arrays."""
-        ez = np.take(self.source.ez_inc(self.x, None, t), self.x_index, out=self._ez, mode="clip")
-        sx = np.einsum("as,as->a", self.dwx, ez, out=self._sums[0])
-        sy = np.einsum("as,as->a", self.dwy, ez, out=self._sums[1])
-        d = np.empty((3, len(sx))) if out is None else out
-        # each material factor fl(sdt inv), formed in the row it scales
-        np.multiply(self.inv_mu, -sdt, out=d[0])
-        d[0] *= sy
-        np.multiply(self.inv_mu, sdt, out=d[1])
-        d[1] *= sx
-        # the Hy terms: the contractions of Hy_inc = -Ez_inc, negated exactly
-        np.multiply(self.inv_eps, sdt, out=d[2])
-        d[2] *= sx
-        np.negative(d[2], out=d[2])
-        if self.dw0 is not None:
-            s0 = np.einsum("as,as->a", self.dw0, ez, out=self._sums[2])
+        `out` (a fresh array when None).  The contractions, in the
+        injector's own scratch arrays, are formed again only for another
+        time than the last call's, the factors fl(sdt inv) only for
+        another sdt than the last of its sign."""
+        if not _same_bits(t, self._t):
+            self._t = t
+            source = self.source
+            phase = t - self._phase
+            wave = source._ez_at(phase, not t - self._last >= source.ramp_time)
+            ez = np.take(wave, self.x_index, out=self._ez, mode="clip")
+            np.einsum("ksa,sa->ka", self._dw, ez, out=self._sums)
+        backward = math.copysign(1.0, sdt) < 0.0
+        kept, factors = self._factors[backward]
+        if not _same_bits(sdt, kept):
+            factors = np.multiply(self._signed, sdt)
+            self._factors[backward] = sdt, factors
+        d = np.empty(self._signed.shape) if out is None else out
+        sy, sx = self._sums[:2]
+        np.multiply(factors[0], sy, out=d[0])
+        np.multiply(factors[1:], sx, out=d[1:])
+        if len(self._sums) == 3:
+            s0 = self._sums[2]
             d[1] -= s0
             d[2] += s0
         return d
@@ -319,8 +348,9 @@ class PmlRunner(BfeccStep):
     the operator's, given the collar's entries for its raw difference
     planes, then the entry that adds the TF/SF corrections: the memory
     term joins only a step's final substep, the corrections every
-    substep, evaluated twice per step outside the program (the forward
-    substeps at t, the backward one at t + dt) into two work arrays.  The
+    substep, written twice per step outside the program (the forward
+    substeps at t, the backward one at t + dt) into two work arrays, from
+    an incident wave evaluated once per time level.  The
     memory fields in `pml` are updated in place (they stay zero outside
     the blocks); a field state is overwritten only when `step` is given
     its own stack as `out`.

@@ -41,6 +41,8 @@ whole field and correct only the irregular stencils, those with a point
 off its rectangular position: their fit weights less the cross act on
 their gathered values, and the results go into the blend and the raw
 differences before these are scaled, where the collar (pml) acts too.
+On a bounded grid, whose held outer ring gets its input values back, the
+kernel's passes leave out the periodic wrap (`_kernel_2d`).
 
 All schemes are one-step and linear; the backward step is the forward one
 with -dt (the averaging terms are part of the spatial operator and keep
@@ -140,7 +142,8 @@ class Workspace:
 
     A run keeps one for all its steps, so once the first step has run the
     substeps and kernels allocate nothing but a fresh step's output.  The
-    bindings hold views of these arrays, so a name keeps its shape.
+    bindings hold views of these arrays, so a name keeps its shape.  An
+    array starts at zero, so what a kernel leaves unwritten is finite.
     """
 
     def __init__(self):
@@ -149,7 +152,7 @@ class Workspace:
     def __call__(self, name, shape):
         arr = self._arrays.get(name)
         if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.empty(shape)
+            arr = self._arrays[name] = np.zeros(shape)
         return arr
 
 
@@ -200,7 +203,7 @@ def _scalar(x):
     return np.array(x, dtype=float)
 
 
-def _dc(f, axis, out):
+def _dc(f, axis, out, wrap=True):
     """The program entries (np.subtract, (a, b, o)) that write the raw
     difference f[i+1] - f[i-1] along `axis`, periodic, into `out`.  The
     centered difference's 0.5 is left to the callers, which fold it into
@@ -211,7 +214,8 @@ def _dc(f, axis, out):
     end, one contiguous pass, in which only the first and last column
     pick up values from the neighboring row; those two columns are then
     rewritten.  (numpy iterates a row-by-row slice through buffers, at
-    about twice the cost.)
+    about twice the cost.)  Without `wrap` (a bounded grid) only that one
+    pass is made: the first and last index along `axis` are not redone.
     """
     merged = (_rows(f), _rows(out)) if axis == f.ndim - 1 else (None, None)
     if merged[0] is not None and merged[1] is not None:
@@ -222,10 +226,10 @@ def _dc(f, axis, out):
     else:
         g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
         views = (g[2:], g[:-2], o[1:-1]), (g[1:2], g[-1:], o[:1]), (g[:1], g[-2:-1], o[-1:])
-    return tuple((np.subtract, v) for v in views)
+    return tuple((np.subtract, v) for v in (views if wrap else views[:1]))
 
 
-def _center_blend(theta_eff, f, out, spare):
+def _center_blend(theta_eff, f, out, spare, wrap=True):
     """The program that writes (1 - theta)*f + theta*(neighbor average over
     the spatial axes), periodic, into `out`.
 
@@ -237,12 +241,15 @@ def _center_blend(theta_eff, f, out, spare):
     merged rows, as in `_dc`, with the two wrapped columns redone from
     their sums saved in `spare`, which is free until the (1 - theta)*f
     term.  The average's 0.5 or 0.25 and theta are one factor: the quarter
-    is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).
+    is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).  Without
+    `wrap` (a bounded grid) the first and last row and column are not
+    redone.
     """
     add, multiply, copyto = np.add, np.multiply, np.copyto
     g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
-    program = [(add, (g[:-2], g[2:], a[1:-1])), (add, (g[-1:], g[1:2], a[:1])),
-               (add, (g[-2:-1], g[:1], a[-1:]))]
+    program = [(add, (g[:-2], g[2:], a[1:-1]))]
+    if wrap:
+        program += [(add, (g[-1:], g[1:2], a[:1])), (add, (g[-2:-1], g[:1], a[-1:]))]
     if f.ndim == 3:
         fr, ar = _rows(f), _rows(out)
         first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
@@ -252,8 +259,9 @@ def _center_blend(theta_eff, f, out, spare):
         for saved, column, rows, neighbors, wrapped in (
                 (first, out[..., 0], ar[..., 1:], fr[..., :-1], f[..., -1]),
                 (last, out[..., -1], ar[..., :-1], fr[..., 1:], f[..., 0])):
-            program += [(copyto, (saved, column)), (add, (rows, neighbors, rows)),
-                        (add, (saved, wrapped, column))]
+            merged = (add, (rows, neighbors, rows))
+            program += ([(copyto, (saved, column)), merged, (add, (saved, wrapped, column))]
+                        if wrap else [merged])
     program.append((multiply, (out, _scalar(0.5 / (f.ndim - 1) * theta_eff), out)))
     own = 1.0 - theta_eff
     if own != 0.0:
@@ -333,28 +341,39 @@ def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook=None, ring=())
     center blend (k = 0) and the raw differences d/dx Hy, d/dy Hx, d/dy Ez
     and d/dx Ez (k = 1-4), gives five tuples of program entries, the ones
     for plane k run after that plane is formed and before it is scaled;
-    plane 0's are left out at th = 0, where the blend is u.  The points
-    `ring` get their input values back.  `out`, never u, is the blend's
-    scratch until the first difference.
+    plane 0's are left out at th = 0, where the blend is u.  `out`, never
+    u, is the blend's scratch until the first difference.
+
+    The points `ring`, a bounded grid's held outer ring, get their input
+    values back at the end, so there the passes skip the periodic wrap.
+    What the ring of a plane then holds must still be finite, whatever
+    `out` held, since the collar's c * g (c = 0 there) reads it.  No pass
+    writes rows 0 and nx - 1 of a difference along x (nor two corners
+    along y), so these rows are first copied from u, unless the blend's
+    (1 - th) u term writes all of `out` first; the blend's own ring, in
+    a Workspace array, starts at zero and reaches only the output's ring.
     """
     hx, hy, ez = out
+    wrap = not ring
     blend, mix = u, ()
     if th != 0.0:
         blend = work("blend", u.shape)
-        mix = _center_blend(th, u, blend, out)
+        mix = _center_blend(th, u, blend, out, wrap)
     b_hx, b_hy, b_ez = blend
+    rows = np.s_[:, ::u.shape[1] - 1]
+    guard = () if wrap or (mix and th != 1.0) else ((np.copyto, (out[rows], u[rows])),)
     coef = None if inv_mu is None else work("coef", inv_mu.shape)
     fixes = ((),) * 5 if hook is None else hook((blend, ez, hx, hx, hy))
     lx = _scalar(0.5 * (sdt / grid.dx))
     ly = _scalar(0.5 * (sdt / grid.dy))
     add, subtract, multiply = np.add, np.subtract, np.multiply
-    return (*mix, *(fixes[0] if mix else ()),
-            *_dc(u[1], 0, ez), *fixes[1], (multiply, (ez, lx, ez)),
-            *_dc(u[0], 1, hx), *fixes[2], (multiply, (hx, ly, hx)), (subtract, (ez, hx, ez)),
+    return (*guard, *mix, *(fixes[0] if mix else ()),
+            *_dc(u[1], 0, ez, wrap), *fixes[1], (multiply, (ez, lx, ez)),
+            *_dc(u[0], 1, hx, wrap), *fixes[2], (multiply, (hx, ly, hx)), (subtract, (ez, hx, ez)),
             *(() if inv_eps is None else ((multiply, (ez, inv_eps, ez)),)), (add, (ez, b_ez, ez)),
-            *_dc(u[2], 1, hx), *fixes[3], *_scaled(hx, ly, inv_mu, coef, hx),
+            *_dc(u[2], 1, hx, wrap), *fixes[3], *_scaled(hx, ly, inv_mu, coef, hx),
             (subtract, (b_hx, hx, hx)),
-            *_dc(u[2], 0, hy), *fixes[4], *_scaled(hy, lx, inv_mu, coef, hy),
+            *_dc(u[2], 0, hy, wrap), *fixes[4], *_scaled(hy, lx, inv_mu, coef, hy),
             (add, (hy, b_hy, hy)),
             *((np.copyto, (out[points], u[points])) for points in ring))
 

@@ -101,6 +101,18 @@ def test_bad_numeric_setting_exits_2_with_one_line(setting, capsys):
     assert err[0].startswith("error: " + setting.partition("=")[0])
 
 
+@pytest.mark.parametrize("experiment", ["periodic1d", "periodic2d"])
+def test_a_huge_step_count_exits_2_with_one_line(experiment, capsys):
+    """dt_ratio = 1e-306 at n = 8 passes every other check and asks for
+    4.8e306 steps; the step ceiling turns it into a bad setting at once."""
+    rc = main(["run", "-p", f"experiment={experiment}", "-p", "n=8", "-p", "dt_ratio=1e-306"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: t_final / dt")
+    assert "steps, more than 1e+07" in err[0]
+
+
 @pytest.mark.parametrize("settings", [
     "disk_radius=nan", "disk_radius=inf", "disk_center=nan,0.5", "eps_inside=inf",
     "pml.sigma_max=nan", "pml.sigma_max=inf", "pml.exponent=nan", "pml.exponent=-1",

@@ -163,6 +163,25 @@ def test_monitor_catches_nan_in_any_field(nan_field):
     assert e.value.step == 5
 
 
+@pytest.mark.parametrize("values, sup", [((-7.5, 2.0), 7.5), ((3.0, -1.0), 3.0),
+                                         ((-np.inf, 1.0), np.inf), ((np.inf, -np.inf), np.inf)])
+def test_the_monitor_reports_the_sup_of_the_component(values, sup):
+    """The monitor's sup is max |f| of the blown-up component, taken from
+    its max and min, whichever sign the extreme has; a value at the
+    threshold passes."""
+    from bfecc_maxwell.harness import _monitor
+    from bfecc_maxwell.schemes import FieldState1
+
+    E = np.zeros(8)
+    E[2:4] = values
+    state = FieldState1(E, np.ones(8))
+    with pytest.raises(InstabilityError) as e:
+        _monitor(ExperimentConfig(blowup_threshold=0.5 * min(sup, 1e300)), state, 5, 0.5)
+    assert e.value.sup == sup
+    if np.isfinite(sup):
+        _monitor(ExperimentConfig(blowup_threshold=sup), state, 5, 0.5)
+
+
 @pytest.mark.parametrize("experiment, scheme, amplitude, scale", [
     ("periodic1d", "cd", 1.0, 1.0), ("periodic2d", "cd", 1.0, 1.0),
     ("scatter_cylinder", "ls_theta", 1.0, 1.0), ("scatter_cylinder", "ls_cd", -3.0, 3.0)])

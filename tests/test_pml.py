@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from bfecc_maxwell import pml as pml_module
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_program, bfecc_step
 from bfecc_maxwell.grid import build_uniform
-from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid
+from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, run_experiment
 from bfecc_maxwell.pml import (
     PmlRunner,
     TfsfInjector,
@@ -533,3 +534,118 @@ def test_runner_steps_equal_the_whole_plane_collar(kind, thickness, sigma_max):
             assert np.array_equal(getattr(pml, name), getattr(ref_pml, name))
     if thickness > 0 and sigma_max != 0.0:
         assert np.abs(pml.psi_ezx).max() > 0.0
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.3, 1.7])
+def test_kept_contractions_and_factors_equal_a_fresh_injector(t):
+    """The injector keeps the last time's contractions and each sign's
+    last factors; whatever came before, every call gives the bits of a
+    fresh injector's first call, the sign of zero included (t = -0.0
+    after t = 0.0 is another time)."""
+    g, eps, mu, src, dt = scatter_setup()
+    geom = StencilGeometry(g)
+    inj = TfsfInjector(src, geom, "ls_theta", eps, mu)
+    calls = [(t, dt), (t + dt, -dt), (t + dt, dt), (t, -dt), (t, -0.5 * dt), (t, 0.5 * dt),
+             (t, -0.5 * dt), (-t, dt), (t, dt), (t, -0.0), (t, 0.0)]
+    for at, sdt in calls:
+        got = inj.corrections(at, sdt).copy()
+        fresh = TfsfInjector(src, geom, "ls_theta", eps, mu).corrections(at, sdt)
+        assert got.tobytes() == fresh.tobytes()
+
+
+def test_the_incident_wave_is_evaluated_once_per_time_level(monkeypatch):
+    """A 6-step scatter run with dyadic dt asks for the edge corrections
+    twice per step, at (t, dt) and (t + dt, -dt), but evaluates the
+    incident wave once per time level, 7 times: the backward substep of
+    step k and the forward ones of step k + 1 act at one time."""
+    calls = {"wave": 0, "corrections": 0}
+    wave, corrections = TfsfSource._ez_at, TfsfInjector.corrections
+
+    def counted_wave(self, *args):
+        calls["wave"] += 1
+        return wave(self, *args)
+
+    def counted_corrections(self, *args):
+        calls["corrections"] += 1
+        return corrections(self, *args)
+
+    monkeypatch.setattr(TfsfSource, "_ez_at", counted_wave)
+    monkeypatch.setattr(TfsfInjector, "corrections", counted_corrections)
+    res = run_experiment(ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta",
+                                          n=16, dt_ratio=1.0, t_final=6 / 16))
+    assert res["steps"] == 6
+    assert calls == {"wave": 7, "corrections": 12}
+
+
+@pytest.mark.parametrize("kind", ["ls_cd", "ls_theta"])
+def test_times_that_do_not_meet_step_like_the_direct_formula(kind):
+    """At dt = 0.7 h the backward substep's time (k - 1) dt + dt differs
+    from the next step's k dt at k = 6, so that step evaluates the wave
+    anew; seven steps stepped as the harness times them equal the
+    whole-plane definition with the direct corrections, bit for bit (up to
+    the sign of zero)."""
+    g, eps, mu, src, _ = scatter_setup()
+    dt = 0.7 / 16
+    assert [k for k in range(1, 8) if (k - 1) * dt + dt != k * dt] == [6]
+    spec = SchemeSpec(kind, dt)
+    pml, ref_pml = build_pml(g, dt), build_pml(g, dt)
+    r = PmlRunner(g, spec, pml, source=src)
+    st = FieldState2(*np.random.default_rng(13).standard_normal((3, g.nx, g.ny)),
+                     eps=eps, mu=mu)
+    for k, want in enumerate(reference_steps(g, spec, ref_pml, src, st, 0.0, 7), start=1):
+        st = r.step(st, (k - 1) * dt, out=st.u if k > 1 else None)
+        assert np.array_equal(st.u, want)
+    for name in ("psi_hxy", "psi_hyx", "psi_ezx", "psi_ezy"):
+        assert np.array_equal(getattr(pml, name), getattr(ref_pml, name))
+
+
+# the held outer ring of a bounded (nx, ny) plane
+HELD = (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1])
+
+
+@pytest.mark.parametrize("kind", ["ls_cd", "ls_theta"])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_bounded_steps_do_not_read_what_out_held(kind, with_source):
+    """On a bounded grid the kernel leaves out the periodic wrap entries,
+    which wrote the held ring of its planes.  Three steps of a collar run
+    and of bfecc_step, each into an `out` filled with NaN or with inf,
+    equal the steps into zeros bit for bit, raise no warning, and leave
+    the collar memory exactly zero on the held ring."""
+    g, eps, mu, src, dt = scatter_setup()
+    u0 = np.random.default_rng(7).standard_normal((3, g.nx, g.ny))
+    spec = SchemeSpec(kind, dt)
+    results = {}
+    for fill in (0.0, np.nan, np.inf):
+        pml = build_pml(g, dt)
+        runner = PmlRunner(g, spec, pml, src if with_source else None)
+        stepper = BfeccStep(spec)
+        st = FieldState2(*u0, eps=eps, mu=mu)
+        plain = FieldState2(*u0, eps=eps, mu=mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(3):
+                st = runner.step(st, 0.3 + k * dt, out=np.full(u0.shape, fill))
+                plain = bfecc_step(stepper, plain, g, geometry=runner.geom,
+                                   out=np.full(u0.shape, fill))
+        psi = [getattr(pml, name) for name in ("psi_hxy", "psi_hyx", "psi_ezx", "psi_ezy")]
+        for plane in psi:
+            assert all((plane[held] == 0.0).all() for held in HELD)
+        results[fill] = [a.tobytes() for a in (st.u, plain.u, *psi)]
+    assert results[np.nan] == results[0.0]
+    assert results[np.inf] == results[0.0]
+
+
+@pytest.mark.parametrize("kind, with_source, entries", [
+    ("ls_cd", False, 174), ("ls_cd", True, 177), ("ls_theta", False, 192),
+    ("ls_theta", True, 195)])
+def test_a_bounded_step_program_has_no_wrap_entries(kind, with_source, entries):
+    """The program of a collar step on the 37^2 scatter grid: with the
+    periodic wrap it held 195, 198, 234 and 237 entries.  A bounded
+    substep leaves out 14 wrap entries (the differences' 8 and the
+    blend's 6), 8 for ls_cd, which has no blend and instead fills the two
+    ring rows of its output from the input first, one entry."""
+    g, eps, mu, src, dt = scatter_setup()
+    runner = PmlRunner(g, SchemeSpec(kind, dt), build_pml(g, dt), src if with_source else None)
+    st = FieldState2(*np.zeros((3, g.nx, g.ny)), eps=eps, mu=mu)
+    runner.step(st, 0.0, out=st.u)
+    assert len(runner._kept[3]) == entries

@@ -14,7 +14,13 @@ fixed order):
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
   PmlRunner.step     one BFECC step of the collar runner on the scatter
                      grid: three substeps, collar and TF/SF included,
-                     stepped in place
+                     stepped in place, t advancing by dt per call through
+                     32 time levels from 1.0, as in a run
+  tfsf.corrections.ramp  a step's two TF/SF edge-correction calls on the
+                     scatter grid, (t, dt) and (t + dt, -dt), t advancing
+                     the same way from 0.2, while the incident wave is
+                     ramping up
+  tfsf.corrections.past  the same from t = 2.0, past the ramp
   step.periodic1d    one bfecc_step of periodic1d's stepper, cd, n = 256,
                      dt_ratio 1.7, in place
   run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
@@ -55,12 +61,14 @@ ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
 LAYERS = ("op.1d.cd",) + tuple(f"op.{k}" for k in KINDS) + (
-    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step", "step.periodic1d",
+    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step", "tfsf.corrections.ramp",
+    "tfsf.corrections.past", "step.periodic1d",
     "run.periodic1d") + tuple(f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
 
 def build_layers():
     """name -> zero-argument callable doing one call of the layer."""
+    import itertools
     from functools import partial
 
     import numpy as np
@@ -69,7 +77,7 @@ def build_layers():
     from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
     from bfecc_maxwell.grid import build_uniform
     from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
-    from bfecc_maxwell.pml import PmlRunner, TfsfSource, build_pml
+    from bfecc_maxwell.pml import PmlRunner, TfsfInjector, TfsfSource, build_pml
 
     rng = np.random.default_rng(16)
     calls = {}
@@ -107,11 +115,34 @@ def build_layers():
                        TfsfSource(tuple(cfg.tfsf_rect)))
     state = [schemes.FieldState2(*(0.1 * rng.standard_normal((3, grid.nx, grid.ny))), eps=eps)]
 
+    def levels(t0):
+        """Start times t0 + k dt, k = 0-31 over and over, so that a step's
+        t + dt is the next call's t, as in a run."""
+        return itertools.cycle([t0 + k * dt for k in range(32)])
+
+    pml_level = levels(1.0)
+
     def pml_step():
         st = state[0]
-        state[0] = runner.step(st, 1.0, out=st.u)
+        state[0] = runner.step(st, next(pml_level), out=st.u)
 
     calls["PmlRunner.step"] = pml_step
+
+    def corrections(t0):
+        """A step's two edge-correction calls, as PmlRunner.step makes them,
+        on an injector of its own."""
+        injector = TfsfInjector(runner.source, runner.geom, "ls_theta", eps, None)
+        edge = np.empty(injector.index.shape)
+        level = levels(t0)
+
+        def call():
+            t = next(level)
+            injector.corrections(t, dt, edge)
+            injector.corrections(t + dt, -dt, edge)
+        return call
+
+    calls["tfsf.corrections.ramp"] = corrections(0.2)
+    calls["tfsf.corrections.past"] = corrections(2.0)
     calls["step.periodic1d"] = step_1d
 
     def run(**settings):
