@@ -172,13 +172,8 @@ class TfsfSource:
             raise ValueError("omega and ramp_time must be positive")
 
     def ez_inc(self, x, y, t):
-        return self._ez_at(t - (np.asarray(x, dtype=float) - self.rect[0]))
-
-    def _ez_at(self, u, ramped=True):
-        """Ez at the phases u; past the ramp, where it is 1.0, `ramped` may
-        be False, which leaves out the factor and keeps the bits."""
-        wave = self.amplitude * np.sin(self.omega * u)
-        return wave * _ramp(u, self.ramp_time) if ramped else wave
+        u = t - (np.asarray(x, dtype=float) - self.rect[0])
+        return self.amplitude * np.sin(self.omega * u) * _ramp(u, self.ramp_time)
 
     def chi(self, x, y):
         """Total-field indicator, counting the rectangle edge as inside.
@@ -193,12 +188,6 @@ class TfsfSource:
         inside = ((np.asarray(x) >= x0 - tol) & (np.asarray(x) <= x1 + tol)
                   & (np.asarray(y) >= y0 - tol) & (np.asarray(y) <= y1 + tol))
         return inside.astype(float)
-
-
-def _same_bits(a, b):
-    """Whether the floats a and b have one value and one sign, so the same
-    bits (NaN is never the same)."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 class TfsfInjector:
@@ -236,8 +225,6 @@ class TfsfInjector:
         # laid out (5, rows), so that the contraction runs along the rows, at
         # a fraction of the cost along the 5 points, in the same order
         self.x_index = np.ascontiguousarray(inverse.reshape(d.shape).T)
-        self._phase = self.x - source.rect[0]
-        self._last = self._phase.max(initial=-math.inf)
         # the chi differences times the d/dy, d/dx and center weight rows, the
         # center only for a kind whose base blends in the neighbors (a
         # point's own value has chi difference zero)
@@ -249,7 +236,6 @@ class TfsfInjector:
         # and the Hy contraction of Hy_inc = -Ez_inc negated exactly
         self._signed = np.stack([np.broadcast_to(f, len(rows))
                                  for f in (-inv_mu, inv_mu, -inv_eps)])
-        self._factors = [(math.nan, None)] * 2
         self._ez = np.empty(self.x_index.shape)
         self._sums = np.empty((len(self._dw), len(rows)))
         self._t = math.nan
@@ -259,24 +245,18 @@ class TfsfInjector:
         update assembled at time t with signed step sdt, written into
         `out` (a fresh array when None).  The contractions, in the
         injector's own scratch arrays, are formed again only for another
-        time than the last call's, the factors fl(sdt inv) only for
-        another sdt than the last of its sign."""
-        if not _same_bits(t, self._t):
+        time than the last call's."""
+        if t != self._t:
             self._t = t
-            source = self.source
-            phase = t - self._phase
-            wave = source._ez_at(phase, not t - self._last >= source.ramp_time)
+            wave = self.source.ez_inc(self.x, None, t)
             ez = np.take(wave, self.x_index, out=self._ez, mode="clip")
             np.einsum("ksa,sa->ka", self._dw, ez, out=self._sums)
-        backward = math.copysign(1.0, sdt) < 0.0
-        kept, factors = self._factors[backward]
-        if not _same_bits(sdt, kept):
-            factors = np.multiply(self._signed, sdt)
-            self._factors[backward] = sdt, factors
         d = np.empty(self._signed.shape) if out is None else out
+        # each signed material factor times sdt, then the contractions
+        np.multiply(self._signed, sdt, out=d)
         sy, sx = self._sums[:2]
-        np.multiply(factors[0], sy, out=d[0])
-        np.multiply(factors[1:], sx, out=d[1:])
+        d[0] *= sy
+        d[1:] *= sx
         if len(self._sums) == 3:
             s0 = self._sums[2]
             d[1] -= s0

@@ -536,17 +536,15 @@ def test_runner_steps_equal_the_whole_plane_collar(kind, thickness, sigma_max):
         assert np.abs(pml.psi_ezx).max() > 0.0
 
 
-@pytest.mark.parametrize("t", [0.0, -0.0, 0.3, 1.7])
-def test_kept_contractions_and_factors_equal_a_fresh_injector(t):
-    """The injector keeps the last time's contractions and each sign's
-    last factors; whatever came before, every call gives the bits of a
-    fresh injector's first call, the sign of zero included (t = -0.0
-    after t = 0.0 is another time)."""
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
+def test_kept_contractions_equal_a_fresh_injector(t):
+    """The injector keeps the last time's contractions; whatever came
+    before, every call gives the bits of a fresh injector's first call."""
     g, eps, mu, src, dt = scatter_setup()
     geom = StencilGeometry(g)
     inj = TfsfInjector(src, geom, "ls_theta", eps, mu)
     calls = [(t, dt), (t + dt, -dt), (t + dt, dt), (t, -dt), (t, -0.5 * dt), (t, 0.5 * dt),
-             (t, -0.5 * dt), (-t, dt), (t, dt), (t, -0.0), (t, 0.0)]
+             (t - 2 * dt, dt), (t, dt)]
     for at, sdt in calls:
         got = inj.corrections(at, sdt).copy()
         fresh = TfsfInjector(src, geom, "ls_theta", eps, mu).corrections(at, sdt)
@@ -559,7 +557,7 @@ def test_the_incident_wave_is_evaluated_once_per_time_level(monkeypatch):
     incident wave once per time level, 7 times: the backward substep of
     step k and the forward ones of step k + 1 act at one time."""
     calls = {"wave": 0, "corrections": 0}
-    wave, corrections = TfsfSource._ez_at, TfsfInjector.corrections
+    wave, corrections = TfsfSource.ez_inc, TfsfInjector.corrections
 
     def counted_wave(self, *args):
         calls["wave"] += 1
@@ -569,7 +567,7 @@ def test_the_incident_wave_is_evaluated_once_per_time_level(monkeypatch):
         calls["corrections"] += 1
         return corrections(self, *args)
 
-    monkeypatch.setattr(TfsfSource, "_ez_at", counted_wave)
+    monkeypatch.setattr(TfsfSource, "ez_inc", counted_wave)
     monkeypatch.setattr(TfsfInjector, "corrections", counted_corrections)
     res = run_experiment(ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta",
                                           n=16, dt_ratio=1.0, t_final=6 / 16))
