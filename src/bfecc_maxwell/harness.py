@@ -25,6 +25,7 @@ stepper's `with_dt`, so runs land exactly on t_final.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_type_hints
@@ -44,6 +45,9 @@ GRID_VARIANTS = ("a", "b", "c", "d")
 # the most steps a run may take: a larger t_final / dt would run for hours
 # (1e7 1D steps at n = 256 take about three minutes), so it is a bad setting
 MAX_STEPS = 10 ** 7
+# the most point-steps a refinement sweep may take over all its runs: the
+# work MAX_STEPS allows one 1D run on 256 points
+MAX_SWEEP_WORK = 256 * MAX_STEPS
 
 
 class InstabilityError(RuntimeError):
@@ -438,6 +442,29 @@ def _physical_fields(run, n_own, ratio):
                          for f in (st.Hx, st.Hy, st.Ez)))
 
 
+def _check_sweep(cfg, ref_n):
+    """A one-line ValueError, naming `levels`, unless every run of the
+    sweep, its levels and the scatter reference at ref_n (None for none),
+    takes at most MAX_STEPS steps and all of them together at most
+    MAX_SWEEP_WORK point-steps, a run that takes no step counting its
+    points once.  It reads the configuration alone, level by level, so a
+    huge `levels` fails at once, before anything is allocated."""
+    dims = 1 if cfg.experiment == "periodic1d" else 2
+    ring = 0 if cfg.experiment.startswith("periodic") else 2 * cfg.pml_cells + 1
+    levels = (cfg.n * 2 ** k for k in range(cfg.levels))
+    work = 0.0
+    for m in itertools.chain(levels, () if ref_n is None else (ref_n,)):
+        steps = cfg.t_final / (cfg.dt_ratio * (1.0 / m))
+        work += float(m + ring) ** dims * max(steps, 1.0)
+        if not steps <= MAX_STEPS:
+            raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for {steps:.3g} "
+                             f"steps at n = {m}, more than {MAX_STEPS:.0e}")
+        if not work <= MAX_SWEEP_WORK:
+            raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for more than "
+                             f"{MAX_SWEEP_WORK:.3g} point-steps, the work of {MAX_STEPS:.0e} "
+                             f"steps on 256 points")
+
+
 def refine_experiment(cfg: ExperimentConfig) -> dict:
     """Dyadic refinement sweep n, 2n, 4n, ...
 
@@ -445,14 +472,18 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
     Scattering has no closed form; each run is compared with a fine
     reference (reference_n, default 8n) restricted to the run's physical
     nodes, index pad + (reference_n / n) * k against coarse index pad + k.
+    A sweep too large to finish (`_check_sweep`) fails before its first
+    run.
     """
     validate_config(cfg)
+    periodic = cfg.experiment in ("periodic1d", "periodic2d")
+    ref_n = None if periodic else cfg.reference_n if cfg.reference_n else 8 * cfg.n
+    _check_sweep(cfg, ref_n)
     ns = [cfg.n * 2 ** k for k in range(cfg.levels)]
     label = cfg.grid_variant if cfg.experiment == "periodic2d" else cfg.experiment
-    if cfg.experiment in ("periodic1d", "periodic2d"):
+    if periodic:
         runs = [run_experiment(replace(cfg, n=m)) for m in ns]
     else:
-        ref_n = cfg.reference_n if cfg.reference_n else 8 * cfg.n
         for m in ns:
             if ref_n % m != 0 or ref_n <= m:
                 raise ValueError(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bfecc_maxwell import schemes
+from bfecc_maxwell import bfecc, schemes
 from bfecc_maxwell.analysis import cfl_bound
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_program, bfecc_step
 from bfecc_maxwell.grid import Grid2, build_uniform
@@ -532,3 +532,110 @@ def test_a_bad_out_fails_at_the_call_with_one_line(case):
             step(make(), st, 0.0, out)
         assert "\n" not in str(exc.value)
         assert not wide.any() and np.array_equal(st.u, before)
+
+
+def kept_program(make, run):
+    """(stepper, its kept program, that program's compensation entries):
+    make() builds the stepper, run(s) steps it in place once; the entries
+    between the second and third substeps' programs are the
+    compensation's."""
+    step = make()
+    lengths = []
+    substep = step._substep
+
+    def counted(bound, k, v, out):
+        program = substep(bound, k, v, out)
+        lengths.append(len(program))
+        return program
+
+    step._substep = counted
+    run(step)
+    program = step._kept[3]
+    return step, program, program[lengths[0] + lengths[1]:len(program) - lengths[2]]
+
+
+def cd_256():
+    """(make, run, state) of periodic2d_cd's stepper at 256^2."""
+    g = build_uniform(256, 256)
+    st = FieldState2(*np.random.default_rng(8).standard_normal((3, 256, 256)))
+    return (lambda: BfeccStep(SchemeSpec("cd", g.dx)),
+            lambda s, st, out: bfecc_step(s, st, g, out=out), st)
+
+
+def grid_d_80():
+    """(make, run, state) of an ls_theta stepper on grid d at 80^2."""
+    g = build_variant_grid("d", 80)
+    st = FieldState2(*np.random.default_rng(10).standard_normal((3, 80, 80)))
+    return (lambda: BfeccStep(SchemeSpec("ls_theta", 0.25 * g.dx)),
+            lambda s, st, out: bfecc_step(s, st, g, out=out), st)
+
+
+def scatter_runner(n):
+    """(make, run, state) of scatter_cylinder's runner at resolution n, on
+    its (n + 21)^2 grid, with a random state."""
+    cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta", n=n)
+    g, eps = build_scatter_grid(cfg, n)
+    dt = 1.0 / n
+    st = FieldState2(*0.1 * np.random.default_rng(9).standard_normal((3, g.nx, g.ny)), eps=eps)
+    return (lambda: PmlRunner(g, SchemeSpec("ls_theta", dt), build_pml(g, dt, cfg.pml_cells),
+                              TfsfSource(tuple(cfg.tfsf_rect))),
+            lambda r, st, out: r.step(st, 1.0, out=out), st)
+
+
+@pytest.mark.parametrize("case", ["cd_256", "scatter_162"])
+def test_the_plane_wise_compensation_gives_the_stack_wide_bits(case, monkeypatch):
+    """With the plane-size threshold just above a plane (stack-wide) and at
+    it (plane by plane), two steps in place and two into fresh arrays give
+    one state, and, on the 183^2 scatter grid, one collar memory."""
+    make, run, st = cd_256() if case == "cd_256" else scatter_runner(162)
+    plane = st.u[0].nbytes
+    assert plane >= bfecc._PLANE_BYTES
+    results = []
+    for threshold in (plane + 1, plane):
+        monkeypatch.setattr(bfecc, "_PLANE_BYTES", threshold)
+        for in_place in (True, False):
+            s, cur = make(), FieldState2._of(st.u.copy(), st.eps, st.mu)
+            for _ in range(2):
+                cur = run(s, cur, cur.u if in_place else None)
+            memory = [getattr(s.pml, name).tobytes() for name in
+                      ("psi_hxy", "psi_hyx", "psi_ezx", "psi_ezy")] if hasattr(s, "pml") else []
+            results.append([cur.u.tobytes()] + memory)
+    assert not np.array_equal(cur.u, st.u)
+    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("case, entries", [("scatter_128", 189), ("grid_d_80", 117)])
+def test_below_a_quarter_mb_plane_the_compensation_stays_stack_wide(case, entries):
+    """The 149^2 scatter runner and an 80^2 grid-d ls_theta stepper keep
+    the three whole-stack entries x = 1.5 u, y *= -0.5, y += x."""
+    make, run, st = scatter_runner(128) if case == "scatter_128" else grid_d_80()
+    step, program, comp = kept_program(make, lambda s: run(s, st, st.u))
+    assert len(program) == entries
+    x, y = step.work("X", st.u.shape), step.work("bfecc", st.u.shape)
+    assert [f for f, _ in comp] == [np.multiply, np.multiply, np.add]
+    (_, (u1, a, x1)), (_, (y1, b, y2)), (_, (y3, x2, y4)) = comp
+    assert u1 is st.u and all(v is x for v in (x1, x2)) and all(v is y for v in (y1, y2, y3, y4))
+    assert (float(a), float(b)) == (1.5, -0.5)
+
+
+def test_at_256_the_compensation_runs_plane_by_plane_in_x1():
+    """At 256^2 the compensation is nine entries, y[c] *= -0.5, x[1] =
+    1.5 u[c], y[c] += x[1] for the planes Hy, Hx, Ez, whose only scratch
+    is the X plane x[1]; the stepper's Workspace holds X and Y alone."""
+    make, run, st = cd_256()
+    step, program, comp = kept_program(make, lambda s: run(s, st, st.u))
+    x, y = step.work("X", st.u.shape), step.work("bfecc", st.u.shape)
+    assert sorted(step.work._arrays) == ["X", "bfecc"]
+    assert len(comp) == 9
+
+    def plane(a, stack):
+        """The index c of the plane stack[c] that `a` is, else None."""
+        return next((c for c in range(3) if a.base is stack and a.ctypes.data
+                     == stack[c].ctypes.data and a.shape == stack[c].shape), None)
+
+    for c, entries in zip((1, 0, 2), (comp[:3], comp[3:6], comp[6:])):
+        (f, (y1, a, y2)), (g, (u1, b, x1)), (h, (y3, x2, y4)) = entries
+        assert (f, g, h) == (np.multiply, np.multiply, np.add)
+        assert (float(a), float(b)) == (-0.5, 1.5)
+        assert all(plane(v, y) == c for v in (y1, y2, y3, y4))
+        assert plane(u1, st.u) == c and plane(x1, x) == 1 and plane(x2, x) == 1

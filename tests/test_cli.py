@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -167,6 +168,32 @@ def test_refine_prints_orders_and_writes_table(tmp_path, capsys):
     rows = table.read_text().strip().splitlines()
     assert rows[0] == "grid,n,h,dt,l2_error,order"
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("settings, levels, reason", [
+    # the finest 1D level would be n = 8 * 2^63; the point-steps run out first
+    (("experiment=periodic1d", "n=8"), "64", "point-steps, the work of 1e+07 steps"),
+    # 2.2e9 point-steps in all, but the n = 128 level takes 1.28e7 steps
+    (("experiment=periodic1d", "n=8", "t_final=0.1", "dt_ratio=1e-6"), "5",
+     "1.28e+07 steps at n = 128, more than 1e+07"),
+    # no step at all, but a 2D grid per level
+    (("experiment=periodic2d", "n=8", "t_final=0"), "40", "point-steps"),
+])
+def test_a_sweep_too_large_to_finish_exits_2_at_once(settings, levels, reason, capsys):
+    """A sweep past the step or work ceiling fails before its first level
+    runs, with one line naming `levels`."""
+    args = ["refine", "--levels", levels]
+    for setting in settings:
+        args += ["-p", setting]
+    start = time.perf_counter()
+    rc = main(args)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith(f"error: levels = {levels} from n = 8 asks for ")
+    assert reason in err[0]
 
 
 def test_analyze_radius_matches_closed_form(capsys):

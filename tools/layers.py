@@ -9,6 +9,7 @@ fixed order):
   op.1d.cd           the bound 1D cd operator (one substep) on 256 points
   op.<kind>          the bound 2D operator (one substep) of each of the
                      five scheme kinds on a uniform periodic 149^2 grid
+  op.cd.256          the cd operator on periodic2d_cd's uniform 256^2 grid
   op.ls_theta.scatter  the ls_theta operator on the 149^2 scatter_cylinder
                      grid (n = 128, 10-cell collar, cylinder eps)
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
@@ -23,6 +24,8 @@ fixed order):
   tfsf.corrections.past  the same from t = 2.0, past the ramp
   step.periodic1d    one bfecc_step of periodic1d's stepper, cd, n = 256,
                      dt_ratio 1.7, in place
+  step.periodic2d_cd one bfecc_step of periodic2d_cd's stepper, cd,
+                     n = 256, dt_ratio 1, in place
   run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
                      dt_ratio 1.7, 200 steps
   run.grid_d.<n>     harness.run_experiment of periodic2d on grid d,
@@ -61,8 +64,8 @@ ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
 LAYERS = ("op.1d.cd",) + tuple(f"op.{k}" for k in KINDS) + (
-    "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step", "tfsf.corrections.ramp",
-    "tfsf.corrections.past", "step.periodic1d",
+    "op.cd.256", "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step",
+    "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d", "step.periodic2d_cd",
     "run.periodic1d") + tuple(f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
 
@@ -101,6 +104,14 @@ def build_layers():
     def step_1d():
         st = state1[0]
         state1[0] = bfecc_step(stepper, st, dx, out=st.u)
+
+    grid_256 = build_uniform(256, 256)
+    calls["op.cd.256"] = operator("cd", grid_256)
+    state2 = schemes.FieldState2(*rng.standard_normal((3, 256, 256)))
+    stepper2 = BfeccStep(schemes.SchemeSpec("cd", grid_256.dx))
+
+    def step_2d():
+        bfecc_step(stepper2, state2, grid_256, out=state2.u)
 
     uniform = build_uniform(149, 149, ((0.0, 1.0), (0.0, 1.0)), "periodic")
     for kind in KINDS:
@@ -144,6 +155,7 @@ def build_layers():
     calls["tfsf.corrections.ramp"] = corrections(0.2)
     calls["tfsf.corrections.past"] = corrections(2.0)
     calls["step.periodic1d"] = step_1d
+    calls["step.periodic2d_cd"] = step_2d
 
     def run(**settings):
         return lambda: harness.run_experiment(ExperimentConfig(**settings))
