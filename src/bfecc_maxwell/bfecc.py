@@ -17,22 +17,22 @@ the substeps they belong to, both run through them.
 It composes the programs of the three substeps (schemes.run_program:
 a tuple of (function, args) entries, outputs passed positionally) and the
 combination between them into the program of one step of a stacked state
-into an `out` stack, which may be the input itself: a run keeps one state
-stack and steps it in place, with two work stacks X and Y (X is `out`
-itself when that is not the input) and the kernels' scratch, all
-allocated at its first step.  Without `out` a step returns a fresh array
-and leaves its input as it was.  The combination between the substeps
-runs plane by plane once three stacks outgrow L2 (`_compensation`).
+u, always u -> X -> Y -> out, with the work stacks X and Y and the
+kernels' scratch from the stepper's Workspace, allocated at its first
+step.  `out` is state.u itself, for a run that keeps one state stack and
+steps it in place, or None, for a fresh array that leaves the input as it
+was.  The combination between the substeps runs plane by plane once
+three stacks outgrow L2 (`_compensation`).
 
 A stepper binds in two layers.  What is fixed for a run's materials is
 bound once, by one rule (`_bound`): a `BfeccStep` binds the underlying
 operator (schemes._operator), and pml.PmlRunner, a `BfeccStep` too, the
-same operator and its edge corrections.  The step's program is then
-bound to the stacks it reads and writes (`_program`), every view made
-once and kept while the same stacks come back, so a run stepping in place
-builds it once and every later step replays it: only its numpy calls
-run.  The signed step enters only where a substep is bound, so a
-`with_dt` copy shares the first layer and builds its own program.
+same operator and its edge corrections.  An in-place step's program is
+then bound to the state's stack (`BfeccStep._run`), every view made once
+and kept while the same binding and stack come back, so a run builds it
+once and every later step replays it: only its numpy calls run.  The
+signed step enters only where a substep is bound, so a `with_dt` copy
+shares the first layer and builds its own program.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ class BfeccStep:
     sharing the buffers and the materials' binding, which builds its own
     program for the new step.  A binding keeps 1/eps and 1/mu, so
     material arrays must not be changed in place between steps.  The
-    stepper holds the one program it replays; nothing refers back to it,
-    so a run's work stacks go with the stepper.
+    stepper holds the one program it replays and the work stacks of all
+    its steps, fresh ones too; nothing refers back to it, so a run's work
+    stacks go with the stepper.
     """
 
     def __init__(self, spec: SchemeSpec):
@@ -108,55 +109,33 @@ class BfeccStep:
         return bound(-self.spec.dt if k == 1 else self.spec.dt, v, out)
 
     def _run(self, bound, state, out):
-        """Run the step of `state` into `out` with the binding `bound`;
-        in place the state itself is returned."""
-        out, program = self._program(bound, state.u, out)
-        run_program(program)
-        return state if out is state.u else type(state)._of(out, state.eps, state.mu)
-
-    def _program(self, bound, u, out):
-        """(out, program) of a step of the stack u into `out` (a fresh array
-        when None).  For a given `out` the program is built once and kept
-        while `bound`, u and out are the same objects, so a run stepping in
-        place builds it at its first step and replays it after; a fresh
-        step builds one for its fresh array as it runs."""
-        kept = self._kept
-        if kept is not None and kept[0] is bound and kept[1] is u and kept[2] is out:
-            return out, kept[3]
-        if out is None:
-            out = np.empty(u.shape)
-            return out, bfecc_program(partial(self._substep, bound), u, out, self.work)
-        _check_out(out, u)
-        self._kept = (bound, u, out, tuple(bfecc_program(partial(self._substep, bound), u, out,
-                                                         self.work)))
-        return out, self._kept[3]
+        """Run the step of `state` with the binding `bound`, what _bound
+        gave, into a fresh array when `out` is None, or in place when it is
+        state.u, which returns the state itself; any other `out` is a
+        one-line ValueError.  In place the program is built once and kept
+        while `bound` and state.u are the same objects, so a run builds it
+        at its first step and replays it after; a fresh step builds one
+        for its fresh array as it runs."""
+        u = state.u
+        if out is u:
+            kept = self._kept
+            if kept is None or kept[0] is not bound or kept[1] is not u:
+                kept = self._kept = (bound, u, tuple(bfecc_program(
+                    partial(self._substep, bound), u, u, self.work)))
+            run_program(kept[2])
+            return state
+        if out is not None:
+            got = "another array" if isinstance(out, np.ndarray) else type(out).__name__
+            raise ValueError(f"out must be None or the state's own stack state.u, got {got}")
+        out = np.empty(u.shape)
+        run_program(bfecc_program(partial(self._substep, bound), u, out, self.work))
+        return type(state)._of(out, state.eps, state.mu)
 
 
 def _same(a, b):
     """Whether a binding for b serves a: the same object, or numbers of
     one value."""
     return a is b or (isinstance(a, Real) and isinstance(b, Real) and a == b)
-
-
-def _check_out(out, u):
-    """One line of ValueError unless `out` is a contiguous array of u's
-    shape and dtype."""
-    if not isinstance(out, np.ndarray):
-        got = type(out).__name__
-    elif (out.shape, out.dtype) != (u.shape, u.dtype):
-        got = f"{out.dtype} {out.shape}"
-    elif not out.flags.c_contiguous:
-        got = "a non-contiguous array"
-    else:
-        return
-    raise ValueError(f"out must be a C-contiguous {u.dtype} array of shape {u.shape}, got {got}")
-
-
-def _stacks(u, out, work):
-    """The work stacks (X, Y) of a step of u into `out` (None for a fresh
-    array): X is `out`, or a Workspace stack when `out` is u itself, and Y
-    the "bfecc" stack."""
-    return (work("X", u.shape) if out is u else out), work("bfecc", u.shape)
 
 
 # the plane size from which the compensation runs plane by plane
@@ -187,20 +166,21 @@ def _compensation(u, x, y):
 
 def bfecc_program(substep, u, out, work):
     """The program of the three-substep composition on the stacked state u,
-    written into `out`, which may be u itself, as an iterator of its
-    entries: a substep's program is built when the iteration reaches it,
-    so a fresh step, run straight from the iterator, holds the views of
-    one substep at a time, and a kept program is its tuple.
+    written into `out` (any stack but X and Y, u itself included), as an
+    iterator of its entries: a substep's program is built when the
+    iteration reaches it, so a fresh step, run straight from the
+    iterator, holds the views of one substep at a time, and a kept
+    program is its tuple.
 
     substep(k, v, o) gives the program of substep k = 0, 1, 2 (L, L*, L)
-    from the stack v into o.  With the stacks X and Y of `_stacks` (from
-    the Workspace `work`) the substeps run u -> X, X -> Y and then
-    Y -> out, where X takes 1.5 u once the second substep has read it and
-    Y becomes the compensated state 1.5 u - 0.5 L* L u in place, rounded
-    as fl(1.5 u) + fl(-0.5 L* L u): stack-wide, or from a quarter-MB plane
+    from the stack v into o.  With the stacks X and Y from the Workspace
+    `work` the substeps run u -> X, X -> Y and then Y -> out, where X
+    takes 1.5 u once the second substep has read it and Y becomes the
+    compensated state 1.5 u - 0.5 L* L u in place, rounded as
+    fl(1.5 u) + fl(-0.5 L* L u): stack-wide, or from a quarter-MB plane
     on plane by plane, in L2 (`_compensation`).
     """
-    x, y = _stacks(u, out, work)
+    x, y = work("X", u.shape), work("bfecc", u.shape)
     yield from substep(0, u, x)
     yield from substep(1, x, y)
     yield from _compensation(u, x, y)
@@ -210,9 +190,9 @@ def bfecc_program(substep, u, out, work):
 def bfecc_step(step: BfeccStep, state: State, where,
                geometry: Optional[StencilGeometry] = None,
                weights=None, out=None) -> State:
-    """One BFECC step of the wrapped scheme, written into `out` (a fresh
-    array when None), which may be state.u itself: a run that passes
-    out=state.u steps its one state stack in place.
+    """One BFECC step of the wrapped scheme, into a fresh array when `out`
+    is None, or in place when it is state.u itself: a run that passes
+    out=state.u steps its one state stack and gets the state back.
 
     `where` is the grid spacing dx for 1D states or the Grid2 for 2D
     states.  For least-squares kinds, `geometry`/`weights` reuse stencil
@@ -222,8 +202,6 @@ def bfecc_step(step: BfeccStep, state: State, where,
     `weights` and the state's materials are the same objects, so pass the
     same ones every step.  It keeps 1/eps and 1/mu: do not change a
     material array in place after the first step; give the state new
-    arrays instead.  An `out` of another shape or dtype than state.u, or
-    not contiguous, is a ValueError.  In place the state itself is
-    returned.
+    arrays instead.  Any other `out` is a one-line ValueError.
     """
     return step._run(step._bound(state, where, geometry, weights), state, out)

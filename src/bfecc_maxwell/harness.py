@@ -388,10 +388,10 @@ def build_scatter_grid(cfg: ExperimentConfig, n: int):
     return grid, eps
 
 
-def run_scatter(cfg: ExperimentConfig, n: Optional[int] = None) -> dict:
+def run_scatter(cfg: ExperimentConfig) -> dict:
     if cfg.scheme not in LS_KINDS:
         raise ValueError("scattering runs on a bounded grid and needs ls_cd or ls_theta")
-    n = cfg.n if n is None else n
+    n = cfg.n
     grid, eps = build_scatter_grid(cfg, n)
     h = 1.0 / n
     dt = cfg.dt_ratio * h
@@ -481,15 +481,11 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
     _check_sweep(cfg, ref_n)
     ns = [cfg.n * 2 ** k for k in range(cfg.levels)]
     label = cfg.grid_variant if cfg.experiment == "periodic2d" else cfg.experiment
-    if periodic:
-        runs = [run_experiment(replace(cfg, n=m)) for m in ns]
-    else:
-        for m in ns:
-            if ref_n % m != 0 or ref_n <= m:
-                raise ValueError(
-                    f"reference_n = {ref_n} must be a proper multiple of every level, "
-                    f"levels are {ns}")
-        runs = [run_scatter(cfg, m) for m in ns + [ref_n]]
+    if not periodic and any(ref_n % m != 0 or ref_n <= m for m in ns):
+        raise ValueError(f"reference_n = {ref_n} must be a proper multiple of every level, "
+                         f"levels are {ns}")
+    runs = [run_experiment(replace(cfg, n=m)) for m in ns + ([] if periodic else [ref_n])]
+    if not periodic:
         ref = runs[-1]
         for m, r in zip(ns, runs):
             r.update(_error_norms(_physical_fields(r, m, 1), _physical_fields(ref, m, ref_n // m)))

@@ -57,7 +57,7 @@ from .grid import Grid2
 # _ls_fit_all, lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _ls_fit_all, lincomb2, run_program)
+                      _checked_geometry, _ls_fit_all, lincomb2, run_program)
 
 
 def _depth_fraction(n, thickness):
@@ -347,7 +347,8 @@ class PmlRunner(BfeccStep):
             raise ValueError(f"pml state was built for dt = {pml.dt}, the scheme steps {spec.dt}")
         super().__init__(spec)
         self.source = source
-        self.geom = geometry if geometry is not None else StencilGeometry(grid)
+        self.geom = (StencilGeometry(grid) if geometry is None
+                     else _checked_geometry(geometry, grid))
         self.weights = weights if weights is not None else self.geom.cached_weights()
         self._set_collar(pml)
         if source is not None:
@@ -445,8 +446,8 @@ class PmlRunner(BfeccStep):
 
     def step(self, state: FieldState2, t: float, out=None) -> FieldState2:
         """Advance one dt from time t with the three-substep wrapper, into
-        `out` (a fresh array when None), which may be state.u itself; in
-        place the state itself is returned.
+        a fresh array when `out` is None, or in place when it is state.u,
+        which returns the state itself; any other `out` is a ValueError.
 
         The backward substep acts on a state at t + dt, so its edge
         correction uses the incident field there; the compensated state

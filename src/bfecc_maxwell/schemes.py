@@ -309,22 +309,25 @@ def _bind_1d(dx, th, inv, n, work):
     contiguous.  One multiply of it by 0.5 lam, or with materials by the
     plane fl(inv 0.5 lam), gives both components.  (Through a
     reversed-row view numpy would buffer that multiply, which allocates up
-    to a state's worth per call and is no faster.)
+    to a state's worth per call and is no faster.)  A nonzero blend runs
+    first, with `out` as its scratch, which that multiply then overwrites,
+    as in `_kernel_2d`.
     """
     d = work("d", (3, n))
     d_rows, d_first, d_last = d.reshape(-1)[1:2 * n - 1], d[:2, 0], d[:2, -1]
     swapped, de, de_copy = d[1:], d[0], d[2]
     coef = None if inv is None else work("coef", inv.shape)
-    scratch = None if th == 0.0 else (work("blend", (2, n)), work("blend_spare", (2, n)))
+    blend = None if th == 0.0 else work("blend", (2, n))
     subtract = np.subtract
 
     def bind(sdt, u, out):
         g = u.reshape(-1)
-        blend = () if scratch is None else _center_blend(th, u, *scratch)
-        return ((subtract, (g[2:], g[:-2], d_rows)), (subtract, (u[:, 1], u[:, -1], d_first)),
+        mix = () if blend is None else _center_blend(th, u, blend, out)
+        return (*mix, (subtract, (g[2:], g[:-2], d_rows)),
+                (subtract, (u[:, 1], u[:, -1], d_first)),
                 (subtract, (u[:, 0], u[:, -2], d_last)), (np.copyto, (de_copy, de)),
-                *_scaled(swapped, 0.5 * (sdt / dx), inv, coef, out), *blend,
-                (np.add, (out, u if scratch is None else scratch[0], out)))
+                *_scaled(swapped, 0.5 * (sdt / dx), inv, coef, out),
+                (np.add, (out, u if blend is None else blend, out)))
 
     return bind
 
@@ -505,6 +508,21 @@ def _check_state(state, where):
         raise ValueError(f"state shape {state.shape} does not match grid {(where.nx, where.ny)}")
 
 
+def _checked_geometry(geometry: StencilGeometry, grid: Grid2) -> StencilGeometry:
+    """`geometry`, if it was built for `grid` itself or for a grid equal to
+    it: of the same size, boundary kind, origin, spacings and point
+    coordinates.  Any other is a one-line ValueError, since its stencil
+    indices would gather from the wrong points (clipped, not failing)."""
+    g = geometry.grid
+    if g is grid or ((g.nx, g.ny, g.boundary_kind, g.x0, g.y0, g.dx, g.dy)
+                     == (grid.nx, grid.ny, grid.boundary_kind, grid.x0, grid.y0, grid.dx, grid.dy)
+                     and np.array_equal(g.coords, grid.coords)):
+        return geometry
+    raise ValueError(f"the stencil geometry was built for another grid ({g.nx} x {g.ny} "
+                     f"{g.boundary_kind}) than the {grid.nx} x {grid.ny} {grid.boundary_kind} "
+                     f"grid stepped")
+
+
 def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=None):
     """The one-step operator of `spec` for states like `state`, checked and
     bound once, as a binder.
@@ -518,7 +536,8 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=No
     planes, the Workspace `work` the scratch arrays come from (a fresh one
     when None), in 1D those arrays and their views too, and for
     least-squares kinds the geometry and correction weights: a missing
-    `geometry` is built and missing `weights` come from the geometry's
+    `geometry` is built, a given one must fit the grid
+    (`_checked_geometry`), and missing `weights` come from the geometry's
     cache.  A least-squares binder also takes `extra`, a plane hook as
     _kernel_2d's (pml's collar), whose entries run after each plane's
     irregular-row corrections; its program's first entry, `fit` (_ls_fit_all
@@ -548,7 +567,7 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=No
                 [np.ones(n) if r is None else r for r in (inv_eps, inv_mu)])
             return _bind_1d(where, th, inv, n, work)
         return lambda sdt, u, out: _kernel_2d(where, th, inv_eps, inv_mu, work, sdt, u, out)
-    geom = geometry if geometry is not None else StencilGeometry(grid)
+    geom = StencilGeometry(grid) if geometry is None else _checked_geometry(geometry, grid)
     th = LS_CENTER[kind]
     dw = _correction_weights(grid, weights if weights is not None else geom.cached_weights(), th)
     fit = _ls_fit_all if fit is None else fit

@@ -59,20 +59,21 @@ def test_composition_order_forward_backward_forward():
         calls.append(k)
         return identity(k, v, out)
 
-    u, out = np.zeros((3, 4, 4)), np.empty((3, 4, 4))
-    program = tuple(bfecc_program(substep, u, out, Workspace()))
+    u, out, work = np.zeros((3, 4, 4)), np.empty((3, 4, 4)), Workspace()
+    program = tuple(bfecc_program(substep, u, out, work))
     # the substeps' programs come in order, the combination between the
-    # second and the third; a fresh `out` is the first substep's output,
-    # which the last one fills
+    # second and the third; the first substep writes the Workspace's X,
+    # and only the last one writes `out`
     assert calls == [0, 1, 2]
     assert [f for f, _ in program] == [np.copyto] * 2 + [np.multiply] * 2 + [np.add, np.copyto]
-    assert program[0][1][0] is out and program[-1][1][0] is out
+    assert program[0][1][0] is work("X", u.shape) and program[-1][1][0] is out
+    assert all(out is not a for _, args in program[:-1] for a in args)
 
 
 def test_in_place_composition_order():
-    """In place the substeps run u -> X, X -> Y, Y -> u, with X and Y the
-    Workspace's two stacks, and give the same bits as a fresh step; into
-    another `out`, X is that `out`."""
+    """In place and into a fresh `out` alike the substeps run u -> X,
+    X -> Y, Y -> out, with X and Y the Workspace's two stacks; in place
+    they give the bits of a fresh step."""
     calls = []
     work = Workspace()
 
@@ -92,9 +93,9 @@ def test_in_place_composition_order():
     assert order((u, x, y), (x, y, u))
     assert np.array_equal(u, expect)
     calls.clear()
-    other = np.empty_like(u)
-    assert composed(substep, u, work, out=other) is other
-    assert order((u, other, y), (other, y, other))
+    v, fresh = u.copy(), np.empty_like(u)
+    assert composed(substep, v, work, out=fresh) is fresh
+    assert order((v, x, y), (x, y, fresh))
 
 
 def test_three_substep_expansion_1d():
@@ -493,12 +494,12 @@ def test_stepping_in_place_equals_fresh_steps(case):
         program = kept._kept if k == 0 else program
     # the remainder comes after the kept stepper built its program at the
     # first step and replayed it at the next four; its copy builds its own
-    assert kept._kept is program and program[3]
+    assert kept._kept is program and program[2]
     remainder = kept.with_dt(0.4 * dt)
     a = step(remainder, a, 5 * dt, a.u)
     b = step(fresh.with_dt(0.4 * dt), b, 5 * dt, None)
     assert np.array_equal(a.u, b.u) and a.u is u
-    assert remainder._kept[3] is not program[3]
+    assert remainder._kept[2] is not program[2]
     a = step(kept, a, 5.4 * dt, a.u)
     b = step(fresh, b, 5.4 * dt, None)
     assert np.array_equal(a.u, b.u) and a.u is u and kept._kept is program
@@ -520,18 +521,21 @@ def test_a_fresh_step_leaves_its_input_untouched(case):
 
 @pytest.mark.parametrize("case", ["1d_cd_free", "2d_ls_theta", "pml_ls_theta"])
 def test_a_bad_out_fails_at_the_call_with_one_line(case):
-    """An `out` of another shape or dtype, a non-contiguous one or no array
-    at all is a one-line ValueError before anything is written."""
+    """An `out` other than None or state.u (of another shape or dtype, a
+    non-contiguous one, a C-contiguous float64 array of the state's shape
+    or no array at all) is a one-line ValueError before anything is
+    written."""
     make, st, step = in_place_case(case)
     shape = st.u.shape
     before = st.u.copy()
     wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+    alike = np.zeros(shape)
     for out in (np.zeros(shape[:-1] + (shape[-1] + 1,)), np.zeros(shape, dtype=np.float32),
-                wide[..., ::2], np.zeros(shape, order="F"), st.u.tolist()):
+                wide[..., ::2], np.zeros(shape, order="F"), alike, st.u.tolist()):
         with pytest.raises(ValueError) as exc:
             step(make(), st, 0.0, out)
         assert "\n" not in str(exc.value)
-        assert not wide.any() and np.array_equal(st.u, before)
+        assert not wide.any() and not alike.any() and np.array_equal(st.u, before)
 
 
 def kept_program(make, run):
@@ -550,7 +554,7 @@ def kept_program(make, run):
 
     step._substep = counted
     run(step)
-    program = step._kept[3]
+    program = step._kept[2]
     return step, program, program[lengths[0] + lengths[1]:len(program) - lengths[2]]
 
 

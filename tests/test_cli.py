@@ -133,6 +133,27 @@ def test_bad_scatter_setting_exits_2_with_one_line(settings, capsys):
     assert settings.split()[-1].partition("=")[0].rpartition(".")[2] in err[0]
 
 
+@pytest.mark.parametrize("args, words", [
+    (["-p", "bfecc=maybe"], "expected a boolean, got 'maybe'"),
+    (["-p", "n=abc"], "bad value for 'n'"),
+    (["-p", "scheme=upwind"], "scheme must be one of"),
+    (["-p", "grid=z"], "grid must be one of"),
+    (["-p", "disk_center=0.5"], "disk_center needs 2 numbers"),
+    (["-p", "n16"], "override 'n16' is not of the form key=value"),
+    (["-c", "{cfg}"], ":2: expected key=value, got 'n 16'"),
+    (["-p", "experiment=periodic1d", "-p", "scheme=ls_cd"],
+     "periodic1d supports the uniform-grid schemes")])
+def test_a_bad_setting_exits_2_with_one_error_line(args, words, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("experiment = periodic1d\nn 16\n")
+    rc = main(["run", "-p", "t_final=0.05"] + [a.format(cfg=cfg) for a in args])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: ") and words in err[0]
+
+
 def test_guard_rejects_unstable_without_flag(capsys):
     rc = main(["run", "-p", "experiment=periodic1d", "-p", "n=64",
                "-p", "dt_ratio=1.8", "-p", "t_final=60"])
@@ -275,6 +296,18 @@ def test_gridgen_stdout_default(capsys):
     assert rc == 0
     rows = lines_of(capsys)
     assert len(rows) == 64
+
+
+def test_gridgen_of_a_scatter_experiment_dumps_its_collared_grid(capsys):
+    """A scatter experiment's grid is the unit square with a pml.cells
+    collar on each side, (n + 2 pml.cells + 1)^2 points, some of them
+    shifted onto the cylinder."""
+    rc = main(["gridgen", "-p", "experiment=scatter_cylinder", "-p", "n=16"])
+    assert rc == 0
+    rows = [r.split(",") for r in lines_of(capsys)]
+    assert len(rows) == 37 * 37
+    assert all(np.isfinite(float(v)) for r in rows for v in r[2:4])
+    assert 0 < sum(int(r[4]) for r in rows) < len(rows)
 
 
 def test_dispersion_curve(capsys):

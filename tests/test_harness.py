@@ -18,7 +18,7 @@ from bfecc_maxwell.harness import (
     run_experiment,
     validate_config,
 )
-from bfecc_maxwell.schemes import Workspace
+from bfecc_maxwell.schemes import FieldState2, SchemeSpec, Workspace, step_2d
 
 
 def test_defaults_are_valid():
@@ -213,6 +213,22 @@ def test_disabling_the_corrector_skips_the_guard():
     assert np.isfinite(out["l2_error"])
 
 
+@pytest.mark.parametrize("variant, scheme", [("a", "cd"), ("d", "ls_theta")])
+def test_a_plain_periodic2d_run_equals_a_loop_of_step_2d(variant, scheme):
+    """bfecc = false on periodic2d steps with step_2d alone: five full
+    steps and the remainder give a direct loop's state, bit for bit."""
+    cfg = ExperimentConfig(experiment="periodic2d", grid_variant=variant, scheme=scheme,
+                           n=16, dt_ratio=0.3, t_final=0.1, bfecc=False)
+    out = run_experiment(cfg)
+    grid = build_variant_grid(variant, 16)
+    dt = 0.3 * grid.dx
+    st = FieldState2(*exact_periodic2d(grid.coords[..., 0], grid.coords[..., 1], 0.0))
+    for step in (dt,) * 5 + (0.1 - 5 * dt,):
+        st = step_2d(SchemeSpec(scheme, step, cfg.theta), st, grid)
+    assert out["steps"] == 6 and np.isfinite(out["l2_error"])
+    assert np.array_equal(out["state"].u, st.u)
+
+
 def test_variant_grids():
     n = 24
     ga = build_variant_grid("a", n)
@@ -278,6 +294,19 @@ def test_scatter_grid_shifted_nodes_count_as_dielectric():
     grid, eps = build_scatter_grid(cfg, 40)
     assert grid.shifted_mask.sum() > 0
     assert np.all(eps[grid.shifted_mask] == cfg.eps_inside)
+
+
+def test_a_scatter_run_on_a_smoothed_grid_gives_finite_answers():
+    """smooth_sweeps > 0 relaxes the shifted scatter grid around the nodes
+    on the cylinder, which stay put, and the run on it stays finite."""
+    cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta", n=16,
+                           t_final=0.3, smooth_sweeps=2)
+    out = run_experiment(cfg)
+    sharp, _ = build_scatter_grid(ExperimentConfig(experiment="scatter_cylinder"), 16)
+    mask = sharp.shifted_mask
+    assert mask.any() and np.array_equal(out["grid"].coords[mask], sharp.coords[mask])
+    assert not np.array_equal(out["grid"].coords, sharp.coords)
+    assert np.isfinite(out["state"].u).all() and 0.0 < out["sup_ez_physical"] < 10.0
 
 
 def test_scatter_smoke_run_is_quiet_before_arrival():

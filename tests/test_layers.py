@@ -6,8 +6,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-LAYERS = ["op.1d.cd", "op.cd", "op.lf", "op.theta", "op.ls_cd", "op.ls_theta", "op.cd.256",
-          "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step",
+LAYERS = ["op.1d.cd", "op.1d.theta", "op.cd", "op.lf", "op.theta", "op.ls_cd", "op.ls_theta",
+          "op.cd.256", "op.ls_theta.scatter", "op.ls_theta.grid_d", "setup.geometry.scatter",
+          "setup.grid.star", "PmlRunner.step",
           "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d",
           "step.periodic2d_cd", "run.periodic1d", "run.grid_d.20", "run.grid_d.40",
           "run.grid_d.80", "run.periodic2d_cd"]

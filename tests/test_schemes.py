@@ -595,3 +595,49 @@ def test_cd_conserves_the_discrete_divergence(nx, ny, width, height, ratio, wrap
     div1 = h_divergence(st.Hx, st.Hy, g.dx, g.dy)
     scale = max(1.0, np.max(np.abs(st.u))) / min(g.dx, g.dy)
     assert np.max(np.abs(div1 - div0)) <= 1e-12 * scale
+
+
+def mismatched_grids(caller):
+    """(grid, a grid of another size, the uniform grid of grid's size and
+    extent, a rebuild of grid): grid d at 16^2, or for a collar runner the
+    bounded cylinder scatter grid of n = 16."""
+    if caller != "PmlRunner":
+        g = build_variant_grid("d", 16)
+        return g, build_variant_grid("d", 12), build_uniform(16, 16), build_variant_grid("d", 16)
+    cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta")
+    g = build_scatter_grid(cfg, 16)[0]
+    extent = ((g.x0, g.x0 + g.width), (g.y0, g.y0 + g.height))
+    return (g, build_scatter_grid(cfg, 12)[0], build_uniform(g.nx, g.ny, extent, "bounded"),
+            build_scatter_grid(cfg, 16)[0])
+
+
+def step_with(caller, grid, geometry):
+    """The stack of one ls_theta step on `grid` with `geometry` (None for
+    the grid's own), by step_2d, bfecc_step or a PmlRunner's step."""
+    from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
+    from bfecc_maxwell.pml import PmlRunner, build_pml
+
+    spec = SchemeSpec("ls_theta", 0.01)
+    st = FieldState2(*np.random.default_rng(1).standard_normal((3, grid.nx, grid.ny)))
+    if caller == "step_2d":
+        return step_2d(spec, st, grid, geometry=geometry).u
+    if caller == "bfecc_step":
+        return bfecc_step(BfeccStep(spec), st, grid, geometry=geometry).u
+    return PmlRunner(grid, spec, build_pml(grid, spec.dt), geometry=geometry).step(st, 0.0).u
+
+
+@pytest.mark.parametrize("caller", ["step_2d", "bfecc_step", "PmlRunner"])
+def test_a_geometry_built_for_another_grid_fails_fast(caller):
+    """A stencil geometry of a grid of another size, or of the uniform grid
+    of the same size, is a one-line ValueError (its clipped indices would
+    gather the wrong points); one of a distinct but equal grid steps with
+    the bits of the grid's own."""
+    grid, smaller, uniform, rebuilt = mismatched_grids(caller)
+    assert rebuilt is not grid
+    for other in (smaller, uniform):
+        with pytest.raises(ValueError) as exc:
+            step_with(caller, grid, StencilGeometry(other))
+        assert "\n" not in str(exc.value) and "another grid" in str(exc.value)
+    expect = step_with(caller, grid, None)
+    assert np.array_equal(step_with(caller, grid, StencilGeometry(rebuilt)), expect)
+    assert np.array_equal(step_with(caller, grid, StencilGeometry(grid)), expect)

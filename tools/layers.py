@@ -7,12 +7,18 @@ interleaved over ROUNDS rounds (every round times every layer once, in a
 fixed order):
 
   op.1d.cd           the bound 1D cd operator (one substep) on 256 points
+  op.1d.theta        the bound 1D theta 0.8 operator with eps and mu on
+                     256 points
   op.<kind>          the bound 2D operator (one substep) of each of the
                      five scheme kinds on a uniform periodic 149^2 grid
   op.cd.256          the cd operator on periodic2d_cd's uniform 256^2 grid
   op.ls_theta.scatter  the ls_theta operator on the 149^2 scatter_cylinder
                      grid (n = 128, 10-cell collar, cylinder eps)
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
+  setup.geometry.scatter  StencilGeometry and its cached_weights() on the
+                     149^2 scatter_cylinder grid
+  setup.grid.star    harness.build_scatter_grid of scatter_complex at
+                     n = 96, the star grid of the benchmark's probe
   PmlRunner.step     one BFECC step of the collar runner on the scatter
                      grid: three substeps, collar and TF/SF included,
                      stepped in place, t advancing by dt per call through
@@ -34,17 +40,17 @@ fixed order):
   run.periodic2d_cd  harness.run_experiment of periodic2d, cd, n = 256,
                      dt_ratio 1, 10 steps
 
-The run.* layers go through the public API only, so `--against` times
-the same path in both trees.  The report holds, per layer, the median
-over rounds and the best round of the time per call (ms), plus nproc,
-Python, numpy and BLAS threads as bench/worker.py reads them; it goes to
-FILE, or to stdout without --out.  With `--against DIR` one long-lived
-worker imports this tree's package and a second one DIR's (`DIR/src`);
-the rounds alternate between them, which one goes first alternating
-too, so that a drift of the machine's load reaches both sides alike.
-The report then adds the other tree's layers and, per layer, the
-change/other ratio of the medians and the rounds this tree won.  Inputs
-are seeded, so every run times the same numbers.
+The run.* and setup.* layers go through the public API only, so
+`--against` times the same path in both trees.  The report holds, per
+layer, the median over rounds and the best round of the time per call
+(ms), plus nproc, Python, numpy and BLAS threads as bench/worker.py reads
+them; it goes to FILE, or to stdout without --out.  With `--against DIR`
+one long-lived worker imports this tree's package and a second one DIR's
+(`DIR/src`); the rounds alternate between them, which one goes first
+alternating too, so that a drift of the machine's load reaches both
+sides alike.  The report then adds the other tree's layers and, per
+layer, the change/other ratio of the medians and the rounds this tree
+won.  Inputs are seeded, so every run times the same numbers.
 """
 
 from __future__ import annotations
@@ -63,8 +69,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
-LAYERS = ("op.1d.cd",) + tuple(f"op.{k}" for k in KINDS) + (
-    "op.cd.256", "op.ls_theta.scatter", "op.ls_theta.grid_d", "PmlRunner.step",
+LAYERS = ("op.1d.cd", "op.1d.theta") + tuple(f"op.{k}" for k in KINDS) + (
+    "op.cd.256", "op.ls_theta.scatter", "op.ls_theta.grid_d", "setup.geometry.scatter",
+    "setup.grid.star", "PmlRunner.step",
     "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d", "step.periodic2d_cd",
     "run.periodic1d") + tuple(f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
@@ -99,6 +106,13 @@ def build_layers():
     state1 = [schemes.FieldState1(*rng.standard_normal((2, 256)))]
     spec1 = schemes.SchemeSpec("cd", 1.7 * dx)
     calls["op.1d.cd"] = bound(schemes._operator(spec1, state1[0], dx), spec1.dt, state1[0].u)
+    # a generator of its own, so that the other layers keep their inputs
+    rng1 = np.random.default_rng(22)
+    theta1 = schemes.FieldState1(*rng1.standard_normal((2, 256)),
+                                 *rng1.uniform(0.5, 2.0, (2, 256)))
+    spec_theta = schemes.SchemeSpec("theta", 0.9 * dx, 0.8)
+    calls["op.1d.theta"] = bound(schemes._operator(spec_theta, theta1, dx), spec_theta.dt,
+                                 theta1.u)
     stepper = BfeccStep(spec1)
 
     def step_1d():
@@ -120,6 +134,9 @@ def build_layers():
     grid, eps = build_scatter_grid(cfg, 128)
     calls["op.ls_theta.scatter"] = operator("ls_theta", grid, eps)
     calls["op.ls_theta.grid_d"] = operator("ls_theta", build_variant_grid("d", 80))
+    calls["setup.geometry.scatter"] = lambda: schemes.StencilGeometry(grid).cached_weights()
+    star = ExperimentConfig(experiment="scatter_complex", scheme="ls_theta", n=96)
+    calls["setup.grid.star"] = partial(build_scatter_grid, star, 96)
 
     dt = 1.0 / 128
     runner = PmlRunner(grid, schemes.SchemeSpec("ls_theta", dt), build_pml(grid, dt, 10),
@@ -171,9 +188,11 @@ def build_layers():
 
 
 def calls_of(name, calls_per_round):
-    """Calls per round of a layer: the run.* layers take whole runs, so
-    they make a tenth as many calls as the others, at least one."""
-    return max(1, calls_per_round // 10) if name.startswith("run.") else calls_per_round
+    """Calls per round of a layer: the run.* layers take whole runs and
+    setup.grid.star about 150 ms, so they make a tenth as many calls as
+    the others, at least one."""
+    slow = name.startswith("run.") or name == "setup.grid.star"
+    return max(1, calls_per_round // 10) if slow else calls_per_round
 
 
 def time_round(layers, calls_per_round):
