@@ -17,8 +17,7 @@ from .grid import (Circle, Grid2, GridError, ImplicitCurve, Intersection, StarCu
                    smooth_shift)
 from .harness import (EXPERIMENTS, ExperimentConfig, InstabilityError,
                       build_scatter_grid, build_variant_grid, parse_config,
-                      refine_experiment, run_experiment, run_periodic1d,
-                      run_periodic2d, run_scatter)
+                      refine_experiment, run_experiment, run_periodic, run_scatter)
 from .lsq import RankDeficientStencilError, batched_fit_weights
 from .pml import PmlRunner, PmlState, TfsfInjector, TfsfSource, build_pml
 from .schemes import (SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
@@ -38,7 +37,7 @@ __all__ = [
     "curve_grid_intersections", "dump_grid", "exact_propagator", "h_divergence",
     "l2_error", "measured_phase_speed", "parse_config", "phase_speed",
     "point_shift", "refine_experiment", "restrict_to_coarse", "rms",
-    "run_experiment", "run_periodic1d", "run_periodic2d", "run_scatter",
+    "run_experiment", "run_periodic", "run_scatter",
     "smooth_shift", "stability_scan", "step_1d", "step_2d", "symbol",
     "theta_cfl_constant", "write_error_table", "write_snapshot",
 ]

@@ -139,7 +139,7 @@ class ImplicitCurve:
     """
 
     def phi(self, x, y):
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} defines no level set phi(x, y)")
 
     def _set_center(self, cx, cy):
         if not (math.isfinite(cx) and math.isfinite(cy)):

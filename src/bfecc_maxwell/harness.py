@@ -16,11 +16,14 @@ Grid variants for periodic2d
      inscribed disk: r -> r + 0.05 sin^2(2 pi r) for r < 1/2
   d  grid points pulled onto the circle of radius `disk_radius`
 
-Every experiment advances its state with `_march`, the one time loop.
-It steps the run's one state stack in place and owns the step count, the
-sup-norm monitor that aborts blown-up runs early, and the remainder:
-floor(T / dt) full steps plus one shorter final step, taken with the
-stepper's `with_dt`, so runs land exactly on t_final.
+Two drivers run them: `run_periodic` both periodic experiments, a short
+head per dimension ahead of one shared tail (CFL check, march, error
+norms), and `run_scatter` the scatter ones.  Each advances its state
+with `_march`, the one time loop, which steps the run's one state stack
+in place and owns the step count, the sup-norm monitor that aborts
+blown-up runs early, and the remainder: floor(T / dt) full steps plus
+one shorter final step, taken with the stepper's `with_dt`, so runs land
+exactly on t_final.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .bfecc import BfeccStep, bfecc_step
 from .diagnostics import component_rms, convergence_orders, l2_error, restrict_to_coarse
 from .grid import Circle, Grid2, StarCurve, build_uniform, point_shift, smooth_shift
 from .pml import PmlRunner, TfsfSource, build_pml
-from .schemes import (LS_KINDS, SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,
+# step_1d, a second name for step_2d, is looked up here by bench/tracing.py
+from .schemes import (LS_KINDS, SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,  # noqa: F401
                       StencilGeometry, step_1d, step_2d)
 
 EXPERIMENTS = ("periodic1d", "periodic2d", "scatter_cylinder", "scatter_complex")
@@ -165,8 +169,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"check_every must be at least 1, got {cfg.check_every}")
     if cfg.levels < 1:
         raise ValueError(f"levels must be at least 1, got {cfg.levels}")
-    if cfg.smooth_sweeps < 0:
-        raise ValueError(f"smooth_sweeps must be >= 0, got {cfg.smooth_sweeps}")
+    if cfg.smooth_sweeps < 0 or _smoothing(cfg, cfg.n) > MAX_SWEEP_WORK:
+        raise ValueError(f"smooth_sweeps must be >= 0 and take at most {MAX_SWEEP_WORK:.3g} "
+                         f"point-sweeps, got {cfg.smooth_sweeps} at n = {cfg.n}")
     if cfg.pml_cells < 0:
         raise ValueError(f"pml.cells must be >= 0, got {cfg.pml_cells}")
     if not cfg.eps_inside > 0:
@@ -177,23 +182,28 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"disk_center needs 2 numbers, got {cfg.disk_center}")
 
 
+def _smoothing(cfg, m):
+    """smooth_sweeps times the points of a run's grid at n = m, its collar
+    included, if the run smooths it (grid d, a shifted scatter grid)."""
+    if cfg.experiment.startswith("scatter"):
+        return cfg.smooth_sweeps * (m + 2 * cfg.pml_cells + 1) ** 2 * cfg.shift_to_boundary
+    return cfg.smooth_sweeps * m * m * (cfg.experiment == "periodic2d" and cfg.grid_variant == "d")
+
+
 def parse_config(path: Optional[str] = None, overrides=()) -> ExperimentConfig:
     """Read `key = value` lines (# comments, blank lines allowed), then
     apply `key=value` override strings; unknown keys are errors."""
     cfg = ExperimentConfig()
+    items = []
     if path is not None:
         with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                apply_setting(cfg, key.strip(), value.strip())
-    for item in overrides:
+            lines = [(lineno, raw.strip()) for lineno, raw in enumerate(f, 1)]
+        items = [(line, f"{path}:{lineno}: expected key=value, got {line!r}")
+                 for lineno, line in lines if line and not line.startswith("#")]
+    items += [(item, f"override {item!r} is not of the form key=value") for item in overrides]
+    for item, error in items:
         if "=" not in item:
-            raise ValueError(f"override {item!r} is not of the form key=value")
+            raise ValueError(error)
         key, _, value = item.partition("=")
         apply_setting(cfg, key.strip(), value.strip())
     validate_config(cfg)
@@ -235,9 +245,7 @@ def build_variant_grid(variant, n, center=(0.5, 0.5), radius=0.24, smooth_sweeps
         with np.errstate(invalid="ignore", divide="ignore"):
             stretched = r + 0.05 * np.sin(2.0 * math.pi * r) ** 2
             scale = np.where((r > 0.0) & (r < 0.5), stretched / r, 1.0)
-        coords = np.empty_like(rect)
-        coords[:, :, 0] = cx + scale * px
-        coords[:, :, 1] = cy + scale * py
+        coords = np.stack((cx + scale * px, cy + scale * py), axis=-1)
         return Grid2(n, n, base.dx, base.dy, base.x0, base.y0, "periodic", coords)
     if variant == "d":
         shifted = point_shift(base, Circle(center[0], center[1], radius))
@@ -247,14 +255,15 @@ def build_variant_grid(variant, n, center=(0.5, 0.5), radius=0.24, smooth_sweeps
     raise ValueError(f"grid variant must be one of {GRID_VARIANTS}, got {variant!r}")
 
 
-def _check_cfl(cfg, kind, dims, spacings, dt):
+def _check_cfl(cfg, spacings, dt):
+    """A one-line ValueError if a wrapped run's dt is above its cfl_bound."""
     if not cfg.bfecc or cfg.allow_unstable:
         return
-    bound = cfl_bound(kind, dims, spacings, cfg.theta)
+    bound = cfl_bound(cfg.scheme, len(spacings), spacings, cfg.theta)
     if dt > bound * (1.0 + 1e-9):
         raise ValueError(
             f"dt = {dt:.6g} exceeds the stability bound {bound:.6g} for scheme "
-            f"{kind!r}; reduce dt_ratio or pass allow_unstable")
+            f"{cfg.scheme!r}; reduce dt_ratio or pass allow_unstable")
 
 
 def _monitor(cfg, state, step, t, scale=1.0):
@@ -274,15 +283,13 @@ def _march(cfg, state, stepper, step, scale=1.0):
     taken with stepper.with_dt(h); more than MAX_STEPS steps, or an
     overflowing count, are a ValueError.  The monitor checks every
     check_every-th full step, the last one and the remainder against
-    `scale`, the amplitude of the run's wave: 1 for the exact waves the periodic
-    experiments start from, the source's for a scatter run, which starts
-    at rest.  `step(s, state, t, out)` takes one step from time t with the
-    stepper s, into `out`, which _march passes as state.u: the run owns
-    its initial state, so the steps overwrite it in place (a plain step,
-    without the wrapper, may return a fresh array instead); returns
-    (state, steps).  The periodic experiments build the stepper in the
-    call, so that its work stacks go with it when the march ends, before
-    the error norms allocate theirs."""
+    `scale`, the amplitude of the run's wave (1 for the periodic exact
+    waves, the source's for a scatter run, which starts at rest).
+    `step(s, state, t, out)` takes one step from time t with the stepper
+    s, into `out`, which _march passes as state.u, so the steps overwrite
+    the run's own initial state (a plain step may return a fresh array
+    instead); returns (state, steps).  run_periodic builds the stepper in
+    the call, so its work stacks go before the error norms allocate."""
     dt = stepper.spec.dt
     if not cfg.t_final / dt <= MAX_STEPS:
         raise ValueError(f"t_final / dt = {cfg.t_final} / {dt} asks for "
@@ -301,62 +308,49 @@ def _march(cfg, state, stepper, step, scale=1.0):
 
 
 def _error_norms(state, exact) -> dict:
-    """RMS error over all entries, per component, and the components' sum."""
+    """RMS error over all entries, per component (Ez's also as l2_ez), and their sum."""
     comp = component_rms(state, exact)
     return {"l2_error": l2_error(state, exact), "component_rms": comp,
-            "l2_sum": sum(comp.values())}
+            "l2_sum": sum(comp.values()), **({"l2_ez": comp["Ez"]} if "Ez" in comp else {})}
 
 
-def run_periodic1d(cfg: ExperimentConfig) -> dict:
-    if cfg.scheme in LS_KINDS:
-        raise ValueError("periodic1d supports the uniform-grid schemes cd, lf, theta")
+def run_periodic(cfg: ExperimentConfig) -> dict:
+    """A periodic experiment: its exact wave, stepped from t = 0 to t_final
+    on the spacing h (periodic1d) or on the variant grid (periodic2d),
+    and the error norms against the exact wave at t_final."""
     n = cfg.n
-    h = 1.0 / n
+    if cfg.experiment == "periodic1d":
+        if cfg.scheme in LS_KINDS:
+            raise ValueError("periodic1d supports the uniform-grid schemes cd, lf, theta")
+        h = where = 1.0 / n
+        spacings = (h,)
+        x = h * np.arange(n)
+        own = {"x": x}
+
+        def exact(t):
+            return FieldState1(*exact_periodic1d(x, t))
+    else:
+        where = build_variant_grid(cfg.grid_variant, n, cfg.disk_center, cfg.disk_radius,
+                                   cfg.smooth_sweeps)
+        h, spacings = where.dx, (where.dx, where.dy)
+        xs, ys = where.coords[:, :, 0], where.coords[:, :, 1]
+        own = {"grid_variant": cfg.grid_variant, "grid": where}
+
+        def exact(t):
+            # a free-space stack of the grid's shape, wrapped without a copy
+            return FieldState2._of(exact_periodic2d(xs, ys, t), None, None)
     dt = cfg.dt_ratio * h
-    _check_cfl(cfg, cfg.scheme, 1, [h], dt)
-    x = h * np.arange(n)
+    _check_cfl(cfg, spacings, dt)
+    geom = StencilGeometry(where) if cfg.scheme in LS_KINDS else None
 
     def step(s, st, t, out):
-        return bfecc_step(s, st, h, out=out) if cfg.bfecc else step_1d(s.spec, st, h)
+        return (bfecc_step(s, st, where, geometry=geom, out=out) if cfg.bfecc
+                else step_2d(s.spec, st, where, geometry=geom))
 
-    state, steps = _march(cfg, FieldState1(*exact_periodic1d(x, 0.0)),
-                          BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta)), step)
-    return {
-        "experiment": "periodic1d", "n": n, "h": h, "dt": dt,
-        "steps": steps, "t": cfg.t_final,
-        **_error_norms(state, FieldState1(*exact_periodic1d(x, cfg.t_final))),
-        "state": state, "x": x,
-    }
-
-
-def run_periodic2d(cfg: ExperimentConfig) -> dict:
-    n = cfg.n
-    grid = build_variant_grid(cfg.grid_variant, n, cfg.disk_center, cfg.disk_radius,
-                              cfg.smooth_sweeps)
-    dt = cfg.dt_ratio * grid.dx
-    _check_cfl(cfg, cfg.scheme, 2, (grid.dx, grid.dy), dt)
-    xs = grid.coords[:, :, 0]
-    ys = grid.coords[:, :, 1]
-    geom = StencilGeometry(grid) if cfg.scheme in LS_KINDS else None
-
-    def step(s, st, t, out):
-        return (bfecc_step(s, st, grid, geometry=geom, out=out) if cfg.bfecc
-                else step_2d(s.spec, st, grid, geometry=geom))
-
-    # the exact stacks are free-space states of the grid's shape, so they
-    # wrap as they are, without the constructor's copy
-    state, steps = _march(cfg, FieldState2._of(exact_periodic2d(xs, ys, 0.0), None, None),
-                          BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta)), step)
-    norms = _error_norms(state, FieldState2._of(exact_periodic2d(xs, ys, cfg.t_final),
-                                                None, None))
-    return {
-        "experiment": "periodic2d", "grid_variant": cfg.grid_variant,
-        "n": n, "h": grid.dx, "dt": dt,
-        "steps": steps, "t": cfg.t_final,
-        **norms,
-        "l2_ez": norms["component_rms"]["Ez"],
-        "state": state, "grid": grid,
-    }
+    state, steps = _march(cfg, exact(0.0), BfeccStep(SchemeSpec(cfg.scheme, dt, cfg.theta)),
+                          step)
+    return {"experiment": cfg.experiment, "n": n, "h": h, "dt": dt, "steps": steps,
+            "t": cfg.t_final, **_error_norms(state, exact(cfg.t_final)), "state": state, **own}
 
 
 def _scatter_curve(cfg: ExperimentConfig):
@@ -395,7 +389,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
     grid, eps = build_scatter_grid(cfg, n)
     h = 1.0 / n
     dt = cfg.dt_ratio * h
-    _check_cfl(cfg, cfg.scheme, 2, (grid.dx, grid.dy), dt)
+    _check_cfl(cfg, (grid.dx, grid.dy), dt)
     pad = cfg.pml_cells
     spec = SchemeSpec(cfg.scheme, dt, cfg.theta)
     pml = build_pml(grid, dt, pad, cfg.pml_sigma_max, cfg.pml_exponent)
@@ -419,21 +413,14 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
     state, steps = _march(cfg, FieldState2(zeros, zeros, zeros, eps=eps), runner, step,
                           abs(cfg.tfsf_amplitude))
     phys = slice(pad, pad + n + 1)
-    return {
-        "experiment": cfg.experiment, "n": n, "h": h, "dt": dt,
-        "steps": steps, "t": cfg.t_final,
-        "pad": pad, "grid": grid, "state": state, "eps": eps,
-        "sup_ez_physical": float(np.max(np.abs(state.Ez[phys, phys]))),
-    }
+    return {"experiment": cfg.experiment, "n": n, "h": h, "dt": dt, "steps": steps,
+            "t": cfg.t_final, "pad": pad, "grid": grid, "state": state, "eps": eps,
+            "sup_ez_physical": float(np.max(np.abs(state.Ez[phys, phys])))}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     validate_config(cfg)
-    if cfg.experiment == "periodic1d":
-        return run_periodic1d(cfg)
-    if cfg.experiment == "periodic2d":
-        return run_periodic2d(cfg)
-    return run_scatter(cfg)
+    return (run_scatter if cfg.experiment.startswith("scatter") else run_periodic)(cfg)
 
 
 def _physical_fields(run, n_own, ratio):
@@ -447,22 +434,24 @@ def _check_sweep(cfg, ref_n):
     sweep, its levels and the scatter reference at ref_n (None for none),
     takes at most MAX_STEPS steps and all of them together at most
     MAX_SWEEP_WORK point-steps, a run that takes no step counting its
-    points once.  It reads the configuration alone, level by level, so a
-    huge `levels` fails at once, before anything is allocated."""
+    points once, and each smoothing sweep of a grid too (`_smoothing`).
+    It reads the configuration alone, level by level, so a huge `levels`
+    fails at once, before anything is allocated."""
     dims = 1 if cfg.experiment == "periodic1d" else 2
     ring = 0 if cfg.experiment.startswith("periodic") else 2 * cfg.pml_cells + 1
     levels = (cfg.n * 2 ** k for k in range(cfg.levels))
     work = 0.0
     for m in itertools.chain(levels, () if ref_n is None else (ref_n,)):
         steps = cfg.t_final / (cfg.dt_ratio * (1.0 / m))
-        work += float(m + ring) ** dims * max(steps, 1.0)
+        work += float(m + ring) ** dims * max(steps, 1.0) + _smoothing(cfg, m)
         if not steps <= MAX_STEPS:
             raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for {steps:.3g} "
                              f"steps at n = {m}, more than {MAX_STEPS:.0e}")
         if not work <= MAX_SWEEP_WORK:
+            smoothing = " and smooth_sweeps point-sweeps" if _smoothing(cfg, m) else ""
             raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for more than "
-                             f"{MAX_SWEEP_WORK:.3g} point-steps, the work of {MAX_STEPS:.0e} "
-                             f"steps on 256 points")
+                             f"{MAX_SWEEP_WORK:.3g} point-steps{smoothing}, the work of "
+                             f"{MAX_STEPS:.0e} steps on 256 points")
 
 
 def refine_experiment(cfg: ExperimentConfig) -> dict:
@@ -489,10 +478,8 @@ def refine_experiment(cfg: ExperimentConfig) -> dict:
         ref = runs[-1]
         for m, r in zip(ns, runs):
             r.update(_error_norms(_physical_fields(r, m, 1), _physical_fields(ref, m, ref_n // m)))
-            r["l2_ez"] = r["component_rms"]["Ez"]
     errors = [r["l2_error"] for r in runs[:cfg.levels]]
     orders = convergence_orders([1.0 / m for m in ns], errors)
-    rows = [{"grid": label, "n": m, "h": 1.0 / m, "dt": r["dt"], "l2_error": err,
-             "order": order}
+    rows = [{"grid": label, "n": m, "h": 1.0 / m, "dt": r["dt"], "l2_error": err, "order": order}
             for m, r, err, order in zip(ns, runs, errors, [None] + orders)]
     return {"ns": ns, "rows": rows, "errors": errors, "runs": runs, "orders": orders}

@@ -57,7 +57,8 @@ from .grid import Grid2
 # _ls_fit_all, lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _checked_geometry, _ls_fit_all, lincomb2, run_program)
+                      _checked_geometry, _checked_weights, _ls_fit_all, lincomb2,
+                      run_program)
 
 
 def _depth_fraction(n, thickness):
@@ -191,7 +192,8 @@ class TfsfSource:
 
 
 class TfsfInjector:
-    """Precomputed edge corrections for one (geometry, source) pair.
+    """Precomputed edge corrections for one (geometry, source) pair, in two
+    arrays of its own, one per sign of step, and the entry that adds them.
 
     Only update points whose stencil straddles the rectangle edge get a
     correction; `index` (3, rows) holds their flat indices into a
@@ -238,20 +240,22 @@ class TfsfInjector:
                                  for f in (-inv_mu, inv_mu, -inv_eps)])
         self._ez = np.empty(self.x_index.shape)
         self._sums = np.empty((len(self._dw), len(rows)))
+        # by int(sdt > 0): a Python bool would index as a mask
+        self._edges = np.zeros((2,) + self.index.shape)
         self._t = math.nan
 
-    def corrections(self, t, sdt, out=None):
-        """(3, rows) corrections (dHx, dHy, dEz) to add at `index` to the
-        update assembled at time t with signed step sdt, written into
-        `out` (a fresh array when None).  The contractions, in the
-        injector's own scratch arrays, are formed again only for another
-        time than the last call's."""
+    def corrections(self, t, sdt):
+        """The (3, rows) corrections (dHx, dHy, dEz) to add at `index` to
+        the update assembled at time t with signed step sdt, written into
+        the array for sdt's sign, which is returned.  The contractions, in
+        the injector's own scratch arrays, are formed again only for
+        another time than the last call's."""
         if t != self._t:
             self._t = t
             wave = self.source.ez_inc(self.x, None, t)
             ez = np.take(wave, self.x_index, out=self._ez, mode="clip")
             np.einsum("ksa,sa->ka", self._dw, ez, out=self._sums)
-        d = np.empty(self._signed.shape) if out is None else out
+        d = self._edges[int(sdt > 0)]
         # each signed material factor times sdt, then the contractions
         np.multiply(self._signed, sdt, out=d)
         sy, sx = self._sums[:2]
@@ -262,6 +266,13 @@ class TfsfInjector:
             d[1] -= s0
             d[2] += s0
         return d
+
+    def entry(self, out, sdt):
+        """The program entry that adds the corrections for sdt's sign at
+        `index` into the contiguous stack `out`, through flat views, the
+        faster form of np.add.at (as in schemes._ls_binding)."""
+        return np.add.at, (out.reshape(-1), self.index.reshape(-1),
+                           self._edges[int(sdt > 0)].reshape(-1))
 
 
 def _collar_blocks(sigma, b, c, axis, held):
@@ -326,14 +337,14 @@ class PmlRunner(BfeccStep):
     shared by its `with_dt` copy; then the step's program, kept and
     replayed while a run steps one stack in place.  A substep's program is
     the operator's, given the collar's entries for its raw difference
-    planes, then the entry that adds the TF/SF corrections: the memory
-    term joins only a step's final substep, the corrections every
-    substep, written twice per step outside the program (the forward
-    substeps at t, the backward one at t + dt) into two work arrays, from
-    an incident wave evaluated once per time level.  The
-    memory fields in `pml` are updated in place (they stay zero outside
-    the blocks); a field state is overwritten only when `step` is given
-    its own stack as `out`.
+    planes, then the injector's entry that adds the TF/SF corrections:
+    the memory term joins only a step's final substep, the corrections
+    every substep.  The injector writes them twice per step, outside the
+    program (the forward substeps at t, the backward one at t + dt), into
+    its two arrays, one per sign of step, from an incident wave
+    evaluated once per time level.  The memory fields in `pml` are
+    updated in place (they stay zero outside the blocks); a field state
+    is overwritten only when `step` is given its own stack as `out`.
     """
 
     def __init__(self, grid: Grid2, spec: SchemeSpec, pml: PmlState,
@@ -349,7 +360,7 @@ class PmlRunner(BfeccStep):
         self.source = source
         self.geom = (StencilGeometry(grid) if geometry is None
                      else _checked_geometry(geometry, grid))
-        self.weights = weights if weights is not None else self.geom.cached_weights()
+        self.weights = _checked_weights(weights, self.geom)
         self._set_collar(pml)
         if source is not None:
             margin = max(pml.thickness, 1)
@@ -415,8 +426,8 @@ class PmlRunner(BfeccStep):
     def _bind_substep(self, bound, sdt, v, out, first, last):
         """The program of one substep with signed step sdt from the stack v
         into `out`, every view made here, once: the operator's program of
-        `bound`, with the collar's entries for its planes, then the entry
-        that adds the edge corrections _corrections wrote for its sign of
+        `bound`, with the collar's entries for its planes, then the
+        injector's entry that adds the edge corrections for its sign of
         step (none without a source).  The `first` substep, acting on the
         step-start state, keeps c * g of its undamped raw differences g, and
         the `last` adds the memory term and completes the recursion
@@ -426,23 +437,7 @@ class PmlRunner(BfeccStep):
         program = op(sdt, v, out, lambda planes: tuple(
             _collar_program(plane, collar, stage, first, last)
             for plane, collar in zip(planes, self._collar)))
-        if injector is None:
-            return program
-        # `out` is contiguous, so its flat view writes through; np.add.at
-        # takes flat indices and values, as in schemes._ls_binding
-        return program + ((np.add.at, (out.reshape(-1), injector.index.reshape(-1),
-                                       self._edge(injector, sdt).reshape(-1))),)
-
-    def _edge(self, injector, sdt):
-        """The work array that holds the edge corrections of the substeps
-        stepping sdt, one for each sign."""
-        return self.work("tfsf_bwd" if sdt < 0 else "tfsf_fwd", injector.index.shape)
-
-    def _corrections(self, bound, t, sdt):
-        """Write the edge corrections at (t, sdt), if there is a source."""
-        injector = bound[1]
-        if injector is not None:
-            injector.corrections(t, sdt, self._edge(injector, sdt))
+        return program if injector is None else program + (injector.entry(out, sdt),)
 
     def step(self, state: FieldState2, t: float, out=None) -> FieldState2:
         """Advance one dt from time t with the three-substep wrapper, into
@@ -452,13 +447,15 @@ class PmlRunner(BfeccStep):
         The backward substep acts on a state at t + dt, so its edge
         correction uses the incident field there; the compensated state
         fed to the last substep sits back at t, so the two forward
-        substeps share one set of corrections, in the work array that
-        their bindings read.
+        substeps share one set of corrections, in the injector's array
+        that their entries read.
         """
         dt = self.spec.dt
         bound = self._bound(state)
-        self._corrections(bound, t, dt)
-        self._corrections(bound, t + dt, -dt)
+        injector = bound[1]
+        if injector is not None:
+            injector.corrections(t, dt)
+            injector.corrections(t + dt, -dt)
         return self._run(bound, state, out)
 
     def plain_step(self, state: FieldState2, t: float) -> FieldState2:
@@ -466,6 +463,7 @@ class PmlRunner(BfeccStep):
         bound = self._bound(state)
         dt = self.spec.dt
         out = np.empty(state.u.shape)
-        self._corrections(bound, t, dt)
+        if bound[1] is not None:
+            bound[1].corrections(t, dt)
         run_program(self._bind_substep(bound, dt, state.u, out, True, True))
         return FieldState2._of(out, state.eps, state.mu)

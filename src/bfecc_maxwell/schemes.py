@@ -523,6 +523,19 @@ def _checked_geometry(geometry: StencilGeometry, grid: Grid2) -> StencilGeometry
                      f"grid stepped")
 
 
+def _checked_weights(weights, geom: StencilGeometry):
+    """`weights`, the geometry's cached weights when None; any shape but
+    the (len(geom.irregular), 3, 5) of its irregular stencils' fit weights
+    is a one-line ValueError."""
+    if weights is None:
+        return geom.cached_weights()
+    want = (len(geom.irregular), 3, 5)
+    if np.shape(weights) != want:
+        raise ValueError(f"weights shape {np.shape(weights)} does not match the {want} of "
+                         f"the geometry's irregular stencils")
+    return weights
+
+
 def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=None):
     """The one-step operator of `spec` for states like `state`, checked and
     bound once, as a binder.
@@ -537,11 +550,12 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=No
     when None), in 1D those arrays and their views too, and for
     least-squares kinds the geometry and correction weights: a missing
     `geometry` is built, a given one must fit the grid
-    (`_checked_geometry`), and missing `weights` come from the geometry's
-    cache.  A least-squares binder also takes `extra`, a plane hook as
-    _kernel_2d's (pml's collar), whose entries run after each plane's
-    irregular-row corrections; its program's first entry, `fit` (_ls_fit_all
-    when None; pml passes its own name of it), computes those corrections.
+    (`_checked_geometry`), and `weights` come from the geometry's cache
+    when missing and must fit it when given (`_checked_weights`).  A
+    least-squares binder also takes `extra`, a plane hook as _kernel_2d's
+    (pml's collar), whose entries run after each plane's irregular-row
+    corrections; its program's first entry, `fit` (_ls_fit_all when None;
+    pml passes its own name of it), computes those corrections.
     """
     kind = spec.kind
     _check_state(state, where)
@@ -569,7 +583,7 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=No
         return lambda sdt, u, out: _kernel_2d(where, th, inv_eps, inv_mu, work, sdt, u, out)
     geom = StencilGeometry(grid) if geometry is None else _checked_geometry(geometry, grid)
     th = LS_CENTER[kind]
-    dw = _correction_weights(grid, weights if weights is not None else geom.cached_weights(), th)
+    dw = _correction_weights(grid, _checked_weights(weights, geom), th)
     fit = _ls_fit_all if fit is None else fit
 
     def bind(sdt, u, out, extra=None):

@@ -374,3 +374,23 @@ def test_growth_factor_bridge_symbol_vs_time_domain():
             prev = np.sqrt(np.sum(st.E ** 2) + np.sum(st.H ** 2))
     last = np.sqrt(np.sum(st.E ** 2) + np.sum(st.H ** 2))
     assert last / prev == pytest.approx(sc.max_radius, abs=1e-10)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: symbol("cd", 3, 3, 1.0 / 16, 0.5), ValueError, "dims must be 1 or 2, got 3"),
+    (lambda: exact_propagator(3, 0.1, 0), ValueError, "dims must be 1 or 2, got 0"),
+    (lambda: stability_scan("cd", 3, 0.5, 64), ValueError, "dims must be 1 or 2, got 3"),
+])
+def test_a_dimension_other_than_1_or_2_is_a_one_line_value_error(call, error, words):
+    """symbol, exact_propagator and stability_scan take dims 1 or 2 only."""
+    with pytest.raises(error) as exc:
+        call()
+    assert "\n" not in str(exc.value) and words in str(exc.value)
+
+
+def test_a_scalar_2d_mode_spacing_and_ratio_mean_the_same_on_both_axes():
+    """In 2D a scalar k, h or lam stands for the pair of two equal values."""
+    h = 1.0 / 16
+    assert np.array_equal(symbol("theta", 2, 3, h, 0.5, 0.4),
+                          symbol("theta", 2, (3, 3), (h, h), (0.5, 0.5), 0.4))
+    assert np.array_equal(exact_propagator(2, 0.1, 2), exact_propagator((2, 2), 0.1, 2))

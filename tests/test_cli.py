@@ -1,3 +1,4 @@
+import os
 import time
 import warnings
 
@@ -199,6 +200,10 @@ def test_refine_prints_orders_and_writes_table(tmp_path, capsys):
      "1.28e+07 steps at n = 128, more than 1e+07"),
     # no step at all, but a 2D grid per level
     (("experiment=periodic2d", "n=8", "t_final=0"), "40", "point-steps"),
+    # 1e7 smoothing sweeps of grid d pass at n = 8 (6.4e8 point-sweeps), not
+    # over the sweep's three levels (1.3e10)
+    (("experiment=periodic2d", "grid=d", "scheme=ls_theta", "n=8", "t_final=0.01",
+      "smooth_sweeps=10000000"), "3", "point-steps and smooth_sweeps point-sweeps"),
 ])
 def test_a_sweep_too_large_to_finish_exits_2_at_once(settings, levels, reason, capsys):
     """A sweep past the step or work ceiling fails before its first level
@@ -215,6 +220,41 @@ def test_a_sweep_too_large_to_finish_exits_2_at_once(settings, levels, reason, c
     assert captured.out == "" and len(err) == 1
     assert err[0].startswith(f"error: levels = {levels} from n = 8 asks for ")
     assert reason in err[0]
+
+
+GRID_D_16 = ["-p", "experiment=periodic2d", "-p", "grid=d", "-p", "scheme=ls_theta",
+             "-p", "n=16", "-p", "dt_ratio=0.25", "-p", "t_final=0.01"]
+SCATTER_16 = ["-p", "experiment=scatter_cylinder", "-p", "scheme=ls_theta", "-p", "n=16",
+              "-p", "t_final=0.01"]
+
+
+@pytest.mark.parametrize("args", [["run", *GRID_D_16], ["gridgen", *GRID_D_16],
+                                  ["run", *SCATTER_16]])
+def test_a_smoothing_too_large_to_finish_exits_2_at_once(args, capsys):
+    """1e8 smoothing sweeps of grid d or of a shifted scatter grid (2.6e10
+    point-sweeps and more) fail before a grid is built, with one line
+    naming `smooth_sweeps`."""
+    start = time.perf_counter()
+    rc = main(args + ["-p", "smooth_sweeps=100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: smooth_sweeps must be >= 0 and take at most 2.56e+09 ")
+    assert err[0].endswith("got 100000000 at n = 16")
+
+
+@pytest.mark.parametrize("args", [
+    ["run", *GRID_D_16, "-p", "smooth_sweeps=1000"],
+    ["gridgen", *GRID_D_16, "-p", "smooth_sweeps=1000", "--out", os.devnull],
+    ["run", *SCATTER_16, "-p", "smooth_sweeps=1000"],
+    ["run", *GRID_D_16, "-p", "grid=a", "-p", "smooth_sweeps=100000000"],
+    ["run", *SCATTER_16, "-p", "shift_to_boundary=false", "-p", "smooth_sweeps=100000000"]])
+def test_a_smoothing_within_the_limit_or_of_an_unsmoothed_grid_runs(args, capsys):
+    """1000 sweeps of the same grids run, and so do 1e8 where no grid is
+    smoothed: grid a and an unshifted scatter grid ignore the key."""
+    assert main(args) == 0
 
 
 def test_analyze_radius_matches_closed_form(capsys):

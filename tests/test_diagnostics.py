@@ -136,3 +136,21 @@ def test_snapshot_roundtrip(tmp_path):
         assert float(x) == g.coords[i, j, 0]
         assert float(ez) == st.Ez[i, j]
         assert float(hy) == st.Hy[i, j]
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: l2_error(5, 5), TypeError, "expected a field state or a sequence of arrays"),
+    (lambda: component_rms((np.zeros(3),), (np.zeros(3), np.zeros(3))), ValueError,
+     "operands have different component counts"),
+    (lambda: l2_error((np.zeros(3),), (np.zeros(4),)), ValueError,
+     "component c0 shapes differ: (3,) vs (4,)"),
+    (lambda: convergence_orders([0.1, 0.05], [1.0]), ValueError,
+     "hs and errors must have equal length"),
+])
+def test_bad_operands_are_one_line_errors(call, error, words):
+    """Operands that are no field states or sequences, differ in component
+    count or in a component's shape, and order inputs of unequal length
+    are one-line errors of their type."""
+    with pytest.raises(error) as exc:
+        call()
+    assert "\n" not in str(exc.value) and words in str(exc.value)

@@ -10,6 +10,7 @@ from bfecc_maxwell.grid import (
     Circle,
     Grid2,
     GridError,
+    ImplicitCurve,
     STENCIL_OFFSETS,
     StarCurve,
     build_uniform,
@@ -346,3 +347,17 @@ def test_dump_grid_coordinates_roundtrip_exactly():
         assert float(y) == g.coords[int(i), int(j), 1]
         shifted += int(s)
     assert shifted == int(g.shifted_mask.sum())
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: ImplicitCurve().phi(0.0, 0.0), NotImplementedError, "ImplicitCurve"),
+    (lambda: smooth_shift(point_shift(build_uniform(8, 8), Circle(0.5, 0.5, 0.24)),
+                          build_uniform(9, 9)), GridError,
+     "shifted and rectangular grids have different shapes"),
+])
+def test_bad_curve_or_smoothing_input_is_a_one_line_error(call, error, words):
+    """The abstract curve has no level set, and smoothing a shifted grid
+    against a rectangular grid of another shape is a GridError."""
+    with pytest.raises(error) as exc:
+        call()
+    assert "\n" not in str(exc.value) and words in str(exc.value)

@@ -425,3 +425,9 @@ def test_a_run_frees_its_work_stacks_by_reference_counting(monkeypatch, settings
     finally:
         gc.enable()
     assert alive and left == []
+
+
+def test_an_unknown_grid_variant_is_a_one_line_value_error():
+    with pytest.raises(ValueError) as exc:
+        build_variant_grid("e", 8)
+    assert str(exc.value) == "grid variant must be one of ('a', 'b', 'c', 'd'), got 'e'"

@@ -662,3 +662,11 @@ def test_a_bounded_step_program_has_no_wrap_entries(kind, with_source, entries):
     st = FieldState2(*np.zeros((3, g.nx, g.ny)), eps=eps, mu=mu)
     runner.step(st, 0.0, out=st.u)
     assert len(runner._kept[2]) == entries
+
+
+def test_a_collar_built_for_another_grid_is_a_one_line_value_error():
+    g = bounded_grid(24)
+    spec = SchemeSpec("ls_theta", 0.5 * g.dx)
+    with pytest.raises(ValueError) as exc:
+        PmlRunner(g, spec, build_pml(bounded_grid(20), spec.dt, thickness=4))
+    assert str(exc.value) == "pml state shape does not match the grid"

@@ -611,19 +611,21 @@ def mismatched_grids(caller):
             build_scatter_grid(cfg, 16)[0])
 
 
-def step_with(caller, grid, geometry):
+def step_with(caller, grid, geometry, weights=None):
     """The stack of one ls_theta step on `grid` with `geometry` (None for
-    the grid's own), by step_2d, bfecc_step or a PmlRunner's step."""
+    the grid's own) and `weights` (None for its cached block), by step_2d,
+    bfecc_step or a PmlRunner's step."""
     from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
     from bfecc_maxwell.pml import PmlRunner, build_pml
 
     spec = SchemeSpec("ls_theta", 0.01)
     st = FieldState2(*np.random.default_rng(1).standard_normal((3, grid.nx, grid.ny)))
     if caller == "step_2d":
-        return step_2d(spec, st, grid, geometry=geometry).u
+        return step_2d(spec, st, grid, geometry=geometry, weights=weights).u
     if caller == "bfecc_step":
-        return bfecc_step(BfeccStep(spec), st, grid, geometry=geometry).u
-    return PmlRunner(grid, spec, build_pml(grid, spec.dt), geometry=geometry).step(st, 0.0).u
+        return bfecc_step(BfeccStep(spec), st, grid, geometry=geometry, weights=weights).u
+    return PmlRunner(grid, spec, build_pml(grid, spec.dt), geometry=geometry,
+                     weights=weights).step(st, 0.0).u
 
 
 @pytest.mark.parametrize("caller", ["step_2d", "bfecc_step", "PmlRunner"])
@@ -641,3 +643,64 @@ def test_a_geometry_built_for_another_grid_fails_fast(caller):
     expect = step_with(caller, grid, None)
     assert np.array_equal(step_with(caller, grid, StencilGeometry(rebuilt)), expect)
     assert np.array_equal(step_with(caller, grid, StencilGeometry(grid)), expect)
+
+
+@pytest.mark.parametrize("caller", ["step_2d", "bfecc_step", "PmlRunner"])
+def test_a_weights_block_of_the_wrong_shape_fails_fast(caller):
+    """A weights block with one stencil too many, or with four points a
+    stencil, is a one-line ValueError that names `weights` and both shapes
+    (numpy's broadcast error named neither); a copy of the geometry's own
+    block steps with the bits of its cached one."""
+    grid = mismatched_grids(caller)[0]
+    geom = StencilGeometry(grid)
+    want = (len(geom.irregular), 3, 5)
+    assert caller == "PmlRunner" or want == (60, 3, 5)
+    for shape in ((want[0] + 1, 3, 5), (want[0], 3, 4)):
+        with pytest.raises(ValueError) as exc:
+            step_with(caller, grid, geom, np.zeros(shape))
+        msg = str(exc.value)
+        assert "\n" not in msg and msg.startswith("weights shape")
+        assert str(shape) in msg and str(want) in msg
+    expect = step_with(caller, grid, geom)
+    assert np.array_equal(step_with(caller, grid, geom, geom.cached_weights().copy()), expect)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: FieldState1(np.zeros(8), np.zeros(8), eps=np.ones(7)), ValueError,
+     "eps shape (7,) does not match fields (8,)"),
+    (lambda: FieldState2(*np.zeros((3, 4, 4)), mu=np.ones((4, 3))), ValueError,
+     "mu shape (4, 3) does not match fields (4, 4)"),
+    (lambda: step_2d(SchemeSpec("cd", 0.1), FieldState1(np.zeros(8), np.zeros(8)), 0.0),
+     ValueError, "dx must be positive, got 0.0"),
+    (lambda: step_1d(SchemeSpec("lf", 0.1), FieldState1(np.zeros(8), np.zeros(8)), -0.5),
+     ValueError, "dx must be positive, got -0.5"),
+])
+def test_a_bad_material_or_spacing_is_a_one_line_value_error(call, error, words):
+    """A material plane of another shape than the fields, and a 1D spacing
+    dx <= 0, are one-line ValueErrors."""
+    with pytest.raises(error) as exc:
+        call()
+    assert "\n" not in str(exc.value) and words in str(exc.value)
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("shape", [(12,), (3, 12)])
+def test_differences_of_rows_that_cannot_merge_equal_the_merged_ones(shape, wrap):
+    """Along the last axis `_dc` runs over merged rows; a plane whose rows
+    are not contiguous (a column slice of a wider plane), or an output of
+    that kind, takes the row-by-row fallback, with the same bits: all of
+    them with the wrap, and without it (a bounded grid, whose first and
+    last column neither pass redoes) on the columns in between."""
+    from bfecc_maxwell.schemes import _dc, _rows
+
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal(shape + (10, 16))
+    f, plain = wide[..., :11], np.ascontiguousarray(wide[..., :11])
+    assert _rows(f) is None and _rows(plain) is not None
+    want = np.zeros(plain.shape)
+    run_program(_dc(plain, f.ndim - 1, want, wrap))
+    for src, out in ((f, np.zeros(plain.shape)), (plain, np.zeros(shape + (10, 13))[..., :11]),
+                     (f, np.zeros(shape + (10, 13))[..., :11])):
+        run_program(_dc(src, f.ndim - 1, out, wrap))
+        inner = np.s_[...] if wrap else np.s_[..., 1:-1]
+        assert np.array_equal(out[inner], want[inner])

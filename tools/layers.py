@@ -19,10 +19,16 @@ fixed order):
                      149^2 scatter_cylinder grid
   setup.grid.star    harness.build_scatter_grid of scatter_complex at
                      n = 96, the star grid of the benchmark's probe
+  setup.point_shift.circle  grid.point_shift of grid d's circle on the
+                     uniform periodic 80^2 grid
   PmlRunner.step     one BFECC step of the collar runner on the scatter
                      grid: three substeps, collar and TF/SF included,
                      stepped in place, t advancing by dt per call through
                      32 time levels from 1.0, as in a run
+  collar.program     the collar entries of one last substep (the memory
+                     term and the recursion) on the four raw difference
+                     planes of the scatter grid, after one first substep
+                     has kept its c * g
   tfsf.corrections.ramp  a step's two TF/SF edge-correction calls on the
                      scatter grid, (t, dt) and (t + dt, -dt), t advancing
                      the same way from 0.2, while the incident wave is
@@ -32,6 +38,9 @@ fixed order):
                      dt_ratio 1.7, in place
   step.periodic2d_cd one bfecc_step of periodic2d_cd's stepper, cd,
                      n = 256, dt_ratio 1, in place
+  bfecc.compensation.<n>  the entries of bfecc._compensation alone on
+                     (3, n, n) stacks: plane by plane at n = 256, stack-wide
+                     at n = 149
   run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
                      dt_ratio 1.7, 200 steps
   run.grid_d.<n>     harness.run_experiment of periodic2d on grid d,
@@ -71,9 +80,10 @@ KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
 LAYERS = ("op.1d.cd", "op.1d.theta") + tuple(f"op.{k}" for k in KINDS) + (
     "op.cd.256", "op.ls_theta.scatter", "op.ls_theta.grid_d", "setup.geometry.scatter",
-    "setup.grid.star", "PmlRunner.step",
+    "setup.grid.star", "setup.point_shift.circle", "PmlRunner.step", "collar.program",
     "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d", "step.periodic2d_cd",
-    "run.periodic1d") + tuple(f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
+    "bfecc.compensation.256", "bfecc.compensation.149", "run.periodic1d") + tuple(
+    f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
 
 def build_layers():
@@ -84,10 +94,10 @@ def build_layers():
     import numpy as np
 
     from bfecc_maxwell import harness, schemes
-    from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
-    from bfecc_maxwell.grid import build_uniform
+    from bfecc_maxwell.bfecc import BfeccStep, _compensation, bfecc_step
+    from bfecc_maxwell.grid import Circle, build_uniform, point_shift
     from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, build_variant_grid
-    from bfecc_maxwell.pml import PmlRunner, TfsfInjector, TfsfSource, build_pml
+    from bfecc_maxwell.pml import PmlRunner, TfsfInjector, TfsfSource, _collar_program, build_pml
 
     rng = np.random.default_rng(16)
     calls = {}
@@ -137,6 +147,8 @@ def build_layers():
     calls["setup.geometry.scatter"] = lambda: schemes.StencilGeometry(grid).cached_weights()
     star = ExperimentConfig(experiment="scatter_complex", scheme="ls_theta", n=96)
     calls["setup.grid.star"] = partial(build_scatter_grid, star, 96)
+    calls["setup.point_shift.circle"] = partial(point_shift, build_uniform(80, 80),
+                                                Circle(0.5, 0.5, 0.24))
 
     dt = 1.0 / 128
     runner = PmlRunner(grid, schemes.SchemeSpec("ls_theta", dt), build_pml(grid, dt, 10),
@@ -155,24 +167,40 @@ def build_layers():
         state[0] = runner.step(st, next(pml_level), out=st.u)
 
     calls["PmlRunner.step"] = pml_step
+    # a collar of its own, on the runner's geometry, and planes from a
+    # generator of its own, so that the other layers keep their inputs
+    collar_runner = PmlRunner(grid, runner.spec, build_pml(grid, dt, 10), geometry=runner.geom,
+                              weights=runner.weights)
+    planes = np.random.default_rng(23).standard_normal((4, grid.nx, grid.ny))
+    stage = partial(collar_runner._stage, name="plane")
+
+    def collar(first, last):
+        return tuple(entry for plane, blocks in zip(planes, collar_runner._collar[1:])
+                     for entry in _collar_program(plane, blocks, stage, first, last))
+
+    # a first substep keeps c * g, the source that holds the memory steady
+    schemes.run_program(collar(True, False))
+    calls["collar.program"] = partial(schemes.run_program, collar(False, True))
 
     def corrections(t0):
         """A step's two edge-correction calls, as PmlRunner.step makes them,
         on an injector of its own."""
         injector = TfsfInjector(runner.source, runner.geom, "ls_theta", eps, None)
-        edge = np.empty(injector.index.shape)
         level = levels(t0)
 
         def call():
             t = next(level)
-            injector.corrections(t, dt, edge)
-            injector.corrections(t + dt, -dt, edge)
+            injector.corrections(t, dt)
+            injector.corrections(t + dt, -dt)
         return call
 
     calls["tfsf.corrections.ramp"] = corrections(0.2)
     calls["tfsf.corrections.past"] = corrections(2.0)
     calls["step.periodic1d"] = step_1d
     calls["step.periodic2d_cd"] = step_2d
+    for n in (256, 149):
+        u, x, y = np.random.default_rng(24).standard_normal((3, 3, n, n))
+        calls[f"bfecc.compensation.{n}"] = partial(schemes.run_program, _compensation(u, x, y))
 
     def run(**settings):
         return lambda: harness.run_experiment(ExperimentConfig(**settings))
