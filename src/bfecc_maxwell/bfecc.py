@@ -52,7 +52,7 @@ from . import schemes
 # step_1d, step_2d, lincomb1, lincomb2 and StencilGeometry are looked up in
 # this module by bench/tracing.py, which wraps them in place
 from .schemes import (FieldState1, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      Workspace, _scalar, lincomb1, lincomb2, run_program, step_1d,
+                      Workspace, _scalar, _zeros, lincomb1, lincomb2, run_program, step_1d,
                       step_2d)
 
 State = Union[FieldState1, FieldState2]
@@ -127,7 +127,7 @@ class BfeccStep:
         if out is not None:
             got = "another array" if isinstance(out, np.ndarray) else type(out).__name__
             raise ValueError(f"out must be None or the state's own stack state.u, got {got}")
-        out = np.empty(u.shape)
+        out = _zeros(u.shape)
         run_program(bfecc_program(partial(self._substep, bound), u, out, self.work))
         return type(state)._of(out, state.eps, state.mu)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_type_hints
 
@@ -42,7 +43,7 @@ from .grid import Circle, Grid2, StarCurve, build_uniform, point_shift, smooth_s
 from .pml import PmlRunner, TfsfSource, build_pml
 # step_1d, a second name for step_2d, is looked up here by bench/tracing.py
 from .schemes import (LS_KINDS, SCHEME_KINDS, FieldState1, FieldState2, SchemeSpec,  # noqa: F401
-                      StencilGeometry, step_1d, step_2d)
+                      StencilGeometry, _zeros, step_1d, step_2d)
 
 EXPERIMENTS = ("periodic1d", "periodic2d", "scatter_cylinder", "scatter_complex")
 GRID_VARIANTS = ("a", "b", "c", "d")
@@ -148,8 +149,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"scheme must be one of {SCHEME_KINDS}, got {cfg.scheme!r}")
     if cfg.grid_variant not in GRID_VARIANTS:
         raise ValueError(f"grid must be one of {GRID_VARIANTS}, got {cfg.grid_variant!r}")
-    if cfg.n < 4:
-        raise ValueError(f"n must be at least 4, got {cfg.n}")
+    if not 4 <= cfg.n <= sys.float_info.max:
+        raise ValueError(f"n must be at least 4 and at most a float's {sys.float_info.max:.4g}, "
+                         f"got {cfg.n}")
     for key, attr in FLOAT_KEYS:
         value = getattr(cfg, attr)
         values = value if isinstance(value, tuple) else (value,)
@@ -217,13 +219,13 @@ def exact_periodic1d(x, t):
 
 def exact_periodic2d(x, y, t):
     """(Hx, Hy, Ez) of the x-travelling wave, built in place as one stacked
-    (3, ...) array: Hx = 0, Hy = -Ez, Ez = sin(2 pi (x - t))."""
-    u = np.empty((3,) + np.shape(x))
+    (3, ...) array on a 64-byte boundary: Hx = 0, Hy = -Ez, Ez =
+    sin(2 pi (x - t))."""
+    u = _zeros((3,) + np.shape(x))
     ez = np.subtract(x, t, out=u[2])
     ez *= 2.0 * math.pi
     np.sin(ez, out=ez)
     np.negative(ez, out=u[1])
-    u[0] = 0.0
     return u
 
 
@@ -442,11 +444,16 @@ def _check_sweep(cfg, ref_n):
     levels = (cfg.n * 2 ** k for k in range(cfg.levels))
     work = 0.0
     for m in itertools.chain(levels, () if ref_n is None else (ref_n,)):
-        steps = cfg.t_final / (cfg.dt_ratio * (1.0 / m))
-        work += float(m + ring) ** dims * max(steps, 1.0) + _smoothing(cfg, m)
-        if not steps <= MAX_STEPS:
-            raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for {steps:.3g} "
-                             f"steps at n = {m}, more than {MAX_STEPS:.0e}")
+        # more points than the sweep may take is decided in ints, since
+        # the float counts of such a level can overflow
+        if (m + ring) ** dims > MAX_SWEEP_WORK:
+            work = math.inf
+        else:
+            steps = cfg.t_final / (cfg.dt_ratio * (1.0 / m))
+            work += float(m + ring) ** dims * max(steps, 1.0) + _smoothing(cfg, m)
+            if not steps <= MAX_STEPS:
+                raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for {steps:.3g} "
+                                 f"steps at n = {m}, more than {MAX_STEPS:.0e}")
         if not work <= MAX_SWEEP_WORK:
             smoothing = " and smooth_sweeps point-sweeps" if _smoothing(cfg, m) else ""
             raise ValueError(f"levels = {cfg.levels} from n = {cfg.n} asks for more than "

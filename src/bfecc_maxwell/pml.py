@@ -57,7 +57,7 @@ from .grid import Grid2
 # _ls_fit_all, lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _checked_geometry, _checked_weights, _ls_fit_all, lincomb2,
+                      _checked_geometry, _checked_weights, _ls_fit_all, _zeros, lincomb2,
                       run_program)
 
 
@@ -131,7 +131,7 @@ def build_pml(grid: Grid2, dt: float, thickness: int = 10,
         sy = np.zeros(grid.ny)
     shape = (grid.nx, grid.ny)
     return PmlState(thickness, float(dt), sx, sy, *_recursion(sx, dt), *_recursion(sy, dt),
-                    np.zeros(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape))
+                    _zeros(shape), _zeros(shape), _zeros(shape), _zeros(shape))
 
 
 def _ramp(u, ramp_time):
@@ -462,7 +462,7 @@ class PmlRunner(BfeccStep):
         """Advance one dt without the error-compensation substeps."""
         bound = self._bound(state)
         dt = self.spec.dt
-        out = np.empty(state.u.shape)
+        out = _zeros(state.u.shape)
         if bound[1] is not None:
             bound[1].corrections(t, dt)
         run_program(self._bind_substep(bound, dt, state.u, out, True, True))

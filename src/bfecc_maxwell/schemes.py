@@ -58,6 +58,7 @@ collar factors are never folded (their products round).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,6 +70,20 @@ from .lsq import batched_fit_weights
 UNIFORM_KINDS = ("cd", "lf", "theta")
 LS_KINDS = ("ls_cd", "ls_theta")
 SCHEME_KINDS = UNIFORM_KINDS + LS_KINDS
+
+
+def _zeros(shape):
+    """A zeroed float64 array of `shape` whose data start on a 64-byte
+    boundary: a view into a buffer up to 7 elements longer.  Every array a
+    step program streams comes from here.  Under AVX-512 loops a ufunc
+    whose output starts elsewhere costs about twice as much (a 256^2
+    subtract 35-44 against 17-22 us), and a fresh allocation starts 16
+    bytes into a line.  Buffers of one size get one offset mod 4096, so
+    the stacks of a run keep equal offsets there too."""
+    n = math.prod(shape)
+    raw = np.zeros(n + 7)
+    k = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[k:k + n].reshape(shape)
 
 
 def _check_material(arr, shape, name):
@@ -106,7 +121,8 @@ class FieldState1(_State):
         H = np.asarray(H, dtype=float)
         if E.shape != H.shape or E.ndim != 1:
             raise ValueError(f"E and H must be equal-length 1D arrays, got {E.shape} and {H.shape}")
-        self.u = np.stack((E, H))
+        self.u = _zeros((2,) + E.shape)
+        self.u[0], self.u[1] = E, H
         self.eps = _check_material(eps, E.shape, "eps")
         self.mu = _check_material(mu, E.shape, "mu")
 
@@ -124,7 +140,8 @@ class FieldState2(_State):
         fields = [np.asarray(f, dtype=float) for f in (Hx, Hy, Ez)]
         if not fields[0].shape == fields[1].shape == fields[2].shape or fields[0].ndim != 2:
             raise ValueError("Hx, Hy, Ez must be 2D arrays of one shape")
-        self.u = np.stack(fields)
+        self.u = _zeros((3,) + fields[0].shape)
+        self.u[0], self.u[1], self.u[2] = fields
         self.eps = _check_material(eps, self.shape, "eps")
         self.mu = _check_material(mu, self.shape, "mu")
 
@@ -143,7 +160,9 @@ class Workspace:
     A run keeps one for all its steps, so once the first step has run the
     substeps and kernels allocate nothing but a fresh step's output.  The
     bindings hold views of these arrays, so a name keeps its shape.  An
-    array starts at zero, so what a kernel leaves unwritten is finite.
+    array starts at zero, so what a kernel leaves unwritten is finite, and
+    on a 64-byte boundary (`_zeros`), where a ufunc writes it at full
+    speed.
     """
 
     def __init__(self):
@@ -152,7 +171,7 @@ class Workspace:
     def __call__(self, name, shape):
         arr = self._arrays.get(name)
         if arr is None or arr.shape != shape:
-            arr = self._arrays[name] = np.zeros(shape)
+            arr = self._arrays[name] = _zeros(shape)
         return arr
 
 
@@ -214,19 +233,27 @@ def _dc(f, axis, out, wrap=True):
     end, one contiguous pass, in which only the first and last column
     pick up values from the neighboring row; those two columns are then
     rewritten.  (numpy iterates a row-by-row slice through buffers, at
-    about twice the cost.)  Without `wrap` (a bounded grid) only that one
-    pass is made: the first and last index along `axis` are not redone.
+    about twice the cost.)  That pass writes from out[..., 1], 8 bytes
+    past a plane's start, so it is split: a head of the h <= 7 elements
+    before the next 64-byte boundary, taken from out's own address (none
+    when out[..., 1] sits on one), then the body, whose output starts
+    there, at about half the cost.  Every element gets the same subtract,
+    so the bits do not change.  Without
+    `wrap` (a bounded grid) only head and body run: the first and last
+    index along `axis` are not redone.
     """
     merged = (_rows(f), _rows(out)) if axis == f.ndim - 1 else (None, None)
     if merged[0] is not None and merged[1] is not None:
         g, o = merged
-        views = ((g[..., 2:], g[..., :-2], o[..., 1:-1]),
+        h = min(-o[..., 1:].__array_interface__["data"][0] % 64 // 8, o.shape[-1] - 2)
+        views = ((g[..., 2:2 + h], g[..., :h], o[..., 1:1 + h]),
+                 (g[..., 2 + h:], g[..., h:-2], o[..., 1 + h:-1]),
                  (f[..., 1], f[..., -1], out[..., 0]),
                  (f[..., 0], f[..., -2], out[..., -1]))
     else:
         g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
         views = (g[2:], g[:-2], o[1:-1]), (g[1:2], g[-1:], o[:1]), (g[:1], g[-2:-1], o[-1:])
-    return tuple((np.subtract, v) for v in (views if wrap else views[:1]))
+    return tuple((np.subtract, v) for v in (views if wrap else views[:-2]))
 
 
 def _center_blend(theta_eff, f, out, spare, wrap=True):
@@ -281,7 +308,7 @@ def _scaled(a, factor, inv, coef, out):
 
 def _reciprocal(material):
     """The plane fl(1 / material), or None for free space."""
-    return None if material is None else np.divide(1.0, material)
+    return None if material is None else np.divide(1.0, material, out=_zeros(material.shape))
 
 
 def _theta_eff(kind, theta):
@@ -578,7 +605,7 @@ def _operator(spec, state, where, geometry=None, weights=None, work=None, fit=No
         if isinstance(state, FieldState1):
             n = state.u.shape[1]
             inv = None if inv_eps is None and inv_mu is None else np.stack(
-                [np.ones(n) if r is None else r for r in (inv_eps, inv_mu)])
+                [np.ones(n) if r is None else r for r in (inv_eps, inv_mu)], out=_zeros((2, n)))
             return _bind_1d(where, th, inv, n, work)
         return lambda sdt, u, out: _kernel_2d(where, th, inv_eps, inv_mu, work, sdt, u, out)
     geom = StencilGeometry(grid) if geometry is None else _checked_geometry(geometry, grid)
@@ -605,7 +632,7 @@ def step_2d(spec: SchemeSpec, state, where, geometry: Optional[StencilGeometry] 
     `weights` the geometry's cached weights are used, so the factorization
     runs once per geometry.
     """
-    out = np.empty(state.u.shape)
+    out = _zeros(state.u.shape)
     run_program(_operator(spec, state, where, geometry, weights)(spec.dt, state.u, out))
     return type(state)._of(out, state.eps, state.mu)
 

@@ -608,13 +608,15 @@ def test_the_plane_wise_compensation_gives_the_stack_wide_bits(case, monkeypatch
     assert all(r == results[0] for r in results[1:])
 
 
-@pytest.mark.parametrize("case, entries", [("scatter_128", 189), ("grid_d_80", 117)])
-def test_below_a_quarter_mb_plane_the_compensation_stays_stack_wide(case, entries):
+@pytest.mark.parametrize("case, unsplit", [("scatter_128", 189), ("grid_d_80", 117)])
+def test_below_a_quarter_mb_plane_the_compensation_stays_stack_wide(case, unsplit):
     """The 149^2 scatter runner and an 80^2 grid-d ls_theta stepper keep
-    the three whole-stack entries x = 1.5 u, y *= -0.5, y += x."""
+    the three whole-stack entries x = 1.5 u, y *= -0.5, y += x.  Their
+    programs hold `unsplit` entries plus six alignment heads, one per j
+    difference of each substep (`_dc`)."""
     make, run, st = scatter_runner(128) if case == "scatter_128" else grid_d_80()
     step, program, comp = kept_program(make, lambda s: run(s, st, st.u))
-    assert len(program) == entries
+    assert len(program) == unsplit + 6
     x, y = step.work("X", st.u.shape), step.work("bfecc", st.u.shape)
     assert [f for f, _ in comp] == [np.multiply, np.multiply, np.add]
     (_, (u1, a, x1)), (_, (y1, b, y2)), (_, (y3, x2, y4)) = comp
@@ -633,9 +635,12 @@ def test_at_256_the_compensation_runs_plane_by_plane_in_x1():
     assert len(comp) == 9
 
     def plane(a, stack):
-        """The index c of the plane stack[c] that `a` is, else None."""
-        return next((c for c in range(3) if a.base is stack and a.ctypes.data
-                     == stack[c].ctypes.data and a.shape == stack[c].shape), None)
+        """The index c of the plane stack[c] that `a` is, by address and
+        shape, else None.  (An aligned stack is itself a view of its
+        buffer, so `a.base` is that buffer, not the stack.)"""
+        return next((c for c in range(3) if a.__array_interface__["data"][0]
+                     == stack[c].__array_interface__["data"][0] and a.shape == stack[c].shape),
+                    None)
 
     for c, entries in zip((1, 0, 2), (comp[:3], comp[3:6], comp[6:])):
         (f, (y1, a, y2)), (g, (u1, b, x1)), (h, (y3, x2, y4)) = entries

@@ -115,6 +115,31 @@ def test_a_huge_step_count_exits_2_with_one_line(experiment, capsys):
     assert "steps, more than 1e+07" in err[0]
 
 
+HUGE_N = "1" + "0" * 400
+FLOAT_N = "1" + "0" * 308
+
+
+@pytest.mark.parametrize("args, words", [
+    (["run", "-p", "experiment=periodic1d", "-p", f"n={HUGE_N}"], "n must be at least 4 and"),
+    (["refine", "-p", "experiment=periodic1d", "-p", f"n={HUGE_N}"], "n must be at least 4 and"),
+    (["run", "-p", "experiment=periodic2d", "-p", "n=3"], "n must be at least 4 and"),
+    (["refine", "-p", "experiment=scatter_cylinder", "-p", "scheme=ls_theta",
+      "-p", f"n={FLOAT_N}"], "levels = 3 from n = 1000"),
+    (["refine", "-p", "experiment=periodic2d", "-p", "t_final=0", "-p", f"n={FLOAT_N}"],
+     "levels = 3 from n = 1000")])
+def test_an_n_too_large_for_a_float_exits_2_with_one_line(args, words, capsys):
+    """An n past the float range fails in validate_config, naming n, where
+    h = 1/n used to end in an OverflowError traceback (exit 1); an n just
+    inside it fails the sweep check, counted in ints, whose float counts
+    used to overflow the same way."""
+    rc = main(args)
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith("error: " + words)
+
+
 @pytest.mark.parametrize("settings", [
     "disk_radius=nan", "disk_radius=inf", "disk_center=nan,0.5", "eps_inside=inf",
     "pml.sigma_max=nan", "pml.sigma_max=inf", "pml.exponent=nan", "pml.exponent=-1",

@@ -361,3 +361,17 @@ def test_bad_curve_or_smoothing_input_is_a_one_line_error(call, error, words):
     with pytest.raises(error) as exc:
         call()
     assert "\n" not in str(exc.value) and words in str(exc.value)
+
+
+def test_a_root_at_the_last_node_of_a_line_is_found():
+    """A level set that is exactly zero at the last node of a grid line
+    gives that node as a root, along both line families; no sign change
+    brackets it, so only the check after the loop finds it."""
+
+    class Corner(ImplicitCurve):
+        def phi(self, x, y):
+            return (np.asarray(x) - 1.0) * (np.asarray(y) - 1.0)
+
+    nodes = np.linspace(0.0, 1.0, 9)
+    for axis in ("x", "y"):
+        assert Corner().intersections_on_line(axis, 0.3, nodes, 1e-12) == [1.0]

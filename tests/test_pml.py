@@ -648,20 +648,22 @@ def test_bounded_steps_do_not_read_what_out_held(kind, with_source, monkeypatch)
     assert results[np.inf] == results[0.0]
 
 
-@pytest.mark.parametrize("kind, with_source, entries", [
+@pytest.mark.parametrize("kind, with_source, unsplit", [
     ("ls_cd", False, 174), ("ls_cd", True, 177), ("ls_theta", False, 192),
     ("ls_theta", True, 195)])
-def test_a_bounded_step_program_has_no_wrap_entries(kind, with_source, entries):
-    """The program of a collar step on the 37^2 scatter grid: with the
-    periodic wrap it held 195, 198, 234 and 237 entries.  A bounded
-    substep leaves out 14 wrap entries (the differences' 8 and the
-    blend's 6), 8 for ls_cd, which has no blend and instead fills the two
-    ring rows of its output from the input first, one entry."""
+def test_a_bounded_step_program_has_no_wrap_entries(kind, with_source, unsplit):
+    """The program of a collar step on the 37^2 scatter grid: `unsplit`
+    entries plus six alignment heads, one per j difference of each
+    substep (`_dc`).  With the periodic wrap it held 195, 198, 234 and
+    237 entries before the heads.  A bounded substep leaves out 14 wrap
+    entries (the differences' 8 and the blend's 6), 8 for ls_cd, which
+    has no blend and instead fills the two ring rows of its output from
+    the input first, one entry."""
     g, eps, mu, src, dt = scatter_setup()
     runner = PmlRunner(g, SchemeSpec(kind, dt), build_pml(g, dt), src if with_source else None)
     st = FieldState2(*np.zeros((3, g.nx, g.ny)), eps=eps, mu=mu)
     runner.step(st, 0.0, out=st.u)
-    assert len(runner._kept[2]) == entries
+    assert len(runner._kept[2]) == unsplit + 6
 
 
 def test_a_collar_built_for_another_grid_is_a_one_line_value_error():
@@ -670,3 +672,18 @@ def test_a_collar_built_for_another_grid_is_a_one_line_value_error():
     with pytest.raises(ValueError) as exc:
         PmlRunner(g, spec, build_pml(bounded_grid(20), spec.dt, thickness=4))
     assert str(exc.value) == "pml state shape does not match the grid"
+
+
+def test_the_collar_memory_and_every_step_output_start_on_a_64_byte_boundary():
+    """build_pml's four memory fields, the runner's Workspace arrays and the
+    fresh outputs of `step` and `plain_step` start on a 64-byte boundary
+    (schemes._zeros)."""
+    g, eps, mu, src, dt = scatter_setup()
+    pml = build_pml(g, dt)
+    runner = PmlRunner(g, SchemeSpec("ls_theta", dt), pml, src)
+    st = FieldState2(*np.zeros((3, g.nx, g.ny)), eps=eps, mu=mu)
+    arrays = [pml.psi_hxy, pml.psi_hyx, pml.psi_ezx, pml.psi_ezy, st.u,
+              runner.step(st, 0.0).u, runner.plain_step(st, 0.0).u]
+    runner.step(st, 0.0, out=st.u)
+    arrays += runner.work._arrays.values()
+    assert [a.__array_interface__["data"][0] % 64 for a in arrays] == [0] * len(arrays)

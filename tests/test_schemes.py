@@ -704,3 +704,65 @@ def test_differences_of_rows_that_cannot_merge_equal_the_merged_ones(shape, wrap
         run_program(_dc(src, f.ndim - 1, out, wrap))
         inner = np.s_[...] if wrap else np.s_[..., 1:-1]
         assert np.array_equal(out[inner], want[inner])
+
+
+def address_mod_64(a):
+    return a.__array_interface__["data"][0] % 64
+
+
+def test_aligned_zeros_are_zero_contiguous_and_start_on_a_64_byte_boundary():
+    from bfecc_maxwell.schemes import _zeros
+
+    for shape in [(1,), (7,), (2, 5), (3, 149, 149), (3, 256, 256)]:
+        a = _zeros(shape)
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        assert not a.any() and address_mod_64(a) == 0
+
+
+def test_every_array_a_step_program_streams_starts_on_a_64_byte_boundary():
+    """The state stacks, the exact wave, the material planes, the Workspace
+    arrays and every fresh output start on a 64-byte boundary, in 1D and
+    on a 149^2 grid, whose odd planes are the only ones left off it."""
+    from bfecc_maxwell.bfecc import BfeccStep, bfecc_step
+    from bfecc_maxwell.harness import exact_periodic2d
+    from bfecc_maxwell.schemes import _reciprocal
+
+    rng = np.random.default_rng(9)
+    st1 = FieldState1(*rng.standard_normal((2, 13)), *rng.uniform(0.5, 2.0, (2, 13)))
+    grid = build_uniform(149, 149)
+    x, y = grid.rect_coords().transpose(2, 0, 1)
+    st2 = FieldState2._of(exact_periodic2d(x, y, 0.1), rng.uniform(0.5, 2.0, (149, 149)),
+                          rng.uniform(0.5, 2.0, (149, 149)))
+    arrays = [st1.u, st2.u, _reciprocal(st2.eps), _reciprocal(st2.mu),
+              FieldState2(*st2.u, eps=st2.eps).u]
+    for st, where in ((st1, 0.1), (st2, grid)):
+        for kind in ("cd", "theta"):
+            step = BfeccStep(SchemeSpec(kind, 0.004, 0.8))
+            arrays += [step_2d(step.spec, st, where).u, bfecc_step(step, st, where).u]
+            bfecc_step(step, st, where, out=st.u)
+            assert step.work._arrays
+            arrays += step.work._arrays.values()
+    assert [address_mod_64(a) for a in arrays] == [0] * len(arrays)
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("shape", [(10, 13), (3, 10, 13)])
+def test_split_differences_give_the_one_pass_bits_at_every_output_offset(shape, wrap):
+    """`_dc`'s merged-row pass is a head of h <= 7 elements (maybe none)
+    and a body whose output starts on a 64-byte boundary; at each of the
+    eight 8-byte offsets of the output mod 64, a plane and a stack of
+    three get the bits of one subtract per element, f[j+1] - f[j-1] (with
+    the wrap; the columns in between without it)."""
+    from bfecc_maxwell.schemes import _dc, _zeros
+
+    f = np.random.default_rng(8).standard_normal(shape)
+    want = np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)
+    inner = np.s_[...] if wrap else np.s_[..., 1:-1]
+    for k in range(8):
+        out = _zeros((f.size + 8,))[k:k + f.size].reshape(shape)
+        program = _dc(f, f.ndim - 1, out, wrap)
+        run_program(program)
+        assert np.array_equal(out[inner], want[inner])
+        assert len(program) == 2 + 2 * wrap
+        assert program[0][1][2].shape[-1] == -(k + 1) % 8
+        assert address_mod_64(program[1][1][2]) == 0

@@ -11,7 +11,8 @@ fixed order):
                      256 points
   op.<kind>          the bound 2D operator (one substep) of each of the
                      five scheme kinds on a uniform periodic 149^2 grid
-  op.cd.256          the cd operator on periodic2d_cd's uniform 256^2 grid
+  op.<kind>.256      the cd, lf and theta 0.8 operators on periodic2d_cd's
+                     uniform 256^2 grid
   op.ls_theta.scatter  the ls_theta operator on the 149^2 scatter_cylinder
                      grid (n = 128, 10-cell collar, cylinder eps)
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
@@ -79,10 +80,11 @@ ROUNDS, CALLS = 9, 30
 KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
 LAYERS = ("op.1d.cd", "op.1d.theta") + tuple(f"op.{k}" for k in KINDS) + (
-    "op.cd.256", "op.ls_theta.scatter", "op.ls_theta.grid_d", "setup.geometry.scatter",
-    "setup.grid.star", "setup.point_shift.circle", "PmlRunner.step", "collar.program",
-    "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d", "step.periodic2d_cd",
-    "bfecc.compensation.256", "bfecc.compensation.149", "run.periodic1d") + tuple(
+    "op.cd.256", "op.lf.256", "op.theta.256", "op.ls_theta.scatter", "op.ls_theta.grid_d",
+    "setup.geometry.scatter", "setup.grid.star", "setup.point_shift.circle", "PmlRunner.step",
+    "collar.program", "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d",
+    "step.periodic2d_cd", "bfecc.compensation.256", "bfecc.compensation.149",
+    "run.periodic1d") + tuple(
     f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
 
@@ -104,11 +106,11 @@ def build_layers():
 
     def bound(op, dt, u):
         """One call of the binder op's substep program, bound to u and an
-        output."""
-        return partial(schemes.run_program, op(dt, u, np.empty_like(u)))
+        output from a Workspace, as a stepper's X and Y are."""
+        return partial(schemes.run_program, op(dt, u, schemes.Workspace()("out", u.shape)))
 
-    def operator(kind, grid, eps=None, theta=0.0):
-        st = schemes.FieldState2(*rng.standard_normal((3, grid.nx, grid.ny)), eps=eps)
+    def operator(kind, grid, eps=None, theta=0.0, gen=rng):
+        st = schemes.FieldState2(*gen.standard_normal((3, grid.nx, grid.ny)), eps=eps)
         dt = 0.4 * min(grid.dx, grid.dy)
         return bound(schemes._operator(schemes.SchemeSpec(kind, dt, theta), st, grid), dt, st.u)
 
@@ -131,6 +133,10 @@ def build_layers():
 
     grid_256 = build_uniform(256, 256)
     calls["op.cd.256"] = operator("cd", grid_256)
+    # a generator of their own, so that the other layers keep their inputs
+    rng_256 = np.random.default_rng(25)
+    calls["op.lf.256"] = operator("lf", grid_256, gen=rng_256)
+    calls["op.theta.256"] = operator("theta", grid_256, theta=0.8, gen=rng_256)
     state2 = schemes.FieldState2(*rng.standard_normal((3, 256, 256)))
     stepper2 = BfeccStep(schemes.SchemeSpec("cd", grid_256.dx))
 
