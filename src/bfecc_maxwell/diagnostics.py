@@ -65,11 +65,14 @@ def h_divergence(hx, hy, dx, dy) -> np.ndarray:
 
 
 def convergence_orders(hs, errors):
-    """Observed orders log(e_k/e_{k+1}) / log(h_k/h_{k+1})."""
+    """Observed orders log(e_k/e_{k+1}) / log(h_k/h_{k+1}); an error that
+    is not positive (a sweep run to t = 0, say) has none, a ValueError."""
     hs = [float(h) for h in hs]
     errors = [float(e) for e in errors]
     if len(hs) != len(errors):
         raise ValueError("hs and errors must have equal length")
+    if len(errors) > 1 and not all(e > 0 for e in errors):
+        raise ValueError(f"observed orders need positive errors, got {errors}")
     return [math.log(errors[k - 1] / errors[k]) / math.log(hs[k - 1] / hs[k])
             for k in range(1, len(hs))]
 

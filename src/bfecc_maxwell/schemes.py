@@ -202,14 +202,6 @@ def lincomb1(ca: float, a, cb: float, b):
 lincomb2 = lincomb1
 
 
-def _rows(a):
-    """`a` with its last two axes merged, as a view; None when that would
-    need a copy."""
-    if a.ndim < 2 or a.strides[-2] != a.shape[-1] * a.strides[-1]:
-        return None
-    return a.reshape(a.shape[:-2] + (-1,))
-
-
 def run_program(program):
     """Run a program: each entry's function on its arguments, in order."""
     for f, args in program:
@@ -222,38 +214,63 @@ def _scalar(x):
     return np.array(x, dtype=float)
 
 
-def _dc(f, axis, out, wrap=True):
+def _at(a):
+    """The place, 0-7, of a's first element in its 64-byte line.  Reading
+    an address costs about 1.7 us, so a binding reads it once per stack
+    and counts the places of the stack's views from element offsets."""
+    return a.__array_interface__["data"][0] % 64 // 8
+
+
+def _split(ufunc, a, b, o, at):
+    """The entries of `ufunc` on the equal flat runs a and b into o, whose
+    first element sits at place `at` of its 64-byte line (counted mod 8):
+    a head of the h <= 7 elements before o's first 64-byte boundary (no
+    entry when h = 0), then the body, whose output starts there.  Under
+    AVX-512 loops an output off a boundary costs about twice as much.
+    Every element gets the same operation, so the bits do not change."""
+    h = min(-at % 8, len(o))
+    body = ((ufunc, (a[h:], b[h:], o[h:])),)
+    return ((ufunc, (a[:h], b[:h], o[:h])),) + body if h else body
+
+
+def _dc(f, axis, out, wrap=True, at=None):
     """The program entries (np.subtract, (a, b, o)) that write the raw
     difference f[i+1] - f[i-1] along `axis`, periodic, into `out`.  The
     centered difference's 0.5 is left to the callers, which fold it into
     the factor they multiply or divide by anyway; that is exact, since
     halving a factor only changes its exponent.
 
-    Along the last axis the differences run over whole rows merged end to
-    end, one contiguous pass, in which only the first and last column
-    pick up values from the neighboring row; those two columns are then
-    rewritten.  (numpy iterates a row-by-row slice through buffers, at
-    about twice the cost.)  That pass writes from out[..., 1], 8 bytes
-    past a plane's start, so it is split: a head of the h <= 7 elements
-    before the next 64-byte boundary, taken from out's own address (none
-    when out[..., 1] sits on one), then the body, whose output starts
-    there, at about half the cost.  Every element gets the same subtract,
-    so the bits do not change.  Without
-    `wrap` (a bounded grid) only head and body run: the first and last
-    index along `axis` are not redone.
+    On contiguous f and out the differences run as one flat pass over
+    their flat runs, shifted by the m elements of a step along `axis`:
+    out[m:-m] = f[2m:] - f[:-2m].  (numpy iterates a row-by-row slice
+    through buffers, at about twice the cost.)  Only the first and last
+    index along `axis` pick up values across a row (or plane) junction,
+    and the wrap entries then rewrite them; on a plane, along axis 0, the
+    pass does not reach them at all.  The pass writes from m elements
+    past out's start, off a 64-byte boundary unless out's place `at` in
+    its line (`_at`, read here when None) plus m is a multiple of 8, so
+    it is split there (`_split`).  Operands that are not contiguous take
+    strided views, with the same bits.  Without `wrap` (a bounded grid)
+    only the pass runs: the first and last index along `axis` are not
+    redone, and hold finite differences across the junctions, or what
+    out held.
     """
-    merged = (_rows(f), _rows(out)) if axis == f.ndim - 1 else (None, None)
-    if merged[0] is not None and merged[1] is not None:
-        g, o = merged
-        h = min(-o[..., 1:].__array_interface__["data"][0] % 64 // 8, o.shape[-1] - 2)
-        views = ((g[..., 2:2 + h], g[..., :h], o[..., 1:1 + h]),
-                 (g[..., 2 + h:], g[..., h:-2], o[..., 1 + h:-1]),
-                 (f[..., 1], f[..., -1], out[..., 0]),
-                 (f[..., 0], f[..., -2], out[..., -1]))
+    subtract = np.subtract
+    if f.flags.c_contiguous and out.flags.c_contiguous:
+        m = math.prod(f.shape[axis + 1:])
+        fl, ol = f.reshape(-1), out.reshape(-1)
+        at = _at(out) if at is None else at
+        run = _split(subtract, fl[2 * m:], fl[:-2 * m], ol[m:-m], at + m)
     else:
         g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
-        views = (g[2:], g[:-2], o[1:-1]), (g[1:2], g[-1:], o[:1]), (g[:1], g[-2:-1], o[-1:])
-    return tuple((np.subtract, v) for v in (views if wrap else views[:-2]))
+        run = ((subtract, (g[2:], g[:-2], o[1:-1])),)
+    if not wrap:
+        return run
+    # index `axis` alone, dropping it: a strided column as a (1, n) view
+    # costs about a third more per call than as an (n,) one
+    i = (slice(None),) * axis
+    return run + ((subtract, (f[i + (1,)], f[i + (-1,)], out[i + (0,)])),
+                  (subtract, (f[i + (0,)], f[i + (-2,)], out[i + (-1,)])))
 
 
 def _center_blend(theta_eff, f, out, spare, wrap=True):
@@ -264,31 +281,37 @@ def _center_blend(theta_eff, f, out, spare, wrap=True):
     goes into `out` (contiguous too), with `spare` (f's shape) as scratch,
     for theta > 0 (at 0 the callers take f itself).  The neighbor sum runs
     axis by axis in a fixed order, f[i-1] + f[i+1], then + f[j-1], then +
-    f[j+1], which fixes its rounding; the j neighbors are added over
-    merged rows, as in `_dc`, with the two wrapped columns redone from
-    their sums saved in `spare`, which is free until the (1 - theta)*f
-    term.  The average's 0.5 or 0.25 and theta are one factor: the quarter
-    is exact, so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).  Without
-    `wrap` (a bounded grid) the first and last row and column are not
-    redone.
+    f[j+1], which fixes its rounding.  Each of the three is one flat pass
+    over the whole stack, as in `_dc`, split at its output's 64-byte
+    boundary (`_split`, out's address read once): the i pass shifted by a
+    row, whose rows across plane junctions are each plane's first and
+    last, which the wrap entries redo, and the j passes shifted by one
+    element, whose first and last columns are redone from their sums
+    saved in `spare`, which is free until the (1 - theta)*f term.  The
+    average's 0.5 or 0.25 and theta are one factor: the quarter is exact,
+    so fl(fl(0.25 s) theta) = fl(s fl(0.25 theta)).  Without `wrap` (a
+    bounded grid) the first and last row and column are not redone: they
+    hold finite sums across the junctions, or what out held, and a
+    bounded step gives its ring its input back.
     """
     add, multiply, copyto = np.add, np.multiply, np.copyto
+    fl, ol, at = f.reshape(-1), out.reshape(-1), _at(out)
+    m = math.prod(f.shape[2:])
     g, a = f.swapaxes(0, 1), out.swapaxes(0, 1)
-    program = [(add, (g[:-2], g[2:], a[1:-1]))]
+    program = list(_split(add, fl[:-2 * m], fl[2 * m:], ol[m:-m], at + m))
     if wrap:
         program += [(add, (g[-1:], g[1:2], a[:1])), (add, (g[-2:-1], g[:1], a[-1:]))]
     if f.ndim == 3:
-        fr, ar = _rows(f), _rows(out)
         first, last = spare.reshape(-1)[:2 * f[..., 0].size].reshape((2,) + f.shape[:2])
-        # save the wrapped column's sum, add the neighbors over merged rows,
+        # save the wrapped column's sum, add the neighbors in one flat pass,
         # then redo the column from its sum and its true neighbor; the j-1
         # and then the j+1 neighbors
-        for saved, column, rows, neighbors, wrapped in (
-                (first, out[..., 0], ar[..., 1:], fr[..., :-1], f[..., -1]),
-                (last, out[..., -1], ar[..., :-1], fr[..., 1:], f[..., 0])):
-            merged = (add, (rows, neighbors, rows))
-            program += ([(copyto, (saved, column)), merged, (add, (saved, wrapped, column))]
-                        if wrap else [merged])
+        for saved, column, rows, neighbors, start, wrapped in (
+                (first, out[..., 0], ol[1:], fl[:-1], at + 1, f[..., -1]),
+                (last, out[..., -1], ol[:-1], fl[1:], at, f[..., 0])):
+            merged = _split(add, rows, neighbors, rows, start)
+            program += ([(copyto, (saved, column)), *merged, (add, (saved, wrapped, column))]
+                        if wrap else merged)
     program.append((multiply, (out, _scalar(0.5 / (f.ndim - 1) * theta_eff), out)))
     own = 1.0 - theta_eff
     if own != 0.0:
@@ -372,7 +395,9 @@ def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook=None, ring=())
     and d/dx Ez (k = 1-4), gives five tuples of program entries, the ones
     for plane k run after that plane is formed and before it is scaled;
     plane 0's are left out at th = 0, where the blend is u.  `out`, never
-    u, is the blend's scratch until the first difference.
+    u, is the blend's scratch until the first difference.  out's place in
+    its 64-byte line is read once, and each difference pass's is counted
+    from it (`_dc`).
 
     The points `ring`, a bounded grid's held outer ring, get their input
     values back at the end, so there the passes skip the periodic wrap.
@@ -380,11 +405,13 @@ def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook=None, ring=())
     `out` held, since the collar's c * g (c = 0 there) reads it.  No pass
     writes rows 0 and nx - 1 of a difference along x (nor two corners
     along y), so these rows are first copied from u, unless the blend's
-    (1 - th) u term writes all of `out` first; the blend's own ring, in
-    a Workspace array, starts at zero and reaches only the output's ring.
+    (1 - th) u term writes all of `out` first.  The blend's flat passes
+    write most of its own ring with finite sums of u across the row and
+    plane junctions (the rest, in a Workspace array, starts at zero), and
+    that ring reaches only the output's ring.
     """
     hx, hy, ez = out
-    wrap = not ring
+    wrap, at, n = not ring, _at(out), u[0].size
     blend, mix = u, ()
     if th != 0.0:
         blend = work("blend", u.shape)
@@ -398,12 +425,13 @@ def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook=None, ring=())
     ly = _scalar(0.5 * (sdt / grid.dy))
     add, subtract, multiply = np.add, np.subtract, np.multiply
     return (*guard, *mix, *(fixes[0] if mix else ()),
-            *_dc(u[1], 0, ez, wrap), *fixes[1], (multiply, (ez, lx, ez)),
-            *_dc(u[0], 1, hx, wrap), *fixes[2], (multiply, (hx, ly, hx)), (subtract, (ez, hx, ez)),
+            *_dc(u[1], 0, ez, wrap, at + 2 * n), *fixes[1], (multiply, (ez, lx, ez)),
+            *_dc(u[0], 1, hx, wrap, at), *fixes[2], (multiply, (hx, ly, hx)),
+            (subtract, (ez, hx, ez)),
             *(() if inv_eps is None else ((multiply, (ez, inv_eps, ez)),)), (add, (ez, b_ez, ez)),
-            *_dc(u[2], 1, hx, wrap), *fixes[3], *_scaled(hx, ly, inv_mu, coef, hx),
+            *_dc(u[2], 1, hx, wrap, at), *fixes[3], *_scaled(hx, ly, inv_mu, coef, hx),
             (subtract, (b_hx, hx, hx)),
-            *_dc(u[2], 0, hy, wrap), *fixes[4], *_scaled(hy, lx, inv_mu, coef, hy),
+            *_dc(u[2], 0, hy, wrap, at + n), *fixes[4], *_scaled(hy, lx, inv_mu, coef, hy),
             (add, (hy, b_hy, hy)),
             *((np.copyto, (out[points], u[points])) for points in ring))
 

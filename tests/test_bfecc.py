@@ -612,11 +612,14 @@ def test_the_plane_wise_compensation_gives_the_stack_wide_bits(case, monkeypatch
 def test_below_a_quarter_mb_plane_the_compensation_stays_stack_wide(case, unsplit):
     """The 149^2 scatter runner and an 80^2 grid-d ls_theta stepper keep
     the three whole-stack entries x = 1.5 u, y *= -0.5, y += x.  Their
-    programs hold `unsplit` entries plus six alignment heads, one per j
-    difference of each substep (`_dc`)."""
+    programs hold `unsplit` entries plus the alignment heads of the
+    row-shifted passes (`_split`), per substep: at 149^2 six, one per
+    difference (`_dc`) and per blend pass shifted by a row or by j - 1
+    (`_center_blend`); at 80^2, whose rows and planes fill whole 64-byte
+    lines, three, one per pass shifted by j - 1."""
     make, run, st = scatter_runner(128) if case == "scatter_128" else grid_d_80()
     step, program, comp = kept_program(make, lambda s: run(s, st, st.u))
-    assert len(program) == unsplit + 6
+    assert len(program) == unsplit + 3 * (6 if case == "scatter_128" else 3)
     x, y = step.work("X", st.u.shape), step.work("bfecc", st.u.shape)
     assert [f for f, _ in comp] == [np.multiply, np.multiply, np.add]
     (_, (u1, a, x1)), (_, (y1, b, y2)), (_, (y3, x2, y4)) = comp

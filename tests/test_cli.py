@@ -1,12 +1,20 @@
+import contextlib
+import io
 import os
+import re
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from bfecc_maxwell import cli
 from bfecc_maxwell.cli import main
+from bfecc_maxwell.harness import EXPERIMENTS, GRID_VARIANTS, KNOWN_KEYS
+from bfecc_maxwell.schemes import LS_KINDS, SCHEME_KINDS, UNIFORM_KINDS
 
 
 def lines_of(capsys):
@@ -247,6 +255,18 @@ def test_a_sweep_too_large_to_finish_exits_2_at_once(settings, levels, reason, c
     assert reason in err[0]
 
 
+@pytest.mark.parametrize("t_final", ["0", "1e-300"])
+def test_a_sweep_with_a_zero_error_exits_2_with_one_line(t_final, capsys):
+    """A sweep run to t = 0, or so close to it that every error is 0, has no
+    observed order: one line, exit 2, where a ZeroDivisionError ended it
+    in a traceback."""
+    rc = main(["refine", "--levels", "2", "-p", "experiment=periodic1d", "-p", "n=8",
+               "-p", f"t_final={t_final}"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: observed orders need positive errors, got [0.0, 0.0]"]
+
+
 GRID_D_16 = ["-p", "experiment=periodic2d", "-p", "grid=d", "-p", "scheme=ls_theta",
              "-p", "n=16", "-p", "dt_ratio=0.25", "-p", "t_final=0.01"]
 SCATTER_16 = ["-p", "experiment=scatter_cylinder", "-p", "scheme=ls_theta", "-p", "n=16",
@@ -415,3 +435,93 @@ def test_a_periodic_run_ignores_the_source_amplitude(capsys):
                "-p", "blowup_threshold=1e300", "-p", "tfsf.amplitude=1e10"])
     assert rc == 0
     assert capsys.readouterr().err == ""
+
+
+# the hostile alphabet of the CLI fuzz: non-finite, zero, negative, huge,
+# empty, list-shaped, word-shaped and plain non-numbers
+HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e308", "", "1,2,3", "none", "true", "abc"]
+# ordinary values of the keys that choose what runs, and capped sizes, so
+# that every case allocates a few MB at most and ends within a fraction of
+# a second
+ORDINARY = {"experiment": list(EXPERIMENTS), "scheme": list(SCHEME_KINDS),
+            "grid": list(GRID_VARIANTS), "n": ["4", "8", "12"], "levels": ["1", "2"],
+            "reference_n": ["0", "48"], "t_final": ["0.05", "0.1"]}
+
+
+def values(key=None):
+    return hst.sampled_from(HOSTILE + ORDINARY.get(key, []))
+
+
+@hst.composite
+def cli_cases(draw):
+    """argv of one CLI call: a subcommand, for the config-reading ones a
+    small base (n, t_final, levels) and some of every KNOWN_KEYS key set
+    to hostile values, and some of the subcommand's flags."""
+    command = draw(hst.sampled_from(["run", "refine", "gridgen", "analyze", "dispersion"]))
+    argv = [command]
+    if command in ("run", "refine", "gridgen"):
+        experiment = draw(hst.sampled_from(EXPERIMENTS))
+        kinds = LS_KINDS if experiment.startswith("scatter") else (
+            UNIFORM_KINDS if experiment == "periodic1d" else SCHEME_KINDS)
+        base = [f"experiment={experiment}", "scheme=" + draw(hst.sampled_from(kinds)),
+                "n=" + draw(hst.sampled_from(ORDINARY["n"])), "t_final=0.05", "levels=2"]
+        keys = draw(hst.lists(hst.sampled_from(sorted(KNOWN_KEYS)), max_size=3))
+        for setting in base + [f"{key}={draw(values(key))}" for key in keys]:
+            argv += ["-p", setting]
+        if draw(hst.booleans()):
+            argv.append("--allow-unstable")
+        if draw(hst.booleans()):
+            argv += ["-c", draw(hst.sampled_from(["", "no/such/file.cfg", "CONFIG"]))]
+        out = {"run": "--snapshot", "refine": "--table", "gridgen": "--out"}[command]
+        if draw(hst.booleans()):
+            argv += [out, draw(hst.sampled_from(["", "no/such/dir/file.csv", "OUT"]))]
+        if command == "refine" and draw(hst.booleans()):
+            argv += ["--levels", draw(values("levels"))]
+    elif command == "analyze":
+        for flag, pool in (("--kind", HOSTILE + ["cd", "lf", "theta"]),
+                           ("--dims", HOSTILE + ["1", "2"]),
+                           ("--lam", HOSTILE + ["0.5", "0.5,0.4"]), ("--theta", HOSTILE),
+                           ("--samples", HOSTILE + ["64"]), ("--h", HOSTILE)):
+            if draw(hst.booleans()):
+                argv += [flag, draw(hst.sampled_from(pool))]
+        argv += [f for f in ("--plain", "--cfl") if draw(hst.booleans())]
+    else:
+        for flag, pool in (("--lam", HOSTILE), ("--kh-max", HOSTILE),
+                           ("--points", HOSTILE + ["4"]), ("--steps", HOSTILE + ["10"])):
+            if draw(hst.booleans()):
+                argv += [flag, draw(hst.sampled_from(pool))]
+        if draw(hst.booleans()):
+            argv.append("--measured")
+    return argv, draw(hst.sampled_from(sorted(KNOWN_KEYS))), draw(values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cli_cases())
+# the defect the fuzz found: a sweep to t = 0 ended in a ZeroDivisionError
+@example(case=(["refine", "-p", "experiment=periodic1d", "-p", "n=8", "-p", "t_final=0"],
+               "n", "8"))
+def test_every_cli_input_runs_or_fails_fast_with_one_line(case):
+    """Over every subcommand and flag and every config key, with hostile
+    values (from the config file too): the exit code is 0, 2 or 3, a
+    nonzero exit writes exactly one `error:` line, nothing raises past
+    main and no warning is emitted, and stdout at exit 0 holds no NaN."""
+    argv, file_key, file_value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        places = {"CONFIG": os.path.join(tmp, "a.cfg"), "OUT": os.path.join(tmp, "out.csv")}
+        with open(places["CONFIG"], "w") as f:
+            f.write(f"{file_key} = {file_value}\n")
+        argv = [places.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+    assert rc in (0, 2, 3), argv
+    assert caught == [], argv
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == (rc != 0), (argv, err.getvalue())
+    if rc == 0:
+        assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv

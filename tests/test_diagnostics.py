@@ -146,11 +146,13 @@ def test_snapshot_roundtrip(tmp_path):
      "component c0 shapes differ: (3,) vs (4,)"),
     (lambda: convergence_orders([0.1, 0.05], [1.0]), ValueError,
      "hs and errors must have equal length"),
+    (lambda: convergence_orders([0.1, 0.05], [1e-3, 0.0]), ValueError,
+     "observed orders need positive errors, got [0.001, 0.0]"),
 ])
 def test_bad_operands_are_one_line_errors(call, error, words):
     """Operands that are no field states or sequences, differ in component
     count or in a component's shape, and order inputs of unequal length
-    are one-line errors of their type."""
+    or with an error of zero are one-line errors of their type."""
     with pytest.raises(error) as exc:
         call()
     assert "\n" not in str(exc.value) and words in str(exc.value)

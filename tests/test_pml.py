@@ -653,17 +653,19 @@ def test_bounded_steps_do_not_read_what_out_held(kind, with_source, monkeypatch)
     ("ls_theta", True, 195)])
 def test_a_bounded_step_program_has_no_wrap_entries(kind, with_source, unsplit):
     """The program of a collar step on the 37^2 scatter grid: `unsplit`
-    entries plus six alignment heads, one per j difference of each
-    substep (`_dc`).  With the periodic wrap it held 195, 198, 234 and
-    237 entries before the heads.  A bounded substep leaves out 14 wrap
-    entries (the differences' 8 and the blend's 6), 8 for ls_cd, which
-    has no blend and instead fills the two ring rows of its output from
-    the input first, one entry."""
+    entries plus the alignment heads of the row-shifted passes
+    (`_split`), per substep one per difference (`_dc`), four, and for
+    ls_theta one per blend pass shifted by a row or by j - 1
+    (`_center_blend`), two more.  With the periodic wrap it held 195,
+    198, 234 and 237 entries before the heads.  A bounded substep leaves
+    out 14 wrap entries (the differences' 8 and the blend's 6), 8 for
+    ls_cd, which has no blend and instead fills the two ring rows of its
+    output from the input first, one entry."""
     g, eps, mu, src, dt = scatter_setup()
     runner = PmlRunner(g, SchemeSpec(kind, dt), build_pml(g, dt), src if with_source else None)
     st = FieldState2(*np.zeros((3, g.nx, g.ny)), eps=eps, mu=mu)
     runner.step(st, 0.0, out=st.u)
-    assert len(runner._kept[2]) == unsplit + 6
+    assert len(runner._kept[2]) == unsplit + 3 * (4 + 2 * (kind == "ls_theta"))
 
 
 def test_a_collar_built_for_another_grid_is_a_one_line_value_error():

@@ -686,17 +686,18 @@ def test_a_bad_material_or_spacing_is_a_one_line_value_error(call, error, words)
 @pytest.mark.parametrize("wrap", [True, False])
 @pytest.mark.parametrize("shape", [(12,), (3, 12)])
 def test_differences_of_rows_that_cannot_merge_equal_the_merged_ones(shape, wrap):
-    """Along the last axis `_dc` runs over merged rows; a plane whose rows
-    are not contiguous (a column slice of a wider plane), or an output of
-    that kind, takes the row-by-row fallback, with the same bits: all of
-    them with the wrap, and without it (a bounded grid, whose first and
-    last column neither pass redoes) on the columns in between."""
-    from bfecc_maxwell.schemes import _dc, _rows
+    """Along the last axis `_dc` runs over the flat run of its contiguous
+    operands; a plane whose rows are not contiguous (a column slice of a
+    wider plane), or an output of that kind, takes the row-by-row
+    fallback, with the same bits: all of them with the wrap, and without
+    it (a bounded grid, whose first and last column neither pass redoes)
+    on the columns in between."""
+    from bfecc_maxwell.schemes import _dc
 
     rng = np.random.default_rng(5)
     wide = rng.standard_normal(shape + (10, 16))
     f, plain = wide[..., :11], np.ascontiguousarray(wide[..., :11])
-    assert _rows(f) is None and _rows(plain) is not None
+    assert not f.flags.c_contiguous and plain.flags.c_contiguous
     want = np.zeros(plain.shape)
     run_program(_dc(plain, f.ndim - 1, want, wrap))
     for src, out in ((f, np.zeros(plain.shape)), (plain, np.zeros(shape + (10, 13))[..., :11]),
@@ -745,24 +746,144 @@ def test_every_array_a_step_program_streams_starts_on_a_64_byte_boundary():
     assert [address_mod_64(a) for a in arrays] == [0] * len(arrays)
 
 
+def flat_runs(program, row):
+    """(heads, bodies): the counts of a program's flat np.add and
+    np.subtract runs, as `_split` makes them, after checking that every
+    head holds 1-7 elements and ends on a 64-byte boundary and that every
+    body holds more and starts on one.  Runs are the contiguous 1-D
+    outputs other than a `row`; a wrap entry writes a row, a strided
+    column or the rows of a stack."""
+    heads = bodies = 0
+    for f, args in program:
+        o = args[-1]
+        if f in (np.add, np.subtract) and o.ndim == 1 and o.strides == (8,) and len(o) != row:
+            if address_mod_64(o) == 0 and len(o) > 7:
+                bodies += 1
+            else:
+                assert 1 <= len(o) <= 7 and (address_mod_64(o) + 8 * len(o)) % 64 == 0
+                heads += 1
+    return heads, bodies
+
+
+def at_offset(shape, k):
+    """A zeroed array of `shape` whose data start k * 8 bytes past a 64-byte
+    boundary."""
+    from bfecc_maxwell.schemes import _zeros
+
+    size = math.prod(shape)
+    return _zeros((size + 8,))[k:k + size].reshape(shape)
+
+
 @pytest.mark.parametrize("wrap", [True, False])
 @pytest.mark.parametrize("shape", [(10, 13), (3, 10, 13)])
 def test_split_differences_give_the_one_pass_bits_at_every_output_offset(shape, wrap):
-    """`_dc`'s merged-row pass is a head of h <= 7 elements (maybe none)
+    """`_dc`'s merged-row pass is a head of h <= 7 elements (none at h = 0)
     and a body whose output starts on a 64-byte boundary; at each of the
     eight 8-byte offsets of the output mod 64, a plane and a stack of
     three get the bits of one subtract per element, f[j+1] - f[j-1] (with
     the wrap; the columns in between without it)."""
-    from bfecc_maxwell.schemes import _dc, _zeros
+    from bfecc_maxwell.schemes import _dc
 
     f = np.random.default_rng(8).standard_normal(shape)
     want = np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)
     inner = np.s_[...] if wrap else np.s_[..., 1:-1]
     for k in range(8):
-        out = _zeros((f.size + 8,))[k:k + f.size].reshape(shape)
+        out = at_offset(shape, k)
         program = _dc(f, f.ndim - 1, out, wrap)
         run_program(program)
         assert np.array_equal(out[inner], want[inner])
-        assert len(program) == 2 + 2 * wrap
-        assert program[0][1][2].shape[-1] == -(k + 1) % 8
-        assert address_mod_64(program[1][1][2]) == 0
+        h = -(k + 1) % 8
+        assert len(program) == 1 + (h > 0) + 2 * wrap
+        assert flat_runs(program, shape[-1]) == (int(h > 0), 1)
+        if h:
+            assert program[0][1][2].shape[-1] == h
+        assert address_mod_64(program[int(h > 0)][1][2]) == 0
+
+
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("shape", [(9, 11), (3, 9, 11)])
+def test_row_shifted_differences_give_the_roll_bits_at_every_output_offset(shape, wrap):
+    """`_dc` along the rows' axis (axis 0 of a plane, axis 1 of a stack of
+    three odd planes) is one flat pass shifted by a row, split at its
+    output's first 64-byte boundary.  At each of the eight 8-byte offsets
+    of the output mod 64 it gives the bits of the roll reference (every
+    row with the wrap; the rows in between without it, the others finite)
+    and writes every body from a boundary."""
+    from bfecc_maxwell.schemes import _dc
+
+    f = np.random.default_rng(12).standard_normal(shape)
+    axis = f.ndim - 2
+    want = roll_dc(f, axis)
+    inner = np.s_[...] if wrap else (slice(None),) * axis + (slice(1, -1),)
+    for k in range(8):
+        out = at_offset(shape, k)
+        program = _dc(f, axis, out, wrap)
+        run_program(program)
+        assert np.array_equal(0.5 * out[inner], want[inner])
+        assert np.isfinite(out).all()
+        h = -(k + shape[-1]) % 8
+        assert len(program) == 1 + (h > 0) + 2 * wrap
+        assert flat_runs(program, shape[-1]) == (int(h > 0), 1)
+
+
+@pytest.mark.parametrize("theta", [0.8, 1.0])
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("planes", [1, 3])
+def test_the_flat_center_blend_gives_the_roll_bits_at_every_output_offset(planes, wrap, theta):
+    """`_center_blend`'s i-neighbor add and its j-1 and j+1 adds each run as
+    one flat pass over the whole stack, split at their outputs' first
+    64-byte boundary.  At each of the eight 8-byte offsets of the output
+    mod 64, on one 9 x 11 plane and on a stack of three, the blend gives
+    the bits of the roll reference (everywhere with the wrap; inside the
+    ring without it, where the ring holds finite sums) and writes every
+    body from a boundary: the i pass starts a row, the j-1 pass one
+    element, the j+1 pass no element past the output's start."""
+    from bfecc_maxwell.schemes import _center_blend
+
+    f = np.random.default_rng(13).standard_normal((planes, 9, 11))
+    want = np.stack([roll_blend_2d(p, theta) for p in f])
+    inner = np.s_[...] if wrap else np.s_[:, 1:-1, 1:-1]
+    for k in range(8):
+        out, spare = at_offset(f.shape, k), np.zeros(f.shape)
+        program = _center_blend(theta, f, out, spare, wrap)
+        run_program(program)
+        assert np.array_equal(out[inner], want[inner])
+        assert np.isfinite(out).all()
+        heads = sum(-(k + shift) % 8 > 0 for shift in (11, 1, 0))
+        # the three passes and their heads, the wrap's 2 + 2 * 2 entries,
+        # the factor and, below theta 1, the (1 - theta) f term's 2
+        assert len(program) == 3 + heads + 6 * wrap + 1 + 2 * (theta != 1.0)
+        assert flat_runs(program, 11) == (heads, 3)
+
+
+def test_a_bounded_blend_keeps_a_finite_ring_and_the_step_gives_the_ring_back():
+    """On a bounded grid the blend's flat passes skip the wrap, so they
+    write most of its ring, rows across plane junctions included, with
+    sums across the junctions.  Over three ls_theta steps on an odd 29 x
+    37 grid, into outputs filled with NaN, the blend stays finite
+    everywhere, the junction rows are written, each output's ring is its
+    input's, and the program's flat runs are split at their outputs'
+    64-byte boundaries: the blend's i, j-1 and j+1 passes and the four
+    differences, placed 37, 1, 0, 2n + 37, 1, 1 and n + 37 elements past
+    their 64-byte-aligned stacks' starts (n = 29 * 37)."""
+    from bfecc_maxwell.schemes import Workspace
+
+    g = build_uniform(29, 37, ((0.0, 1.0), (0.0, 1.3)), "bounded")
+    st = FieldState2(*np.random.default_rng(17).standard_normal((3, 29, 37)))
+    work = Workspace()
+    bind = _operator(SchemeSpec("ls_theta", 0.4 * g.dx), st, g, work=work)
+    ring = StencilGeometry(g).ring
+    n = 29 * 37
+    heads = sum(-shift % 8 > 0 for shift in (37, 1, 0, 2 * n + 37, 1, 1, n + 37))
+    u = st.u
+    for _ in range(3):
+        out = at_offset(u.shape, 0)
+        out[...] = np.nan
+        program = bind(0.4 * g.dx, u, out)
+        run_program(program)
+        blend = work("blend", u.shape)
+        assert np.isfinite(blend).all() and np.isfinite(out).all()
+        assert blend[1:, 0].all() and blend[:-1, -1].all()
+        assert all(np.array_equal(out[points], u[points]) for points in ring)
+        assert flat_runs(program, 37) == (heads, 7)
+        u = out

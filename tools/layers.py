@@ -16,6 +16,9 @@ fixed order):
   op.ls_theta.scatter  the ls_theta operator on the 149^2 scatter_cylinder
                      grid (n = 128, 10-cell collar, cylinder eps)
   op.ls_theta.grid_d   the ls_theta operator on grid d at 80^2
+  blend.149          the ls_theta center-blend entries alone on a (3,
+                     149, 149) stack of the scatter grid, as its bounded
+                     step binds them, into a blend from a Workspace
   setup.geometry.scatter  StencilGeometry and its cached_weights() on the
                      149^2 scatter_cylinder grid
   setup.grid.star    harness.build_scatter_grid of scatter_complex at
@@ -81,9 +84,9 @@ KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
 LAYERS = ("op.1d.cd", "op.1d.theta") + tuple(f"op.{k}" for k in KINDS) + (
     "op.cd.256", "op.lf.256", "op.theta.256", "op.ls_theta.scatter", "op.ls_theta.grid_d",
-    "setup.geometry.scatter", "setup.grid.star", "setup.point_shift.circle", "PmlRunner.step",
-    "collar.program", "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d",
-    "step.periodic2d_cd", "bfecc.compensation.256", "bfecc.compensation.149",
+    "blend.149", "setup.geometry.scatter", "setup.grid.star", "setup.point_shift.circle",
+    "PmlRunner.step", "collar.program", "tfsf.corrections.ramp", "tfsf.corrections.past",
+    "step.periodic1d", "step.periodic2d_cd", "bfecc.compensation.256", "bfecc.compensation.149",
     "run.periodic1d") + tuple(
     f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
 
@@ -150,6 +153,13 @@ def build_layers():
     grid, eps = build_scatter_grid(cfg, 128)
     calls["op.ls_theta.scatter"] = operator("ls_theta", grid, eps)
     calls["op.ls_theta.grid_d"] = operator("ls_theta", build_variant_grid("d", 80))
+    # a stack from a generator of its own, so that the other layers keep their inputs
+    blended = schemes.FieldState2(
+        *np.random.default_rng(26).standard_normal((3, grid.nx, grid.ny))).u
+    work = schemes.Workspace()
+    calls["blend.149"] = partial(schemes.run_program, schemes._center_blend(
+        schemes.LS_CENTER["ls_theta"], blended, work("blend", blended.shape),
+        work("out", blended.shape), False))
     calls["setup.geometry.scatter"] = lambda: schemes.StencilGeometry(grid).cached_weights()
     star = ExperimentConfig(experiment="scatter_complex", scheme="ls_theta", n=96)
     calls["setup.grid.star"] = partial(build_scatter_grid, star, 96)
