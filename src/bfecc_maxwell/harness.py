@@ -88,7 +88,7 @@ class ExperimentConfig:
     reference_n: int = 0
     allow_unstable: bool = False
     check_every: int = 10
-    blowup_threshold: float = 1e6
+    blowup_threshold: float = 100.0
     pml_cells: int = field(default=10, metadata={"key": "pml.cells"})
     pml_sigma_max: Optional[float] = field(default=None, metadata={"key": "pml.sigma_max"})
     pml_exponent: float = field(default=3.0, metadata={"key": "pml.exponent"})

@@ -28,7 +28,8 @@ Plane-wave injection uses the standard total-field/scattered-field
 bookkeeping: for an update with weights w(p, q), the stored field needs
 the correction sum_q w(p, q) (chi(p) - chi(q)) u_inc(q, t), where chi is
 the total-field-rectangle indicator.  Only stencils straddling the
-rectangle edge contribute, and the correction is state independent.
+rectangle edge contribute, found from chi at each node and checked at
+their stencil positions, and the correction is state independent.
 Unlike the memory term, this correction belongs to every substep (with
 that substep's direction and the incident field at the time the substep
 acts on); leaving it out of the error-estimation substeps plants a
@@ -57,8 +58,8 @@ from .grid import Grid2
 # _ls_fit_all, lincomb2 and StencilGeometry are looked up in this module by
 # bench/tracing.py, which wraps them in place
 from .schemes import (LS_CENTER, LS_KINDS, FieldState2, SchemeSpec, StencilGeometry,  # noqa: F401
-                      _checked_geometry, _checked_weights, _ls_fit_all, _zeros, lincomb2,
-                      run_program)
+                      _checked_geometry, _checked_weights, _cross, _ls_fit_all, _zeros,
+                      lincomb2, run_program)
 
 
 def _depth_fraction(n, thickness):
@@ -196,7 +197,13 @@ class TfsfInjector:
     arrays of its own, one per sign of step, and the entry that adds them.
 
     Only update points whose stencil straddles the rectangle edge get a
-    correction; `index` (3, rows) holds their flat indices into a
+    correction: chi at a stencil position c + (p - c) (center c, point p,
+    `geom.offsets_of`) differs from chi at c.  The candidates come from chi
+    once per node: stencils with nodes on both sides of the edge, and those
+    whose positions may lie off their nodes' own coordinates p (across a
+    periodic seam, or where c + (p - c) rounds, near a zero coordinate).
+    Only they take the exact test, with the rows of a scan of every
+    stencil.  `index` (3, rows) holds their flat indices into a
     contiguous (Hx, Hy, Ez) stack.  Their fit weights come from one
     factorization of just those stencils, their material factors 1/eps
     and 1/mu from the material planes `eps`/`mu` (None for free space) at
@@ -208,21 +215,28 @@ class TfsfInjector:
     """
 
     def __init__(self, source: TfsfSource, geom: StencilGeometry, kind: str, eps, mu):
-        centers = geom.grid.coords[geom.interior].reshape(-1, 1, 2)
-        # chi differences a block of stencils at a time: whole, these
-        # temporaries set a scatter run's peak memory
-        found, block = [], 4096
-        for lo in range(0, len(centers), block):
-            pos = centers[lo:lo + block] + geom.offsets[lo:lo + block]
-            chi = source.chi(pos[:, :, 0], pos[:, :, 1])
-            dchi = chi[:, 0:1] - chi
-            hit = np.nonzero(np.any(dchi != 0.0, axis=1))[0]
-            found.append((lo + hit, dchi[hit], pos[hit, :, 0]))
-        rows, d, ax = (np.concatenate(parts) for parts in zip(*found))
+        grid = geom.grid
+        coords = grid.coords
+        inside = source.chi(coords[..., 0], coords[..., 1]) != 0.0
+        # fl(p - c) = -fl(c - p): one difference serves both ends of a pair
+        off = np.zeros(inside.shape, dtype=bool)
+        if grid.boundary_kind == "periodic":
+            off[[0, -1]] = off[:, [0, -1]] = True
+        for lo, hi in ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:])):
+            c, p = coords[lo], coords[hi]
+            step = p - c
+            for flag, moved in ((off[lo], c + step != p), (off[hi], p - step != c)):
+                flag |= moved[..., 0] | moved[..., 1]
+        rows = np.flatnonzero((_cross(inside) & _cross(~inside) | off)[geom.interior])
+        center = geom.index_of(rows)[:, 0]
+        pos = coords.reshape(-1, 1, 2)[center] + geom.offsets_of(rows)
+        chi = source.chi(pos[:, :, 0], pos[:, :, 1])
+        dchi = chi[:, 0:1] - chi
+        hit = np.any(dchi != 0.0, axis=1)
+        rows, center, d, ax = rows[hit], center[hit], dchi[hit], pos[hit, :, 0]
         weights = geom.fit_weights(rows)
         self.source = source
-        center = geom.index[rows, 0]
-        self.index = center + np.arange(3)[:, None] * (geom.grid.nx * geom.grid.ny)
+        self.index = center + np.arange(3)[:, None] * (grid.nx * grid.ny)
         self.x, inverse = np.unique(ax, return_inverse=True)
         # laid out (5, rows), so that the contraction runs along the rows, at
         # a fraction of the cost along the 5 points, in the same order

@@ -233,37 +233,30 @@ def _split(ufunc, a, b, o, at):
     return ((ufunc, (a[:h], b[:h], o[:h])),) + body if h else body
 
 
-def _dc(f, axis, out, wrap=True, at=None):
+def _dc(f, axis, out, wrap, at):
     """The program entries (np.subtract, (a, b, o)) that write the raw
     difference f[i+1] - f[i-1] along `axis`, periodic, into `out`.  The
     centered difference's 0.5 is left to the callers, which fold it into
     the factor they multiply or divide by anyway; that is exact, since
     halving a factor only changes its exponent.
 
-    On contiguous f and out the differences run as one flat pass over
-    their flat runs, shifted by the m elements of a step along `axis`:
-    out[m:-m] = f[2m:] - f[:-2m].  (numpy iterates a row-by-row slice
-    through buffers, at about twice the cost.)  Only the first and last
-    index along `axis` pick up values across a row (or plane) junction,
-    and the wrap entries then rewrite them; on a plane, along axis 0, the
-    pass does not reach them at all.  The pass writes from m elements
-    past out's start, off a 64-byte boundary unless out's place `at` in
-    its line (`_at`, read here when None) plus m is a multiple of 8, so
-    it is split there (`_split`).  Operands that are not contiguous take
-    strided views, with the same bits.  Without `wrap` (a bounded grid)
-    only the pass runs: the first and last index along `axis` are not
-    redone, and hold finite differences across the junctions, or what
-    out held.
+    f and out are contiguous (planes of contiguous stacks), so the
+    differences run as one flat pass over their flat runs, shifted by the
+    m elements of a step along `axis`: out[m:-m] = f[2m:] - f[:-2m].
+    (numpy iterates a row-by-row slice through buffers, at about twice
+    the cost.)  Only the first and last index along `axis` pick up values
+    across a row (or plane) junction, and the wrap entries then rewrite
+    them; on a plane, along axis 0, the pass does not reach them at all.
+    The pass writes from m elements past out's start, off a 64-byte
+    boundary unless out's place `at` in its line (`_at`) plus m is a
+    multiple of 8, so it is split there (`_split`).  Without `wrap` (a
+    bounded grid) only the pass runs: the first and last index along
+    `axis` are not redone, and hold finite differences across the
+    junctions, or what out held.
     """
-    subtract = np.subtract
-    if f.flags.c_contiguous and out.flags.c_contiguous:
-        m = math.prod(f.shape[axis + 1:])
-        fl, ol = f.reshape(-1), out.reshape(-1)
-        at = _at(out) if at is None else at
-        run = _split(subtract, fl[2 * m:], fl[:-2 * m], ol[m:-m], at + m)
-    else:
-        g, o = f.swapaxes(0, axis), out.swapaxes(0, axis)
-        run = ((subtract, (g[2:], g[:-2], o[1:-1])),)
+    subtract, m = np.subtract, math.prod(f.shape[axis + 1:])
+    fl, ol = f.reshape(-1), out.reshape(-1)
+    run = _split(subtract, fl[2 * m:], fl[:-2 * m], ol[m:-m], at + m)
     if not wrap:
         return run
     # index `axis` alone, dropping it: a strided column as a (1, n) view
@@ -436,26 +429,40 @@ def _kernel_2d(grid, th, inv_eps, inv_mu, work, sdt, u, out, hook=None, ring=())
             *((np.copyto, (out[points], u[points])) for points in ring))
 
 
+def _cross(mask):
+    """The (nx, ny) plane that is set where the five-point cross about a
+    node, wrapped across periodic seams, touches the bool plane `mask`.
+    About a bounded grid's interior nodes the cross never wraps."""
+    near = mask.copy()
+    for axis in (0, 1):
+        for shift in (1, -1):
+            near |= np.roll(mask, shift, axis)
+    return near
+
+
 class StencilGeometry:
-    """Five-point stencils of a Grid2 and their least-squares fit weights.
+    """Five-point stencils of a Grid2 and their least-squares fit weights,
+    built only for the stencils a run reads.
 
     Update points are all points (periodic) or the interior ring-1 points
     (bounded; the outer ring has no update rule and is held fixed).  They
     form an (nx', ny') = `shape` block that `interior` slices out of any
-    field, m = nx' * ny' stencils in row-major order; `ring` indexes the
-    held outer ring of a stacked state (empty on periodic grids).
+    field, m = nx' * ny' stencils, rows 0 to m - 1 in row-major order;
+    `ring` indexes the held outer ring of a stacked state (empty on
+    periodic grids).  Nothing of size m is kept.
 
-    `index` (m, 5) holds the flat field index of each stencil's points in
-    grid.STENCIL_OFFSETS order, wrapped across periodic seams, and `offsets`
-    (m, 5, 2) their positions relative to the center, a wrapped neighbor
-    sitting one domain extent away.  A stencil is irregular when any of its
-    points has left its rect_coords() position; `irregular` lists them and
-    `irregular_index` (5, r) holds their rows of `index`, transposed.  Every
-    other stencil is the uniform cross, whose fit is the theta = 0.8 center
-    blend and the centered differences, so `cached_weights()` factors only
-    the irregular stencils, (r, 3, 5) in `irregular` order;
-    `irregular_center` (3, r) holds the flat indices of their centers in a
-    contiguous (Hx, Hy, Ez) stack, where their corrections go.
+    `index_of(rows)` gives the flat field index of the stencils' points in
+    grid.STENCIL_OFFSETS order, wrapped across periodic seams, and
+    `offsets_of(rows)` their positions relative to the center, a wrapped
+    neighbor sitting one domain extent away.  A stencil is irregular when
+    the cross about it touches a point that has left its rect_coords()
+    position (`_cross`); `irregular` lists them and `irregular_index`
+    (5, r) holds their index_of rows, transposed.  Every other stencil is
+    the uniform cross, whose fit is the theta = 0.8 center blend and the
+    centered differences, so `cached_weights()` factors only the irregular
+    stencils, (r, 3, 5) in `irregular` order; `irregular_center` (3, r)
+    holds the flat indices of their centers in a contiguous (Hx, Hy, Ez)
+    stack, where their corrections go.
     """
 
     def __init__(self, grid: Grid2):
@@ -466,26 +473,42 @@ class StencilGeometry:
         self.interior = (slice(ring, nx - ring), slice(ring, ny - ring))
         self.ring = [] if ring == 0 else [np.s_[:, 0], np.s_[:, -1],
                                           np.s_[:, 1:-1, 0], np.s_[:, 1:-1, -1]]
-        di, dj = np.array(STENCIL_OFFSETS).T
-        wi, ii = np.divmod(np.arange(ring, nx - ring)[:, None, None] + di, nx)
-        wj, jj = np.divmod(np.arange(ring, ny - ring)[None, :, None] + dj, ny)
-        self.index = (ii * ny + jj).reshape(-1, 5)
-        pos = grid.coords[ii, jj]
-        pos[..., 0] += wi * grid.width
-        pos[..., 1] += wj * grid.height
-        self.offsets = (pos - pos[:, :, :1]).reshape(-1, 5, 2)
-        moved = np.any(grid.coords != grid.rect_coords(), axis=2).ravel()
-        self.irregular = np.flatnonzero(moved[self.index].any(axis=1))
-        self.irregular_index = np.ascontiguousarray(self.index[self.irregular].T)
+        moved = grid.coords != grid.rect_coords()
+        self.irregular = np.flatnonzero(_cross(moved[..., 0] | moved[..., 1])[self.interior])
+        self.irregular_index = np.ascontiguousarray(self.index_of(self.irregular).T)
         self.irregular_center = self.irregular_index[0] + np.arange(3)[:, None] * (nx * ny)
         self._weights = None
 
+    def _points(self, rows):
+        """(wi, ii, wj, jj), each (len(rows), 5): the field indices along
+        x and y of the stencils `rows`' points and the periods crossed to
+        reach them (-1, 0 or 1)."""
+        ring = self.interior[0].start
+        a, b = np.divmod(np.asarray(rows, dtype=np.intp)[:, None], self.shape[1])
+        di, dj = np.array(STENCIL_OFFSETS).T
+        return (*np.divmod(a + ring + di, self.grid.nx), *np.divmod(b + ring + dj, self.grid.ny))
+
+    def index_of(self, rows):
+        """(len(rows), 5) flat field indices of the stencils `rows`' points."""
+        _, ii, _, jj = self._points(rows)
+        return ii * self.grid.ny + jj
+
+    def offsets_of(self, rows):
+        """(len(rows), 5, 2) positions of the stencils `rows`' points
+        relative to their centers."""
+        wi, ii, wj, jj = self._points(rows)
+        pos = self.grid.coords[ii, jj]
+        pos[..., 0] += wi * self.grid.width
+        pos[..., 1] += wj * self.grid.height
+        return pos - pos[:, :1]
+
     def fit_weights(self, rows):
         """(len(rows), 3, 5) fit weights of the stencils `rows`, one batched
-        factorization; none runs for an empty selection."""
+        factorization of their offsets_of(rows); none runs for an empty
+        selection."""
         if len(rows) == 0:
             return np.empty((0, 3, 5))
-        return batched_fit_weights(self.offsets[rows])[0]
+        return batched_fit_weights(self.offsets_of(rows))[0]
 
     def cached_weights(self):
         if self._weights is None:

@@ -288,7 +288,7 @@ def test_stencil_returns_five_coordinates():
     n = 8
     g = build_variant_grid("d", n)
     assert g.shifted_mask.any()
-    offs = StencilGeometry(g).offsets.reshape(n, n, 5, 2)
+    offs = StencilGeometry(g).offsets_of(np.arange(n * n)).reshape(n, n, 5, 2)
     c = g.coords
     assert np.array_equal(offs[2, 3], c[[2, 1, 3, 2, 2], [3, 3, 3, 2, 4]] - c[2, 3])
     assert np.max(np.abs(offs)) < 2.0 * max(g.dx, g.dy)
@@ -298,12 +298,12 @@ def test_stencil_wraps_unwrapped_on_periodic_grid():
     # neighbors across the seam keep locally contiguous coordinates
     n = 8
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "periodic")
-    offs = StencilGeometry(g).offsets.reshape(n, n, 5, 2)
+    offs = StencilGeometry(g).offsets_of(np.arange(n * n)).reshape(n, n, 5, 2)
     assert np.allclose(offs[0, 0, 1], [-g.dx, 0.0])
     assert np.allclose(offs[0, 0, 3], [0.0, -g.dy])
     assert np.allclose(offs, cross(g), rtol=0, atol=1e-14)
     gd = build_variant_grid("d", n)
-    offs = StencilGeometry(gd).offsets.reshape(n, n, 5, 2)
+    offs = StencilGeometry(gd).offsets_of(np.arange(n * n)).reshape(n, n, 5, 2)
     c = gd.coords
     assert np.allclose(offs[0, 0, 1], c[-1, 0] - (gd.width, 0.0) - c[0, 0])
     assert np.allclose(offs[0, 0, 3], c[0, -1] - (0.0, gd.height) - c[0, 0])
@@ -313,7 +313,7 @@ def test_stencil_rejects_bounded_boundary_points():
     # a bounded grid has stencils only at the interior points
     n = 8
     g = build_uniform(n, n, ((0.0, 1.0), (0.0, 1.0)), "bounded")
-    offs = StencilGeometry(g).offsets
+    offs = StencilGeometry(g).offsets_of(np.arange((n - 2) ** 2))
     assert offs.shape == ((n - 2) ** 2, 5, 2) == (36, 5, 2)
     assert np.allclose(offs, cross(g), rtol=0, atol=1e-14)
     # interior point (3, 3) is row 2, column 2 of the (n - 2, n - 2) block

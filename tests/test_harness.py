@@ -144,7 +144,7 @@ def test_unstable_run_raises_instability_error():
                            t_final=60.0, allow_unstable=True)
     with pytest.raises(InstabilityError) as e:
         run_experiment(cfg)
-    assert e.value.sup > 1e6
+    assert e.value.sup > cfg.blowup_threshold
     assert e.value.step > 0
     assert e.value.time > 0.0
 

@@ -8,8 +8,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LAYERS = ["op.1d.cd", "op.1d.theta", "op.cd", "op.lf", "op.theta", "op.ls_cd", "op.ls_theta",
           "op.cd.256", "op.lf.256", "op.theta.256", "op.ls_theta.scatter", "op.ls_theta.grid_d",
-          "blend.149", "setup.geometry.scatter", "setup.grid.star", "setup.point_shift.circle",
-          "PmlRunner.step", "collar.program",
+          "blend.149", "setup.geometry.scatter", "setup.tfsf.scatter", "setup.grid.star",
+          "setup.point_shift.circle", "PmlRunner.step", "collar.program",
           "tfsf.corrections.ramp", "tfsf.corrections.past", "step.periodic1d",
           "step.periodic2d_cd", "bfecc.compensation.256", "bfecc.compensation.149",
           "run.periodic1d", "run.grid_d.20", "run.grid_d.40",

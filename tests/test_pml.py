@@ -1,13 +1,17 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from bfecc_maxwell import pml as pml_module
 from bfecc_maxwell.bfecc import BfeccStep, bfecc_program, bfecc_step
-from bfecc_maxwell.grid import build_uniform
+from bfecc_maxwell.grid import STENCIL_OFFSETS, Circle, StarCurve, build_uniform, point_shift
 from bfecc_maxwell.harness import ExperimentConfig, build_scatter_grid, run_experiment
+from bfecc_maxwell.lsq import batched_fit_weights
 from bfecc_maxwell.pml import (
     PmlRunner,
     TfsfInjector,
@@ -22,6 +26,7 @@ from bfecc_maxwell.schemes import (
     StencilGeometry,
     Workspace,
     _correction_weights,
+    _cross,
     _kernel_2d,
     _ls_binding,
     _ls_fit_all,
@@ -398,7 +403,8 @@ def direct_corrections(source, geom, kind, eps, mu, t, sdt):
     every (rows, 5) stencil position, one contraction per (weight, field)
     pair.  Returns the field index of the rows and (dHx, dHy, dEz)."""
     inside = geom.interior
-    pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets
+    every = np.arange(geom.shape[0] * geom.shape[1])
+    pos = geom.grid.coords[inside].reshape(-1, 1, 2) + geom.offsets_of(every)
     ax, ay = pos[:, :, 0], pos[:, :, 1]
     chi = source.chi(ax, ay)
     dchi = chi[:, 0:1] - chi
@@ -445,6 +451,115 @@ def test_edge_corrections_equal_the_direct_formula(kind, t):
             assert not got.any()
         else:
             assert np.abs(got).max() > 0.0
+
+
+def brute_force_stencils(grid):
+    """The oracle of StencilGeometry and TfsfInjector: every update point's
+    stencil, point by point, in row-major order, as the definition reads:
+    (index (m, 5), offsets (m, 5, 2), irregular rows).  A neighbor across a
+    periodic seam sits a whole width or height away."""
+    ring = 0 if grid.boundary_kind == "periodic" else 1
+    rect = grid.rect_coords()
+    index, offsets, irregular = [], [], []
+    for i in range(ring, grid.nx - ring):
+        for j in range(ring, grid.ny - ring):
+            flat, pos, moved = [], [], False
+            for di, dj in STENCIL_OFFSETS:
+                wi, ii = divmod(i + di, grid.nx)
+                wj, jj = divmod(j + dj, grid.ny)
+                flat.append(ii * grid.ny + jj)
+                pos.append((grid.coords[ii, jj, 0] + wi * grid.width,
+                            grid.coords[ii, jj, 1] + wj * grid.height))
+                moved |= bool(np.any(grid.coords[ii, jj] != rect[ii, jj]))
+            if moved:
+                irregular.append(len(index))
+            index.append(flat)
+            offsets.append(np.array(pos) - np.array(pos[0]))
+    return np.array(index), np.array(offsets), np.array(irregular, dtype=int)
+
+
+def brute_force_edges(source, grid, index, offsets):
+    """The oracle's TF/SF edge rows: chi at every stencil position center +
+    offset, (rows, chi differences d, x positions) where d is nonzero."""
+    pos = grid.coords.reshape(-1, 2)[index[:, :1]] + offsets
+    chi = source.chi(pos[:, :, 0], pos[:, :, 1])
+    d = chi[:, :1] - chi
+    rows = np.flatnonzero(np.any(d != 0.0, axis=1))
+    return rows, d[rows], pos[rows, :, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hst.data(), boundary=hst.sampled_from(["periodic", "bounded"]),
+       star=hst.booleans())
+# a 6 x 6 grid where one stencil's position c + (p - c) rounds off its node p
+# across the rectangle's left edge: the node plane alone misses that row
+@example(data=None, boundary="bounded", star=False)
+def test_row_wise_stencils_and_edge_rows_equal_a_whole_field_scan(data, boundary, star):
+    """On random circle and star grids, bounded and periodic, over domains
+    that cross zero, with random TF/SF rectangles (inside the domain or
+    across it): `irregular`, index_of and offsets_of of any rows, and the
+    injector's edge rows, their chi differences (through the weight block)
+    and x positions equal the brute-force scan bit for bit."""
+    if data is None:
+        grid = point_shift(build_uniform(6, 6, ((-0.5, 0.5), (-0.5, 0.5)), "bounded"),
+                           Circle(-0.05, 0.0, 0.17))
+        source = TfsfSource((0.08747727184867524, 0.45, -0.45, 0.45))
+    else:
+        n = hst.integers(5, 14)
+        x0, y0 = data.draw(hst.floats(-0.6, 0.0)), data.draw(hst.floats(-0.6, 0.0))
+        g = build_uniform(data.draw(n), data.draw(n), ((x0, x0 + 1.0), (y0, y0 + 1.0)), boundary)
+        cx, cy = x0 + data.draw(hst.floats(0.3, 0.7)), y0 + data.draw(hst.floats(0.3, 0.7))
+        r = data.draw(hst.floats(0.05, 0.28))
+        curve = (StarCurve(cx, cy, r / 1.25, 0.25, data.draw(hst.integers(3, 7))) if star
+                 else Circle(cx, cy, r))
+        grid = point_shift(g, curve)
+        ends = [data.draw(hst.floats(-0.8, 0.8)) for _ in range(4)]
+        (xa, xb), (ya, yb) = sorted(ends[:2]), sorted(ends[2:])
+        source = TfsfSource((xa, xb + 0.05, ya, yb + 0.05))
+    index, offsets, irregular = brute_force_stencils(grid)
+    geom = StencilGeometry(grid)
+    assert np.array_equal(geom.irregular, irregular)
+    assert np.array_equal(geom.irregular_index, index[irregular].T)
+    m = len(index)
+    rows = (np.arange(m) if data is None else
+            np.array(data.draw(hst.lists(hst.integers(0, m - 1), min_size=1, max_size=40))))
+    assert np.array_equal(geom.index_of(rows), index[rows])
+    assert np.array_equal(geom.offsets_of(rows), offsets[rows])
+    edges, d, ax = brute_force_edges(source, grid, index, offsets)
+    inj = TfsfInjector(source, geom, "ls_theta", None, None)
+    assert np.array_equal(inj.index[0], index[edges, 0])
+    assert np.array_equal(inj.x[inj.x_index], ax.T)
+    w = batched_fit_weights(offsets[edges])[0] if len(edges) else np.empty((0, 3, 5))
+    assert np.array_equal(inj._dw, d.T * w.transpose(1, 2, 0)[[2, 1, 0]])
+    if data is None:
+        assert len(edges) and not np.all(np.isin(edges, node_plane_edges(source, grid, geom)))
+
+
+def node_plane_edges(source, grid, geom):
+    """The rows whose nodes, at their own coordinates, lie on both sides of
+    the TF/SF edge."""
+    inside = source.chi(grid.coords[..., 0], grid.coords[..., 1]) != 0.0
+    return np.flatnonzero((_cross(inside) & _cross(~inside))[geom.interior])
+
+
+def test_the_stencil_geometry_and_the_injector_hold_little_memory():
+    """On the 149^2 scatter grid the geometry, its cached weights and an
+    injector hold under 0.5 MB and peak under 1.5 MB while they are built:
+    nothing of the size of the whole field's stencils (2.6 MB of index and
+    offsets) is made."""
+    cfg = ExperimentConfig(experiment="scatter_cylinder", scheme="ls_theta", n=128)
+    g, eps = build_scatter_grid(cfg, 128)
+    source = TfsfSource(cfg.tfsf_rect)
+    tracemalloc.start()
+    try:
+        geom = StencilGeometry(g)
+        geom.cached_weights()
+        inj = TfsfInjector(source, geom, "ls_theta", eps, None)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(geom.irregular) > 0 and inj.index.shape[1] > 0
+    assert held < 0.5e6 and peak < 1.5e6
 
 
 def reference_steps(g, spec, pml, source, state, t0, steps):

@@ -248,11 +248,12 @@ def test_stencil_geometry_shapes_and_cache():
     assert geom.shape == (n - 2, n - 2)
     f = np.arange(n * n, dtype=float).reshape(n, n)
     assert np.array_equal(f[geom.interior], f[1:-1, 1:-1])
-    assert geom.index.shape == (m, 5)
-    assert np.array_equal(f.ravel()[geom.index[:, 0]], f[1:-1, 1:-1].ravel())
+    rows = np.arange(m)
+    assert geom.index_of(rows).shape == (m, 5)
+    assert np.array_equal(f.ravel()[geom.index_of(rows)[:, 0]], f[1:-1, 1:-1].ravel())
     cross = np.array([[0.0, 0.0], [-g.dx, 0.0], [g.dx, 0.0], [0.0, -g.dy], [0.0, g.dy]])
-    assert geom.offsets.shape == (m, 5, 2)
-    assert np.allclose(geom.offsets, cross, rtol=0, atol=1e-14)
+    assert geom.offsets_of(rows).shape == (m, 5, 2)
+    assert np.allclose(geom.offsets_of(rows), cross, rtol=0, atol=1e-14)
     # a uniform grid has no irregular stencil: its weight block is empty
     w1 = geom.cached_weights()
     assert w1 is geom.cached_weights()
@@ -263,8 +264,9 @@ def test_stencil_geometry_shapes_and_cache():
     assert periodic.shape == (n, n)
     assert np.array_equal(f[periodic.interior], f)
     # the west neighbor of (0, 0) wraps to (n - 1, 0), one width away
-    assert periodic.index[0, 1] == (n - 1) * n
-    assert np.allclose(periodic.offsets, cross * (gp.dx / g.dx), rtol=0, atol=1e-14)
+    assert periodic.index_of([0])[0, 1] == (n - 1) * n
+    assert np.allclose(periodic.offsets_of(np.arange(n * n)), cross * (gp.dx / g.dx), rtol=0,
+                       atol=1e-14)
 
     gd = build_variant_grid("d", 16)
     shifted = StencilGeometry(gd)
@@ -683,30 +685,6 @@ def test_a_bad_material_or_spacing_is_a_one_line_value_error(call, error, words)
     assert "\n" not in str(exc.value) and words in str(exc.value)
 
 
-@pytest.mark.parametrize("wrap", [True, False])
-@pytest.mark.parametrize("shape", [(12,), (3, 12)])
-def test_differences_of_rows_that_cannot_merge_equal_the_merged_ones(shape, wrap):
-    """Along the last axis `_dc` runs over the flat run of its contiguous
-    operands; a plane whose rows are not contiguous (a column slice of a
-    wider plane), or an output of that kind, takes the row-by-row
-    fallback, with the same bits: all of them with the wrap, and without
-    it (a bounded grid, whose first and last column neither pass redoes)
-    on the columns in between."""
-    from bfecc_maxwell.schemes import _dc
-
-    rng = np.random.default_rng(5)
-    wide = rng.standard_normal(shape + (10, 16))
-    f, plain = wide[..., :11], np.ascontiguousarray(wide[..., :11])
-    assert not f.flags.c_contiguous and plain.flags.c_contiguous
-    want = np.zeros(plain.shape)
-    run_program(_dc(plain, f.ndim - 1, want, wrap))
-    for src, out in ((f, np.zeros(plain.shape)), (plain, np.zeros(shape + (10, 13))[..., :11]),
-                     (f, np.zeros(shape + (10, 13))[..., :11])):
-        run_program(_dc(src, f.ndim - 1, out, wrap))
-        inner = np.s_[...] if wrap else np.s_[..., 1:-1]
-        assert np.array_equal(out[inner], want[inner])
-
-
 def address_mod_64(a):
     return a.__array_interface__["data"][0] % 64
 
@@ -789,7 +767,7 @@ def test_split_differences_give_the_one_pass_bits_at_every_output_offset(shape, 
     inner = np.s_[...] if wrap else np.s_[..., 1:-1]
     for k in range(8):
         out = at_offset(shape, k)
-        program = _dc(f, f.ndim - 1, out, wrap)
+        program = _dc(f, f.ndim - 1, out, wrap, k)
         run_program(program)
         assert np.array_equal(out[inner], want[inner])
         h = -(k + 1) % 8
@@ -817,7 +795,7 @@ def test_row_shifted_differences_give_the_roll_bits_at_every_output_offset(shape
     inner = np.s_[...] if wrap else (slice(None),) * axis + (slice(1, -1),)
     for k in range(8):
         out = at_offset(shape, k)
-        program = _dc(f, axis, out, wrap)
+        program = _dc(f, axis, out, wrap, k)
         run_program(program)
         assert np.array_equal(0.5 * out[inner], want[inner])
         assert np.isfinite(out).all()

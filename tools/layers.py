@@ -21,6 +21,8 @@ fixed order):
                      step binds them, into a blend from a Workspace
   setup.geometry.scatter  StencilGeometry and its cached_weights() on the
                      149^2 scatter_cylinder grid
+  setup.tfsf.scatter a TfsfInjector of scatter_cylinder's plane-wave source
+                     on that grid's geometry (cylinder eps, ls_theta)
   setup.grid.star    harness.build_scatter_grid of scatter_complex at
                      n = 96, the star grid of the benchmark's probe
   setup.point_shift.circle  grid.point_shift of grid d's circle on the
@@ -43,8 +45,8 @@ fixed order):
   step.periodic2d_cd one bfecc_step of periodic2d_cd's stepper, cd,
                      n = 256, dt_ratio 1, in place
   bfecc.compensation.<n>  the entries of bfecc._compensation alone on
-                     (3, n, n) stacks: plane by plane at n = 256, stack-wide
-                     at n = 149
+                     (3, n, n) stacks from schemes._zeros, as a run's are:
+                     plane by plane at n = 256, stack-wide at n = 149
   run.periodic1d     harness.run_experiment of periodic1d, cd, n = 256,
                      dt_ratio 1.7, 200 steps
   run.grid_d.<n>     harness.run_experiment of periodic2d on grid d,
@@ -84,8 +86,8 @@ KINDS = ("cd", "lf", "theta", "ls_cd", "ls_theta")
 GRID_D = (20, 40, 80)
 LAYERS = ("op.1d.cd", "op.1d.theta") + tuple(f"op.{k}" for k in KINDS) + (
     "op.cd.256", "op.lf.256", "op.theta.256", "op.ls_theta.scatter", "op.ls_theta.grid_d",
-    "blend.149", "setup.geometry.scatter", "setup.grid.star", "setup.point_shift.circle",
-    "PmlRunner.step", "collar.program", "tfsf.corrections.ramp", "tfsf.corrections.past",
+    "blend.149", "setup.geometry.scatter", "setup.tfsf.scatter", "setup.grid.star",
+    "setup.point_shift.circle", "PmlRunner.step", "collar.program", "tfsf.corrections.ramp", "tfsf.corrections.past",
     "step.periodic1d", "step.periodic2d_cd", "bfecc.compensation.256", "bfecc.compensation.149",
     "run.periodic1d") + tuple(
     f"run.grid_d.{n}" for n in GRID_D) + ("run.periodic2d_cd",)
@@ -161,6 +163,9 @@ def build_layers():
         schemes.LS_CENTER["ls_theta"], blended, work("blend", blended.shape),
         work("out", blended.shape), False))
     calls["setup.geometry.scatter"] = lambda: schemes.StencilGeometry(grid).cached_weights()
+    geometry = schemes.StencilGeometry(grid)
+    calls["setup.tfsf.scatter"] = partial(TfsfInjector, TfsfSource(tuple(cfg.tfsf_rect)),
+                                          geometry, "ls_theta", eps, None)
     star = ExperimentConfig(experiment="scatter_complex", scheme="ls_theta", n=96)
     calls["setup.grid.star"] = partial(build_scatter_grid, star, 96)
     calls["setup.point_shift.circle"] = partial(point_shift, build_uniform(80, 80),
@@ -215,7 +220,10 @@ def build_layers():
     calls["step.periodic1d"] = step_1d
     calls["step.periodic2d_cd"] = step_2d
     for n in (256, 149):
-        u, x, y = np.random.default_rng(24).standard_normal((3, 3, n, n))
+        # aligned as a run's stacks are, so the layer times the code, not
+        # where the worker's heap happens to place them
+        u, x, y = (schemes._zeros((3, n, n)) for _ in range(3))
+        u[...], x[...], y[...] = np.random.default_rng(24).standard_normal((3, 3, n, n))
         calls[f"bfecc.compensation.{n}"] = partial(schemes.run_program, _compensation(u, x, y))
 
     def run(**settings):
